@@ -1,11 +1,14 @@
 """Deterministic enumeration of plane models and the discriminant atlas.
 
 The candidate grid runs over all S(a; n1, ..., n_maxmult) with a <= max_a, at
-most max_points base points in total and multiplicities up to max_mult.  A
+most max_points base points in total and multiplicities up to max_mult.  Only
+the models with H^2 = a^2 - sum i^2 n_i >= 1 are generated: the others are
+not embedding classes and would be rejected by ``invariants`` anyway.  A
 candidate survives if
 
   * its hyperplane class pairs non-negatively with every catalogue
-    (-1)-class (contractions are normalized away),
+    (-1)-class (contractions are normalized away; ``normalize_contractions``
+    decides this from the sorted multiplicities),
   * the image has degree >= 1 and non-negative sectional genus,
   * the system embeds: h0(H) between 4 and 8, with the plane (degree 1,
     h0 = 3) as the one legitimate small case,
@@ -23,7 +26,6 @@ produced them; nothing is asserted beyond the enumeration window.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .chow import CI222
@@ -107,12 +109,21 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEnt
 
 
 def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
+    """Every (a, counts) in the bounds with H^2 = a^2 - sum i^2 n_i >= 1, in
+    lexicographic order; the rest could only fail the H^2 check of
+    ``invariants``, so they are never built."""
     grid = []
-    ranges = [range(bounds.max_points + 1)] * bounds.max_mult
+
+    def fill(a: int, counts: tuple[int, ...], points: int, budget: int):
+        i = len(counts) + 1
+        if i > bounds.max_mult:
+            grid.append((a, counts))
+            return
+        for n in range(min(points, budget // (i * i)) + 1):
+            fill(a, counts + (n,), points - n, budget - n * i * i)
+
     for a in range(1, bounds.max_a + 1):
-        for counts in itertools.product(*ranges):
-            if sum(counts) <= bounds.max_points:
-                grid.append((a, counts))
+        fill(a, (), bounds.max_points, a * a - 1)
     return grid
 
 
@@ -135,6 +146,9 @@ def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> lis
     else:
         step = max(1, len(grid) // (workers * 4))
         chunks = [grid[i:i + step] for i in range(0, len(grid), step)]
+        # imported here so that serial runs and the CLI do not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         entries = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_evaluate_chunk, itertools.repeat(bounds), chunks):

@@ -15,6 +15,7 @@ forced by the Noether formula K^2 = 12 chi(O) - chi_top.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall
@@ -113,40 +114,19 @@ def expand(model: PlaneModel) -> DivisorClass:
     return DivisorClass(model.a, mults)
 
 
-def _top_sum(sorted_desc: list[int], n: int) -> int:
-    return sum(sorted_desc[:n])
+def _tied(m: tuple[int, ...], desc: list[int], size: int) -> list[tuple[int, ...]]:
+    """Index tuples of ``size`` entries of ``m`` summing to ``sum(desc[:size])``,
+    the largest possible sum, in lexicographic order.
 
-
-def _subsets_with_sum(mults: list[int], size: int, target: int) -> list[tuple[int, ...]]:
-    """Index tuples of ``size`` entries of ``mults`` summing to ``target``.
-
-    Depth-first with prefix bounds; for H^2 >= 1 the number of solutions is
-    at most k, so this stays small.
+    Such a tuple holds every index whose value exceeds ``desc[size - 1]`` and
+    is filled up from the indices at that value; adding the same fixed part
+    to every pick keeps the lexicographic order of ``itertools.combinations``.
     """
-    k = len(mults)
-    order = sorted(range(k), key=lambda i: -mults[i])
-    vals = [mults[i] for i in order]
-    smallest = min(vals) if vals else 0
-    out: list[tuple[int, ...]] = []
-
-    def walk(pos: int, chosen: list[int], acc: int):
-        need = size - len(chosen)
-        if need == 0:
-            if acc == target:
-                out.append(tuple(sorted(order[i] for i in chosen)))
-            return
-        if pos >= k or k - pos < need:
-            return
-        best = acc + sum(vals[pos:pos + need])
-        if best < target:
-            return
-        if acc + need * smallest > target:
-            return
-        walk(pos + 1, chosen + [pos], acc + vals[pos])
-        walk(pos + 1, chosen, acc)
-
-    walk(0, [], 0)
-    return out
+    v = desc[size - 1]
+    above = [i for i, x in enumerate(m) if x > v]
+    level = [i for i, x in enumerate(m) if x == v]
+    return [tuple(sorted(above + list(pick)))
+            for pick in itertools.combinations(level, size - len(above))]
 
 
 def normalize_contractions(h: DivisorClass) -> tuple[DivisorClass, tuple[DivisorClass, ...]]:
@@ -154,68 +134,58 @@ def normalize_contractions(h: DivisorClass) -> tuple[DivisorClass, tuple[Divisor
 
     Returns the class on the reduced lattice (coordinates of contracted
     exceptional classes dropped) together with the contracted classes, always
-    expressed on the input lattice.  By the Hodge index theorem the
-    contracted classes are pairwise orthogonal once H^2 >= 1, so a single
-    pass blows them all down.
+    expressed on the input lattice, in the order of ``neg_curve_catalogue``.
+    By the Hodge index theorem the contracted classes are pairwise orthogonal
+    once H^2 >= 1, so a single pass blows them all down.
+
+    Nefness is decided from the multiplicities sorted in descending order,
+    ``top_n`` being the sum of the n largest: over each catalogue shape the
+    smallest pairing is m_min (E_i), a - top_2 (L - Ei - Ej), 2a - top_5
+    (conics) and 3a - m_max - top_7 (3L - 2Ei - six E's).  A shape contracts
+    only when its minimum is 0, and then exactly its classes that attain the
+    minimum pair to zero, so only those are built.
     """
     a = h.plane_degree
-    m = list(h.mults)
+    m = h.mults
     k = len(m)
-    if pair(h, h) < 1:
-        raise ValueError(f"H^2 = {pair(h, h)} < 1: not an embedding class")
+    h2 = pair(h, h)
+    if h2 < 1:
+        raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
+    desc = sorted(m, reverse=True)
+    if k and desc[-1] < 0:
+        i = next(i for i in range(k) if m[i] < 0)
+        raise NotNef(f"H.E_{i + 1} = {m[i]} < 0 for H = {h}")
+    line = a - desc[0] - desc[1] if k >= 2 else 1
+    if line < 0:
+        i, j = next((i, j) for i, j in itertools.combinations(range(k), 2)
+                    if m[i] + m[j] > a)
+        raise NotNef(f"H.(L-E_{i + 1}-E_{j + 1}) = {a - m[i] - m[j]} < 0 for H = {h}")
+    conic = 2 * a - sum(desc[:5]) if k >= 5 else 1
+    if conic < 0:
+        raise NotNef(f"a conic (-1)-class pairs negatively with H = {h}")
+    cubic = 3 * a - desc[0] - sum(desc[:7]) if k >= 7 else 1
+    if cubic < 0:
+        raise NotNef(f"a cubic (-1)-class pairs negatively with H = {h}")
 
-    contracted: list[DivisorClass] = []
-
-    def exc(i: int) -> DivisorClass:
-        mm = [0] * k
-        mm[i] = -1
-        return DivisorClass(0, mm)
-
-    def line(idx) -> DivisorClass:
+    def curve(degree: int, idx: tuple[int, ...], double: int = -1) -> DivisorClass:
         mm = [0] * k
         for i in idx:
-            mm[i] = 1
-        return DivisorClass(1, mm)
+            mm[i] = 2 if i == double else 1
+        return DivisorClass(degree, mm)
 
-    # E_i: H.E_i = m_i
-    for i in range(k):
-        if m[i] < 0:
-            raise NotNef(f"H.E_{i + 1} = {m[i]} < 0 for H = {h}")
-        if m[i] == 0:
-            contracted.append(exc(i))
-    # L - Ei - Ej: H.C = a - m_i - m_j
-    for i in range(k):
-        for j in range(i + 1, k):
-            s = a - m[i] - m[j]
-            if s < 0:
-                raise NotNef(f"H.(L-E_{i + 1}-E_{j + 1}) = {s} < 0 for H = {h}")
-            if s == 0:
-                contracted.append(line((i, j)))
-    desc = sorted(m, reverse=True)
-    # 2L - (five E's): H.C = 2a - sum of five m's
-    if k >= 5:
-        if 2 * a - _top_sum(desc, 5) < 0:
-            raise NotNef(f"a conic (-1)-class pairs negatively with H = {h}")
-        for idx in _subsets_with_sum(m, 5, 2 * a):
-            mm = [0] * k
-            for i in idx:
-                mm[i] = 1
-            contracted.append(DivisorClass(2, mm))
-    # 3L - 2Ei - (six E's): H.C = 3a - 2 m_i - sum of six others
-    if k >= 7:
-        for i in range(k):
-            rest = sorted((m[j] for j in range(k) if j != i), reverse=True)
-            if 3 * a - 2 * m[i] - _top_sum(rest, 6) < 0:
-                raise NotNef(f"a cubic (-1)-class pairs negatively with H = {h}")
-        for i in range(k):
-            others = [(j, m[j]) for j in range(k) if j != i]
-            hits = _subsets_with_sum([v for _, v in others], 6, 3 * a - 2 * m[i])
-            for idx in hits:
-                mm = [0] * k
-                mm[i] = 2
-                for pos in idx:
-                    mm[others[pos][0]] = 1
-                contracted.append(DivisorClass(3, mm))
+    contracted = [DivisorClass(0, [-1 if j == i else 0 for j in range(k)])
+                  for i in range(k) if m[i] == 0]
+    if line == 0:
+        contracted.extend(curve(1, idx) for idx in _tied(m, desc, 2))
+    if conic == 0:
+        contracted.extend(curve(2, idx) for idx in _tied(m, desc, 5))
+    if cubic == 0:
+        # the double point has the largest multiplicity: 2 m_i + (six others)
+        # reaches m_max + top_7 only for m_i = m_max inside a top-7 tuple
+        sevens = _tied(m, desc, 7)
+        contracted.extend(curve(3, idx, double=i)
+                          for i in range(k) if m[i] == desc[0]
+                          for idx in sevens if i in idx)
 
     assert len(contracted) <= k, "more contractions than lattice rank"
     assert all(pair(c1, c2) == 0
@@ -225,8 +195,7 @@ def normalize_contractions(h: DivisorClass) -> tuple[DivisorClass, tuple[Divisor
     # only zero-multiplicity coordinates can be dropped exactly; contractions
     # of L- or 2L-shape leave the blown-up-plane family, so H keeps its
     # representation and the bookkeeping lives in the contraction count
-    keep = [i for i in range(k) if m[i] != 0]
-    reduced = DivisorClass(a, [m[i] for i in keep])
+    reduced = DivisorClass(a, [x for x in m if x != 0])
     return reduced, tuple(contracted)
 
 

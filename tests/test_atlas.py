@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
-from nlatlas.atlas import SearchBounds, enumerate_atlas, gap_report
+from nlatlas.atlas import (SearchBounds, _candidate_grid, _evaluate,
+                           enumerate_atlas, gap_report)
 from nlatlas.lattice import mod16_class
 from nlatlas.serialize import encode
 from nlatlas.surfaces import parse_surface_spec
@@ -110,6 +112,23 @@ def test_enumeration_deterministic_and_parallel():
     blob = lambda entries: json.dumps([encode(e) for e in entries], sort_keys=True)
     assert blob(serial) == blob(again)
     assert blob(serial) == blob(parallel)
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(max_a=6, max_points=8),
+    SearchBounds(max_a=5, max_points=9, max_mult=4),
+    SearchBounds(max_a=7, max_points=6, max_mult=2),
+])
+def test_pruned_grid_drops_only_rejects(bounds):
+    full = [(a, counts) for a in range(1, bounds.max_a + 1)
+            for counts in itertools.product(range(bounds.max_points + 1),
+                                            repeat=bounds.max_mult)
+            if sum(counts) <= bounds.max_points]
+    kept = [(a, counts) for a, counts in full
+            if a * a - sum(i * i * n for i, n in enumerate(counts, start=1)) >= 1]
+    assert _candidate_grid(bounds) == kept
+    entries = [e for e in (_evaluate(bounds, a, c) for a, c in full) if e is not None]
+    assert enumerate_atlas(bounds) == sorted(entries, key=lambda e: e.sort_key)
 
 
 def test_atlas_consistent_with_direct_pipeline(default_atlas):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,24 @@ def test_search_markdown(capsys):
     code, out, _ = run(capsys, "--format", "md", "search", "--max-a", "1")
     assert code == 0
     assert "| S(1;0,0,0) |" in out and "(31)" in out
+
+
+def test_search_into_closed_pipe_exits_cleanly():
+    # ``nlatlas search ... | head -1``: the reader closes the pipe after one
+    # line, and the rest of the ~100 kB listing cannot fit in the pipe buffer
+    src = str(Path(nl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "nlatlas.cli", "search", "--max-a", "10",
+            "--max-points", "16", "--max-mult", "4"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.startswith(b"bounds: a <= 10")
+    assert (code, err) == (0, b"")
 
 
 def test_dataset_env_override(tmp_path, monkeypatch, capsys):

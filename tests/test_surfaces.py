@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 
 import pytest
@@ -158,30 +160,53 @@ def test_invariants_ignore_point_ordering():
 
 
 def test_normalize_matches_catalogue_brute_force():
-    # the grouped/shape-wise contraction detection must agree with pairing
-    # H against the explicit catalogue
+    # the sorted-multiplicity rule must agree with pairing H against every
+    # class of the explicit catalogue, in catalogue order, up to k = 12
     from nlatlas.picard import neg_curve_catalogue
     rng = random.Random(2718)
-    checked = 0
-    for _ in range(400):
-        k = rng.randint(0, 8)
-        a = rng.randint(1, 8)
-        h = DivisorClass(a, [rng.randint(0, 3) for _ in range(k)])
-        if pair(h, h) < 1:
+    catalogues = {}
+    contracting = 0
+    shapes = set()
+    for _ in range(1000):
+        k = rng.randint(0, 12)
+        m = [rng.randint(0, 4) for _ in range(k)]
+        desc = sorted(m, reverse=True)
+        # aim a at the tie of one shape as often as at a random class
+        a = rng.choice([math.isqrt(sum(x * x for x in m)) + rng.randint(0, 3),
+                        sum(desc[:2]), -(-sum(desc[:5]) // 2),
+                        -(-(sum(desc[:1]) + sum(desc[:7])) // 3)])
+        h = DivisorClass(a, m)
+        if a < 1 or pair(h, h) < 1:
             continue
-        cat = neg_curve_catalogue(k)
-        pairings = [pair(h, c) for c in cat]
-        expected_zero = {(c.plane_degree, c.mults)
-                         for c, p in zip(cat, pairings) if p == 0}
+        if k not in catalogues:
+            catalogues[k] = neg_curve_catalogue(k)
+        cat = catalogues[k]
+        pairings = [c.plane_degree * a - sum(map(operator.mul, c.mults, m)) for c in cat]
         if any(p < 0 for p in pairings):
             with pytest.raises(NotNef):
                 normalize_contractions(h)
             continue
         _, contracted = normalize_contractions(h)
-        got = {(c.plane_degree, c.mults) for c in contracted}
-        assert got == expected_zero, h
-        checked += 1
-    assert checked > 100
+        assert contracted == tuple(c for c, p in zip(cat, pairings) if p == 0), h
+        contracting += bool(contracted)
+        shapes.update(c.plane_degree for c in contracted)
+    assert contracting > 300
+    assert shapes == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("h,error,message", [
+    (DivisorClass(3, (1, -1, 2)), NotNef, "H.E_2 = -1 < 0 for H = (3; 1,-1,2)"),
+    (DivisorClass(3, (2, 2)), NotNef, "H.(L-E_1-E_2) = -1 < 0 for H = (3; 2,2)"),
+    (DivisorClass(6, (3, 3, 3, 2, 2)), NotNef,
+     "a conic (-1)-class pairs negatively with H = (6; 3,3,3,2,2)"),
+    (DivisorClass(9, (5, 3, 3, 3, 3, 3, 3)), NotNef,
+     "a cubic (-1)-class pairs negatively with H = (9; 5,3,3,3,3,3,3)"),
+    (DivisorClass(3, (2, 2, 1, 1)), ValueError, "H^2 = -1 < 1: not an embedding class"),
+])
+def test_normalize_error_messages(h, error, message):
+    with pytest.raises(error) as exc:
+        normalize_contractions(h)
+    assert str(exc.value) == message
 
 
 def test_genus_roundtrip_identity():
