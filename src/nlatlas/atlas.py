@@ -3,19 +3,28 @@
 The candidate grid runs over all S(a; n1, ..., n_maxmult) with a <= max_a, at
 most max_points base points in total and multiplicities up to max_mult.  Only
 the models with H^2 = a^2 - sum i^2 n_i >= 1 are generated: the others are
-not embedding classes and would be rejected by ``invariants`` anyway.  A
-candidate survives if
+not embedding classes and would be rejected by ``invariants`` anyway.
 
-  * its hyperplane class pairs non-negatively with every catalogue
-    (-1)-class (contractions are normalized away; ``normalize_contractions``
-    decides this from the sorted multiplicities),
-  * the image has degree >= 1 and non-negative sectional genus,
-  * the system embeds: h0(H) between 4 and 8, with the plane (degree 1,
-    h0 = 3) as the one legitimate small case,
-  * at least min_h0_IS2 quadrics pass through it,
+The numbers carried by H alone are linear in the point counts, so these
+conditions are decided on (a, counts), before any class or record is built:
+
+  * the image has degree H^2 >= 1 and, when the bounds ask for it,
+    non-negative sectional genus 1 + (H^2 + H.K)/2,
+  * the system embeds: h0(H) = 1 + (H^2 - H.K)/2 between 4 and 8, with the
+    plane (degree 1, h0 = 3) as the one legitimate small case,
+  * at least min_h0_IS2 (and at least 3) quadrics pass through it,
+    h0(I(2)) = 35 - 2 H^2 + H.K,
+
+where H.K = sum i n_i - 3a.  The survivors go through ``invariants``, which
+alone needs the classes, and must then pass the conditions that need the
+record:
+
+  * H pairs non-negatively with every catalogue (-1)-class (contractions are
+    normalized away and raise K^2; ``normalize_contractions`` decides this
+    from the sorted multiplicities),
+  * the resulting discriminant is non-negative,
   * the codimension-bound window, taken over h0(N_S/X) between 0 and the
-    clamped Euler estimate, meets [0, max_codim],
-  * the resulting discriminant is non-negative.
+    clamped Euler estimate, meets [0, max_codim].
 
 The output is a pure function of the bounds: entries are sorted by
 (discriminant, a, point counts), so runs with any worker count agree byte
@@ -29,8 +38,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .chow import CI222
-from .counts import chi_NSX_lower, codimension_bound, h0_quadrics
-from .errors import NegativeCount, NotNef, SpanTooSmall
+from .counts import H0_QUADRICS_P7, chi_NSX_lower, codimension_bound
+from .errors import NotNef
 from .lattice import RankTwoLattice, discriminant, fourfold_lattice, mod16_class
 from .surfaces import PlaneModel, SurfaceInvariants, invariants
 
@@ -72,21 +81,34 @@ class AtlasEntry:
         return (self.discriminant, self.model.a, self.model.point_counts)
 
 
+def _count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(degree, sectional genus, h0(H), h0(I_S(2))) of S(a; counts) from the
+    counts alone; they agree with ``invariants`` and ``h0_quadrics`` whenever
+    those succeed, since contractions leave every H-derived number unchanged.
+    H^2 + H.K = a^2 - 3a - sum (i^2 - i) n_i is even, so the halves are exact."""
+    deg = a * a
+    hk = -3 * a
+    for i, n in enumerate(counts, start=1):
+        deg -= i * i * n
+        hk += i * n
+    # h0(I(2)) = 36 - chi(O_S(2H)) with chi(O_S) = 1
+    return deg, 1 + (deg + hk) // 2, 1 + (deg - hk) // 2, H0_QUADRICS_P7 - 1 - 2 * deg + hk
+
+
 def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEntry | None:
-    model = PlaneModel(a, counts)
-    try:
-        s = invariants(model)
-    except (NotNef, SpanTooSmall, ValueError):
+    deg, genus, h0, h0_is2 = _count_numbers(a, counts)
+    if deg < 1 or h0 > 8 or (h0 < 4 and deg != 1):
         return None
-    if s.h0_H > 8:
-        return None
-    if bounds.require_positive_genus_bound and s.sect_genus < 0:
-        return None
-    try:
-        h0_is2 = h0_quadrics(s)
-    except NegativeCount:
+    if bounds.require_positive_genus_bound and genus < 0:
         return None
     if h0_is2 < bounds.min_h0_IS2 or h0_is2 < 3:
+        return None
+    model = PlaneModel(a, counts)
+    # a SpanTooSmall or H^2 ValueError here would mean the count formulas
+    # disagree with the record, so only NotNef is a rejection
+    try:
+        s = invariants(model)
+    except NotNef:
         return None
     lat = fourfold_lattice(CI222, s)
     disc = discriminant(lat)

@@ -31,9 +31,6 @@ class DivisorClass:
     def k(self) -> int:
         return len(self.mults)
 
-    def dot(self, other: "DivisorClass") -> int:
-        return pair(self, other)
-
     def __str__(self) -> str:
         if not self.mults:
             return f"({self.plane_degree};)"
@@ -54,10 +51,14 @@ def canonical(k: int) -> DivisorClass:
     return DivisorClass(-3, (-1,) * k)
 
 
+def _dot_canonical(d: DivisorClass) -> int:
+    """D.K = sum m_i - 3d, without building K = -3L + sum E_i."""
+    return sum(d.mults) - 3 * d.plane_degree
+
+
 def riemann_roch_chi(d: DivisorClass) -> int:
     """chi(O(D)) = 1 + D.(D - K)/2 on a rational surface."""
-    kc = canonical(d.k)
-    n = pair(d, d) - pair(d, kc)
+    n = pair(d, d) - _dot_canonical(d)
     if n % 2 != 0:
         raise ParityViolation(f"D.(D-K) = {n} is odd for D = {d}")
     return 1 + n // 2
@@ -65,8 +66,7 @@ def riemann_roch_chi(d: DivisorClass) -> int:
 
 def adjunction_genus(d: DivisorClass) -> int:
     """Arithmetic genus 1 + (D^2 + D.K)/2 of a curve in class D."""
-    kc = canonical(d.k)
-    n = pair(d, d) + pair(d, kc)
+    n = pair(d, d) + _dot_canonical(d)
     if n % 2 != 0:
         raise ParityViolation(f"D^2 + D.K = {n} is odd for D = {d}")
     return 1 + n // 2

@@ -299,26 +299,31 @@ def _parse_int(text: str, token: str, offset: int) -> int:
         raise ParseError(f"expected an integer, got {token!r}", text, offset) from None
 
 
-def _parse_plane(text: str, base: str) -> PlaneModel:
+def _parse_plane(text: str, base: str, start: int) -> PlaneModel:
     head, sep, tail = base.partition(";")
     if not sep:
-        raise ParseError("expected 'a;n1,n2,...'", text, len(head))
-    a = _parse_int(text, head, 0)
+        raise ParseError("expected 'a;n1,n2,...'", text, start + len(head))
+    a = _parse_int(text, head, start)
+    if a < 1:
+        raise ParseError(f"plane-curve degree must be >= 1, got {a}", text, start)
     counts: list[int] = []
     if tail:
-        offset = len(head) + 1
+        offset = start + len(head) + 1
         for token in tail.split(","):
             if token == "":
                 raise ParseError("empty point count", text, offset)
-            counts.append(_parse_int(text, token, offset))
+            n = _parse_int(text, token, offset)
+            if n < 0:
+                raise ParseError(f"point counts must be >= 0, got {n}", text, offset)
+            counts.append(n)
             offset += len(token) + 1
     return PlaneModel(a, counts)
 
 
-def _parse_abstract(text: str, base: str) -> SurfaceInvariants:
+def _parse_abstract(text: str, base: str, start: int) -> SurfaceInvariants:
     body = base[len("abs:"):]
     fields: dict[str, int] = {}
-    offset = text.find(body)
+    offset = start + len("abs:")
     for token in body.split(","):
         key, sep, val = token.partition("=")
         if not sep or key not in _ABS_KEYS:
@@ -341,26 +346,29 @@ def parse_surface_spec(text: str) -> SurfaceInvariants:
     The final record must fit in P^7: a surface with h0(H) > 8 is rejected
     unless a projection modifier brings it down (or marks it non-normal).
     """
-    stripped = text.strip()
-    if not stripped:
+    tokens = []   # (position in text, token), for the error positions
+    start = 0
+    for token in text.split():
+        start = text.index(token, start)
+        tokens.append((start, token))
+        start += len(token)
+    if not tokens:
         raise ParseError("empty surface specification", text, 0)
-    parts = stripped.split()
-    base = parts[0]
+    start, base = tokens[0]
     if base.startswith("abs:"):
-        s = _parse_abstract(text, base)
+        s = _parse_abstract(text, base, start)
     else:
-        s = invariants(_parse_plane(text, base))
-    offset = len(base)
-    for token in parts[1:]:
+        s = invariants(_parse_plane(text, base, start))
+    for start, token in tokens[1:]:
         if token == "int-proj":
             s = internal_projection(s)
         elif token == "ext-proj":
             s = external_projection(s)
         elif token.startswith("nodes="):
-            s = nodal_projection(s, _parse_int(text, token[len("nodes="):], offset))
+            s = nodal_projection(
+                s, _parse_int(text, token[len("nodes="):], start + len("nodes=")))
         else:
-            raise ParseError(f"unknown modifier {token!r}", text, text.find(token))
-        offset += len(token) + 1
+            raise ParseError(f"unknown modifier {token!r}", text, start)
     if s.h0_H > 9 or (s.h0_H == 9 and s.linearly_normal):
         raise SpanTooSmall(
             f"surface spans P^{s.h0_H - 1}: apply int-proj/ext-proj/nodes= to land in P^7"

@@ -3,11 +3,13 @@ import json
 
 import pytest
 
-from nlatlas.atlas import (SearchBounds, _candidate_grid, _evaluate,
-                           enumerate_atlas, gap_report)
+from nlatlas.atlas import (SearchBounds, _candidate_grid, _count_numbers,
+                           _evaluate, enumerate_atlas, gap_report)
+from nlatlas.counts import h0_quadrics
+from nlatlas.errors import NegativeCount, NotNef, SpanTooSmall
 from nlatlas.lattice import mod16_class
 from nlatlas.serialize import encode
-from nlatlas.surfaces import parse_surface_spec
+from nlatlas.surfaces import PlaneModel, invariants, parse_surface_spec
 
 TABLE_VALUES = {16, 28, 31, 32, 39, 44, 47, 48, 55, 60, 63, 64, 71, 76, 79, 80,
                 87, 92, 96, 103}
@@ -118,6 +120,8 @@ def test_enumeration_deterministic_and_parallel():
     SearchBounds(max_a=6, max_points=8),
     SearchBounds(max_a=5, max_points=9, max_mult=4),
     SearchBounds(max_a=7, max_points=6, max_mult=2),
+    SearchBounds(max_a=6, max_points=8, min_h0_IS2=3, require_positive_genus_bound=False),
+    SearchBounds(max_a=6, max_points=8, min_h0_IS2=12),
 ])
 def test_pruned_grid_drops_only_rejects(bounds):
     full = [(a, counts) for a in range(1, bounds.max_a + 1)
@@ -129,6 +133,29 @@ def test_pruned_grid_drops_only_rejects(bounds):
     assert _candidate_grid(bounds) == kept
     entries = [e for e in (_evaluate(bounds, a, c) for a, c in full) if e is not None]
     assert enumerate_atlas(bounds) == sorted(entries, key=lambda e: e.sort_key)
+
+
+def test_count_numbers_match_the_record():
+    # the record goes through the classes, contraction normalization and
+    # Riemann-Roch; the counts only through integer sums over (a, counts)
+    checked = contracted = 0
+    for a in range(1, 10):
+        for counts in itertools.product(range(11), repeat=4):
+            if sum(counts) > 10:
+                continue
+            try:
+                s = invariants(PlaneModel(a, counts))
+            except (NotNef, SpanTooSmall, ValueError):
+                continue
+            deg, genus, h0, h0_is2 = _count_numbers(a, counts)
+            assert (deg, genus, h0) == (s.degree, s.sect_genus, s.h0_H), (a, counts)
+            try:
+                assert h0_is2 == h0_quadrics(s), (a, counts)
+            except NegativeCount:
+                assert h0_is2 < 0, (a, counts)
+            checked += 1
+            contracted += s.K2 != 9 - sum(counts)
+    assert checked > 1000 and contracted > 100
 
 
 def test_atlas_consistent_with_direct_pipeline(default_atlas):

@@ -40,6 +40,13 @@ def test_describe_malformed_spec_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec,position", [("5;7,-1,1", 4), ("0;1", 0)])
+def test_describe_out_of_range_spec_reports_position(capsys, spec, position):
+    code, _, err = run(capsys, "describe", "--surface", spec)
+    assert code == 3
+    assert f"(at position {position} in {spec!r})" in err
+
+
 def test_selfint_command(capsys):
     code, out, _ = run(capsys, "selfint", "--ci", "3",
                        "--abs", "deg=13,g=12,K2=2,chiO=4")

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from nlatlas.errors import MismatchedLattice
-from nlatlas.picard import (DivisorClass, adjunction_genus, canonical,
-                            neg_curve_catalogue, pair, riemann_roch_chi)
+from nlatlas.picard import (DivisorClass, _dot_canonical, adjunction_genus,
+                            canonical, neg_curve_catalogue, pair, riemann_roch_chi)
 
 L = DivisorClass(1, ())
 
@@ -109,3 +109,15 @@ def test_lattice_parity():
         k = rng.randint(0, 12)
         d = _random_class(rng, k)
         assert (pair(d, d) + pair(d, canonical(k))) % 2 == 0
+
+
+def test_dot_canonical_matches_pairing_with_canonical():
+    rng = random.Random(31)
+    for _ in range(500):
+        d = _random_class(rng, rng.randint(0, 14))
+        dk = pair(d, canonical(d.k))
+        assert _dot_canonical(d) == dk
+        d2 = pair(d, d)
+        # genus and chi read D.K the same way as the explicit pairing
+        assert adjunction_genus(d) == 1 + (d2 + dk) // 2
+        assert riemann_roch_chi(d) == 1 + (d2 - dk) // 2

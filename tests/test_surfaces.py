@@ -244,6 +244,19 @@ def test_parse_errors(bad):
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("bad,position", [
+    ("", 0), ("   ", 0), (";", 0), ("5", 1), ("5;7,,1", 4), ("  5;7,x", 6),
+    ("0;1", 0), ("-2;", 0), ("5;7,-1,1", 4), ("5;7,0,-1", 6),
+    ("5;7,0,1 nodes=x", 14), ("5;7,0,1   nodes=x", 16), ("5;7,0,1 7", 8),
+    ("5;7,0,1 int-proj squint", 17), (" abs:deg=13,g=x,K2=-1,chiO=2", 14),
+    ("abs:deg=13", 10),
+])
+def test_parse_error_positions(bad, position):
+    with pytest.raises(ParseError) as err:
+        parse_surface_spec(bad)
+    assert err.value.position == position
+
+
 def test_unprojected_large_span_rejected():
     # S(5;7,0,0) spans P^13; without a projection modifier it cannot sit in P^7
     with pytest.raises(SpanTooSmall):
