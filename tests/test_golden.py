@@ -1,0 +1,139 @@
+"""Golden outputs: the exit code and stdout of CLI commands in every format,
+and the JSON wire form of one value of each record kind.
+
+Every refactor of the codec or the renderers must leave these files byte
+for byte unchanged.  After an intended output change, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import nlatlas as nl
+from nlatlas.cli import main
+from nlatlas.serialize import encode
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FORMATS = ("text", "json", "csv", "md")
+
+# the diagram shown in the README
+DIAGRAM = {
+    "left": {"fourfold": "X222", "center": "5;7,0,1"},
+    "right": {"fourfold": "ci22", "center": "unknown"},
+    "flop_bridge": True,
+}
+
+# name -> argv after the global flags; {diagram} and {bad_dataset} are files
+# written by ``_write_inputs``
+COMMANDS = {
+    "describe-plane": ["describe", "--surface", "5;7,0,1"],
+    "describe-nodal": ["describe", "--surface", "5;6,2 nodes=1"],
+    "describe-window": ["describe", "--surface", "abs:deg=13,g=8,K2=-1,chiO=2"],
+    "invariants": ["invariants", "--surface", "5;7,0,1"],
+    "lattice-surface": ["lattice", "--surface", "5;7,0,1"],
+    "lattice-abs": ["lattice", "--abs", "deg=13,g=12,K2=2,chiO=4"],
+    "selfint": ["selfint", "--surface", "5;6,2 nodes=1"],
+    "count-table-row": ["count", "--table-row", "t1-01"],
+    "count-h0nsx": ["count", "--surface", "5;7,0,1", "--h0nsx", "2"],
+    "ledger": ["ledger", "--diagram", "{diagram}"],
+    "search-det": ["search", "--det", "47"],
+    "search-small": ["search", "--max-a", "6", "--max-points", "10"],
+    "search-gaps": ["search", "--gaps"],
+    "tables": ["tables"],
+    "tables-diffs": ["--dataset", "{bad_dataset}", "tables"],
+}
+
+CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]
+
+
+def _write_inputs(root: Path) -> dict[str, str]:
+    """The diagram file, and a dataset copy whose row t1-01 has another
+    matrix of the same determinant, another h0_N and another codim."""
+    diagram = root / "diagram.json"
+    diagram.write_text(json.dumps(DIAGRAM))
+    data = json.loads(
+        resources.files("nlatlas").joinpath("data/table_rows.json").read_text())
+    row = data["unirational_rows"][0]
+    assert row["id"] == "t1-01" and row["matrix"] == [8, 4, 4]
+    row.update(matrix=[8, 0, 2], h0_N=row["h0_N"] + 1, codim=row["codim"] + 1)
+    bad = root / "bad_rows.json"
+    bad.write_text(json.dumps(data))
+    return {"diagram": str(diagram), "bad_dataset": str(bad)}
+
+
+def _argv(name: str, fmt: str, paths: dict[str, str]) -> list[str]:
+    return ["--format", fmt] + [a.format(**paths) for a in COMMANDS[name]]
+
+
+def _record(code: int, out: str) -> str:
+    return f"exit {code}\n{out}"
+
+
+def _record_values() -> dict[str, object]:
+    s = nl.parse_surface_spec("5;6,2 nodes=1")
+    atlas = nl.enumerate_atlas(nl.SearchBounds(max_a=3, max_points=5))
+    return {
+        "divisor": nl.DivisorClass(5, (1, 1, 3)),
+        "plane_model": nl.PlaneModel(5, (7, 0, 1)),
+        "surface": s,
+        "ci_type": nl.CI222,
+        "rank2_lattice-fourfold": nl.fourfold_lattice(nl.CI222, s),
+        "rank2_lattice-surface": nl.surface_matrix(13, 12, 2),
+        "hodge_diamond": nl.preset("X222"),
+        "parameter_count": nl.codimension_bound(s, 0),
+        "search_bounds": nl.SearchBounds(max_a=3, max_points=5),
+        "atlas_entry": atlas[-1],
+        "gap_report": nl.gap_report(atlas, 110, nl.SearchBounds(max_a=3, max_points=5)),
+    }
+
+
+RECORDS = _record_values()
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return _write_inputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name,fmt", CASES)
+def test_cli_golden(name, fmt, paths, capsys):
+    code = main(_argv(name, fmt, paths))
+    out = capsys.readouterr().out
+    want = (GOLDEN / "cli" / f"{name}.{fmt}").read_text()
+    assert _record(code, out) == want
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_record_golden(name):
+    text = json.dumps(encode(RECORDS[name]), indent=2) + "\n"
+    assert text == (GOLDEN / "records" / f"{name}.json").read_text()
+
+
+def _regenerate() -> None:
+    (GOLDEN / "cli").mkdir(parents=True, exist_ok=True)
+    (GOLDEN / "records").mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_inputs(Path(tmp))
+        for name, fmt in CASES:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(_argv(name, fmt, paths))
+            (GOLDEN / "cli" / f"{name}.{fmt}").write_text(_record(code, buf.getvalue()))
+    for name, value in RECORDS.items():
+        (GOLDEN / "records" / f"{name}.json").write_text(
+            json.dumps(encode(value), indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()
