@@ -8,6 +8,7 @@ integer arithmetic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -63,8 +64,7 @@ def _cmd_lattice(args) -> int:
     lat = fourfold_lattice(ci, s)
     disc = discriminant(lat)
     mod = mod16_class(disc)
-    payload = {"lattice": encode(lat), "discriminant": disc,
-               "mod16": {"residue": mod.residue, "admissible": mod.admissible}}
+    payload = {"lattice": encode(lat), "discriminant": disc, "mod16": mod._asdict()}
     text = (f"matrix {lat}\ndiscriminant {disc} "
             f"(residue {mod.residue} mod 16, "
             + ("admissible" if mod.admissible else "inadmissible") + ")")
@@ -112,17 +112,9 @@ def _cmd_ledger(args) -> int:
     solved = solve_diagram(diagram_from_dict(data))
     cls = classify_solved(solved)
     inv = solved.invariants
-    payload = {
-        "unknown_diamond": encode(solved.unknown),
-        "invariants": {"pg": inv.pg, "q": inv.q, "b2": inv.b2,
-                       "chi_O": inv.chi_O, "chi_top": inv.chi_top, "K2": inv.K2},
-        "classification": {
-            "castelnuovo_type_I": cls.castelnuovo_type_I,
-            "non_minimal": cls.non_minimal,
-            "blow_downs": cls.blow_downs,
-            "minimal_model_K2": cls.minimal_model_K2,
-        },
-    }
+    payload = {"unknown_diamond": encode(solved.unknown),
+               "invariants": dataclasses.asdict(inv),
+               "classification": dataclasses.asdict(cls)}
     text = (solved.unknown.pretty() + "\n"
             f"p_g = {inv.pg}, q = {inv.q}, b2 = {inv.b2}, chi(O) = {inv.chi_O}, "
             f"chi_top = {inv.chi_top}, K^2 = {inv.K2}\n")
@@ -184,9 +176,8 @@ def _cmd_tables(args) -> int:
             print(json.dumps({
                 "table": w, "ok": rep.ok,
                 "mismatches": [{"row": c.row_id, "diffs": {
-                    k: {"got": list(v[0]) if isinstance(v[0], tuple) else v[0],
-                        "want": list(v[1]) if isinstance(v[1], tuple) else v[1]}
-                    for k, v in c.diffs.items()}} for c in rep.mismatches],
+                    k: {"got": got, "want": want} for k, (got, want) in c.diffs.items()}}
+                    for c in rep.mismatches],
             }, indent=2))
         elif args.format == "md":
             print(f"### Table {w}\n")

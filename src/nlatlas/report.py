@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import (CI222, CompleteIntersectionType, congruence_secancy,
-                   self_intersection)
+from .chow import CI222, CompleteIntersectionType, congruence_secancy
 from .counts import chi_NSX_lower, codimension_bound
 from .dataset import Dataset, TableRow
 from .errors import DatasetMissing, RowMismatch
@@ -103,10 +102,10 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
         + (f", {s.nodes} node(s)" if s.nodes else ""),
     ]
     if s.nodes:
+        # m22 is the self-intersection, fitted node rule included
         lines.append(
             f"  self-intersection used the fitted +2 per node rule: "
-            f"{self_intersection(ci, s)} = {self_intersection(ci, s) - 2 * s.nodes} "
-            f"+ 2*{s.nodes}"
+            f"{lat.m22} = {lat.m22 - 2 * s.nodes} + 2*{s.nodes}"
         )
     row = None
     if dataset is not None:

@@ -1,101 +1,98 @@
 """JSON-friendly encoding of the record types, with exact round-trips.
 
-Every encoder writes a ``kind`` tag so ``decode`` can reconstruct the value;
-all numbers stay Python integers end to end.
+A record goes on the wire as ``{"kind": ...}`` followed by its fields in
+declaration order, under their own names except ``DivisorClass.plane_degree``,
+which is written ``"d"``.  Tuples become arrays, a ``Side`` becomes its value
+and nested records are encoded the same way; ``decode`` reverses each step,
+rebuilding the enum from the field's type.  All numbers stay Python integers
+end to end.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import typing
 from typing import Any
 
 from .atlas import AtlasEntry, GapReport, SearchBounds
 from .chow import CompleteIntersectionType
 from .counts import ParameterCount
 from .hodge import HodgeDiamond
-from .lattice import RankTwoLattice, Side
+from .lattice import RankTwoLattice
 from .picard import DivisorClass
 from .surfaces import PlaneModel, SurfaceInvariants
 
+KINDS = {
+    "divisor": DivisorClass,
+    "plane_model": PlaneModel,
+    "surface": SurfaceInvariants,
+    "ci_type": CompleteIntersectionType,
+    "rank2_lattice": RankTwoLattice,
+    "hodge_diamond": HodgeDiamond,
+    "parameter_count": ParameterCount,
+    "search_bounds": SearchBounds,
+    "atlas_entry": AtlasEntry,
+    "gap_report": GapReport,
+}
+
+WIRE_NAMES = {(DivisorClass, "plane_degree"): "d"}
+
+
+def _to_wire(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_to_wire(v) for v in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    if type(value) in _ENCODERS:
+        return encode(value)
+    return value
+
+
+def _from_wire(value: Any) -> Any:
+    if isinstance(value, list):
+        return tuple(_from_wire(v) for v in value)
+    if isinstance(value, dict):
+        return decode(value)
+    return value
+
+
+def _converters(hint: Any) -> tuple[Any, Any]:
+    """(to wire, from wire) for a field of type ``hint``; None keeps the value."""
+    if hint in (int, str, bool):
+        return None, None
+    if isinstance(hint, enum.EnumMeta):
+        return _to_wire, hint
+    return _to_wire, _from_wire
+
+
+def _layout(cls: type) -> tuple[tuple[str, str, Any, Any], ...]:
+    """(attribute, wire name, to wire, from wire) for each field."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, WIRE_NAMES.get((cls, f.name), f.name), *_converters(hints[f.name]))
+                 for f in dataclasses.fields(cls))
+
+
+_ENCODERS = {cls: (kind, _layout(cls)) for kind, cls in KINDS.items()}
+_DECODERS = {kind: (cls, layout) for cls, (kind, layout) in _ENCODERS.items()}
+
 
 def encode(obj: Any) -> Any:
-    if isinstance(obj, DivisorClass):
-        return {"kind": "divisor", "d": obj.plane_degree, "mults": list(obj.mults)}
-    if isinstance(obj, PlaneModel):
-        return {"kind": "plane_model", "a": obj.a, "point_counts": list(obj.point_counts)}
-    if isinstance(obj, SurfaceInvariants):
-        return {
-            "kind": "surface",
-            "degree": obj.degree, "sect_genus": obj.sect_genus, "K2": obj.K2,
-            "chi_O": obj.chi_O, "chi_top": obj.chi_top, "h0_H": obj.h0_H,
-            "nodes": obj.nodes, "linearly_normal": obj.linearly_normal,
-            "provenance_label": obj.provenance_label,
-        }
-    if isinstance(obj, CompleteIntersectionType):
-        return {"kind": "ci_type", "degrees": list(obj.degrees)}
-    if isinstance(obj, RankTwoLattice):
-        return {"kind": "rank2_lattice", "m11": obj.m11, "m12": obj.m12,
-                "m22": obj.m22, "side": obj.side.value}
-    if isinstance(obj, HodgeDiamond):
-        return {"kind": "hodge_diamond", "dim": obj.dim,
-                "entries": [list(r) for r in obj.entries]}
-    if isinstance(obj, ParameterCount):
-        return {"kind": "parameter_count", "h0_IS2": obj.h0_IS2, "h0_N": obj.h0_N,
-                "h0_NSX": obj.h0_NSX, "grass_dim": obj.grass_dim,
-                "codim_bound": obj.codim_bound, "flags": list(obj.flags)}
-    if isinstance(obj, SearchBounds):
-        return {"kind": "search_bounds", "max_a": obj.max_a,
-                "max_points": obj.max_points, "max_mult": obj.max_mult,
-                "min_h0_IS2": obj.min_h0_IS2, "max_codim": obj.max_codim,
-                "require_positive_genus_bound": obj.require_positive_genus_bound}
-    if isinstance(obj, AtlasEntry):
-        return {"kind": "atlas_entry", "model": encode(obj.model),
-                "surface": encode(obj.surface), "lattice": encode(obj.lattice),
-                "discriminant": obj.discriminant,
-                "codim_bound_range": list(obj.codim_bound_range),
-                "h0_IS2": obj.h0_IS2, "h0_N": obj.h0_N}
-    if isinstance(obj, GapReport):
-        return {"kind": "gap_report", "bounds": encode(obj.bounds), "up_to": obj.up_to,
-                "gaps": list(obj.gaps), "attained": list(obj.attained),
-                "below_floor": list(obj.below_floor)}
-    raise TypeError(f"no encoder for {type(obj).__name__}")
+    try:
+        kind, layout = _ENCODERS[type(obj)]
+    except KeyError:
+        raise TypeError(f"no encoder for {type(obj).__name__}") from None
+    out = {"kind": kind}
+    for name, wire, to_wire, _ in layout:
+        value = getattr(obj, name)
+        out[wire] = value if to_wire is None else to_wire(value)
+    return out
 
 
 def decode(data: Any) -> Any:
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "divisor":
-        return DivisorClass(data["d"], tuple(data["mults"]))
-    if kind == "plane_model":
-        return PlaneModel(data["a"], tuple(data["point_counts"]))
-    if kind == "surface":
-        return SurfaceInvariants(
-            degree=data["degree"], sect_genus=data["sect_genus"], K2=data["K2"],
-            chi_O=data["chi_O"], chi_top=data["chi_top"], h0_H=data["h0_H"],
-            nodes=data["nodes"], linearly_normal=data["linearly_normal"],
-            provenance_label=data["provenance_label"],
-        )
-    if kind == "ci_type":
-        return CompleteIntersectionType(tuple(data["degrees"]))
-    if kind == "rank2_lattice":
-        return RankTwoLattice(data["m11"], data["m12"], data["m22"], Side(data["side"]))
-    if kind == "hodge_diamond":
-        return HodgeDiamond(data["dim"], tuple(tuple(r) for r in data["entries"]))
-    if kind == "parameter_count":
-        return ParameterCount(data["h0_IS2"], data["h0_N"], data["h0_NSX"],
-                              data["grass_dim"], data["codim_bound"],
-                              tuple(data["flags"]))
-    if kind == "search_bounds":
-        return SearchBounds(data["max_a"], data["max_points"], data["max_mult"],
-                            data["min_h0_IS2"], data["max_codim"],
-                            data["require_positive_genus_bound"])
-    if kind == "atlas_entry":
-        return AtlasEntry(
-            model=decode(data["model"]), surface=decode(data["surface"]),
-            lattice=decode(data["lattice"]), discriminant=data["discriminant"],
-            codim_bound_range=tuple(data["codim_bound_range"]),
-            h0_IS2=data["h0_IS2"], h0_N=data["h0_N"],
-        )
-    if kind == "gap_report":
-        return GapReport(bounds=decode(data["bounds"]), up_to=data["up_to"],
-                         gaps=tuple(data["gaps"]), attained=tuple(data["attained"]),
-                         below_floor=tuple(data["below_floor"]))
-    raise TypeError(f"cannot decode {data!r}")
+    try:
+        cls, layout = _DECODERS[data["kind"]]
+    except (KeyError, TypeError):
+        raise TypeError(f"cannot decode {data!r}") from None
+    return cls(**{name: data[wire] if from_wire is None else from_wire(data[wire])
+                  for name, wire, _, from_wire in layout})

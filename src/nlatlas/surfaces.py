@@ -293,10 +293,12 @@ _ABS_KEYS = ("deg", "g", "K2", "chiO")
 
 
 def _parse_int(text: str, token: str, offset: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", text, offset) from None
+    """An optional '-' and ASCII digits; ``int`` alone would also take '+',
+    '_' separators and non-ASCII digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"expected an integer, got {token!r}", text, offset)
+    return int(token)
 
 
 def _parse_plane(text: str, base: str, start: int) -> PlaneModel:
@@ -365,8 +367,11 @@ def parse_surface_spec(text: str) -> SurfaceInvariants:
         elif token == "ext-proj":
             s = external_projection(s)
         elif token.startswith("nodes="):
-            s = nodal_projection(
-                s, _parse_int(text, token[len("nodes="):], start + len("nodes=")))
+            at = start + len("nodes=")
+            delta = _parse_int(text, token[len("nodes="):], at)
+            if delta < 1:
+                raise ParseError(f"node count must be >= 1, got {delta}", text, at)
+            s = nodal_projection(s, delta)
         else:
             raise ParseError(f"unknown modifier {token!r}", text, start)
     if s.h0_H > 9 or (s.h0_H == 9 and s.linearly_normal):

@@ -250,11 +250,19 @@ def test_parse_errors(bad):
     ("5;7,0,1 nodes=x", 14), ("5;7,0,1   nodes=x", 16), ("5;7,0,1 7", 8),
     ("5;7,0,1 int-proj squint", 17), (" abs:deg=13,g=x,K2=-1,chiO=2", 14),
     ("abs:deg=13", 10),
+    ("5;6,2 nodes=0", 12), ("5;6,2 nodes=-1", 12), ("5;6,2 nodes=1_0", 12),
+    ("\uff15;7,0,1", 0), ("+5;7,0,1", 0),
 ])
 def test_parse_error_positions(bad, position):
     with pytest.raises(ParseError) as err:
         parse_surface_spec(bad)
     assert err.value.position == position
+
+
+def test_parse_accepts_leading_zeros_and_negative_abs_fields():
+    assert parse_surface_spec("05;07,0,01") == parse_surface_spec("5;7,0,1")
+    s = parse_surface_spec("abs:deg=013,g=8,K2=-01,chiO=2")
+    assert (s.degree, s.K2) == (13, -1)
 
 
 def test_unprojected_large_span_rejected():
