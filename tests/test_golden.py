@@ -1,5 +1,6 @@
-"""Golden outputs: the exit code and stdout of CLI commands in every format,
-and the JSON wire form of one value of each record kind.
+"""Golden outputs: the exit code, stdout and stderr of CLI commands in every
+format, the exit code and message of failing commands, and the JSON wire
+form of one value of each record kind.
 
 Every refactor of the codec or the renderers must leave these files byte
 for byte unchanged.  After an intended output change, regenerate them with
@@ -54,7 +55,16 @@ COMMANDS = {
     "tables-diffs": ["--dataset", "{bad_dataset}", "tables"],
 }
 
-CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]
+# failing commands: exit 3 and the position of the bad token, in the same
+# message for every format, so they run in one
+ERRORS = {
+    "describe-zero-nodes": ["describe", "--surface", "5;6,2 nodes=0"],
+    "describe-zero-degree": ["describe", "--surface", "0;1"],
+    "describe-negative-count": ["describe", "--surface", "5;7,-1,1"],
+}
+
+CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
+         + [(name, "text") for name in ERRORS])
 
 
 def _write_inputs(root: Path) -> dict[str, str]:
@@ -73,11 +83,12 @@ def _write_inputs(root: Path) -> dict[str, str]:
 
 
 def _argv(name: str, fmt: str, paths: dict[str, str]) -> list[str]:
-    return ["--format", fmt] + [a.format(**paths) for a in COMMANDS[name]]
+    argv = COMMANDS[name] if name in COMMANDS else ERRORS[name]
+    return ["--format", fmt] + [a.format(**paths) for a in argv]
 
 
-def _record(code: int, out: str) -> str:
-    return f"exit {code}\n{out}"
+def _record(code: int, out: str, err: str) -> str:
+    return f"exit {code}\n{out}" + (f"stderr:\n{err}" if err else "")
 
 
 def _record_values() -> dict[str, object]:
@@ -109,9 +120,9 @@ def paths(tmp_path_factory):
 @pytest.mark.parametrize("name,fmt", CASES)
 def test_cli_golden(name, fmt, paths, capsys):
     code = main(_argv(name, fmt, paths))
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     want = (GOLDEN / "cli" / f"{name}.{fmt}").read_text()
-    assert _record(code, out) == want
+    assert _record(code, captured.out, captured.err) == want
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
@@ -126,10 +137,11 @@ def _regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         paths = _write_inputs(Path(tmp))
         for name, fmt in CASES:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(_argv(name, fmt, paths))
-            (GOLDEN / "cli" / f"{name}.{fmt}").write_text(_record(code, buf.getvalue()))
+            (GOLDEN / "cli" / f"{name}.{fmt}").write_text(
+                _record(code, out.getvalue(), err.getvalue()))
     for name, value in RECORDS.items():
         (GOLDEN / "records" / f"{name}.json").write_text(
             json.dumps(encode(value), indent=2) + "\n")
