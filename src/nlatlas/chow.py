@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ParseError
-from .surfaces import SurfaceInvariants
+from .surfaces import SurfaceInvariants, _parse_int
 
 
 @dataclass(frozen=True)
@@ -57,15 +56,14 @@ CI222 = CompleteIntersectionType((2, 2, 2))
 
 
 def parse_ci(text: str) -> CompleteIntersectionType:
-    tokens = text.strip().split(",")
+    """A multidegree "a1,a2,...": integers as in surface specs, with spaces
+    allowed around each; a bad token is reported at its own position."""
     degrees = []
     offset = 0
-    for token in tokens:
-        try:
-            degrees.append(int(token))
-        except ValueError:
-            raise ParseError(f"expected an integer degree, got {token!r}",
-                             text, offset) from None
+    for token in text.split(","):
+        digits = token.lstrip()
+        at = offset + len(token) - len(digits)
+        degrees.append(_parse_int(text, digits.rstrip(), at))
         offset += len(token) + 1
     return CompleteIntersectionType(degrees)
 

@@ -7,6 +7,7 @@ from nlatlas.chow import (CI222, CompleteIntersectionType, TruncatedClass,
                           chern_engine_coefficients, closed_form_coefficients,
                           congruence_secancy, flopped_fiber_secancy,
                           formula_222, parse_ci, self_intersection)
+from nlatlas.errors import ParseError
 from nlatlas.surfaces import abstract_surface, invariants, nodal_projection, \
     parse_surface_spec, PlaneModel
 
@@ -104,6 +105,20 @@ def test_parse_ci():
         parse_ci("2,x")
     with pytest.raises(ValueError):
         parse_ci("1,2")
+
+
+@pytest.mark.parametrize("text,position", [
+    ("+2,2,2", 0), ("2,2,\uff12", 4), (" 2,x", 3), ("2,1_0", 2), ("2,,2", 2),
+])
+def test_parse_ci_error_positions(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_ci(text)
+    assert info.value.position == position
+
+
+def test_parse_ci_allows_spaces_around_tokens():
+    assert parse_ci("2, 2, 2") == CI222
+    assert parse_ci(" 3 ").degrees == (3,)
 
 
 def test_ci_basic_fields():

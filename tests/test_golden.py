@@ -61,6 +61,11 @@ ERRORS = {
     "describe-zero-nodes": ["describe", "--surface", "5;6,2 nodes=0"],
     "describe-zero-degree": ["describe", "--surface", "0;1"],
     "describe-negative-count": ["describe", "--surface", "5;7,-1,1"],
+    "selfint-ci-plus": ["selfint", "--ci", "+2,2,2", "--surface", "5;7,0,1"],
+    "selfint-ci-fullwidth": ["selfint", "--ci", "2,2,\uff12", "--surface", "5;7,0,1"],
+    "selfint-ci-space": ["selfint", "--ci", " 2,x", "--surface", "5;7,0,1"],
+    "selfint-ci-underscore": ["selfint", "--ci", "2,1_0", "--surface", "5;7,0,1"],
+    "selfint-ci-empty": ["selfint", "--ci", "2,,2", "--surface", "5;7,0,1"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
