@@ -93,7 +93,8 @@ def encode(obj: Any) -> Any:
 def decode(data: Any) -> Any:
     try:
         cls, layout = _DECODERS[data["kind"]]
+        fields = {name: data[wire] if from_wire is None else from_wire(data[wire])
+                  for name, wire, _, from_wire in layout}
     except (KeyError, TypeError):
         raise TypeError(f"cannot decode {data!r}") from None
-    return cls(**{name: data[wire] if from_wire is None else from_wire(data[wire])
-                  for name, wire, _, from_wire in layout})
+    return cls(**fields)

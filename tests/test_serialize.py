@@ -8,7 +8,8 @@ def test_encode_rejects_unknown_types():
         encode(object())
 
 
-@pytest.mark.parametrize("data", [{"kind": "nope"}, [1], {}, "kind", {"kind": [1]}])
+@pytest.mark.parametrize("data", [{"kind": "nope"}, [1], {}, "kind", {"kind": [1]},
+                                  {"kind": "divisor"}, {"kind": "surface", "degree": 1}])
 def test_decode_rejects_unknown_kinds(data):
     with pytest.raises(TypeError, match="^cannot decode "):
         decode(data)
