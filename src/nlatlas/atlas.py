@@ -38,10 +38,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .chow import CI222
-from .counts import H0_QUADRICS_P7, chi_NSX_lower, codimension_bound
+from .counts import codimension_window
 from .errors import NotNef
 from .lattice import RankTwoLattice, discriminant, fourfold_lattice, mod16_class
-from .surfaces import PlaneModel, SurfaceInvariants, invariants
+from .surfaces import PlaneModel, SurfaceInvariants, _count_numbers, invariants
 
 GAP_FLOOR = 16  # smallest discriminant considered attainable on a (2,2,2)
 
@@ -81,20 +81,6 @@ class AtlasEntry:
         return (self.discriminant, self.model.a, self.model.point_counts)
 
 
-def _count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(degree, sectional genus, h0(H), h0(I_S(2))) of S(a; counts) from the
-    counts alone; they agree with ``invariants`` and ``h0_quadrics`` whenever
-    those succeed, since contractions leave every H-derived number unchanged.
-    H^2 + H.K = a^2 - 3a - sum (i^2 - i) n_i is even, so the halves are exact."""
-    deg = a * a
-    hk = -3 * a
-    for i, n in enumerate(counts, start=1):
-        deg -= i * i * n
-        hk += i * n
-    # h0(I(2)) = 36 - chi(O_S(2H)) with chi(O_S) = 1
-    return deg, 1 + (deg + hk) // 2, 1 + (deg - hk) // 2, H0_QUADRICS_P7 - 1 - 2 * deg + hk
-
-
 def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEntry | None:
     deg, genus, h0, h0_is2 = _count_numbers(a, counts)
     if deg < 1 or h0 > 8 or (h0 < 4 and deg != 1):
@@ -114,8 +100,7 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEnt
     disc = discriminant(lat)
     if disc < 0:
         return None
-    lo = codimension_bound(s, 0)
-    hi = codimension_bound(s, max(chi_NSX_lower(s), 0))
+    lo, hi = codimension_window(s)
     window = (lo.codim_bound, hi.codim_bound)
     if window[1] < 0 or window[0] > bounds.max_codim:
         return None

@@ -155,12 +155,8 @@ def self_intersection(ci: CompleteIntersectionType, s: SurfaceInvariants,
     to the cycle self-intersection; the default 2 is a fitted rule anchored
     by a single nodal example, so it is kept configurable.
     """
-    if ci.degrees == (2, 2, 2):
-        base = formula_222(s.degree, s.sect_genus, s.K2, s.chi_O)
-    else:
-        ch2, chk = closed_form_coefficients(ci)
-        base = ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top
-    return base + node_correction * s.nodes
+    ch2, chk = closed_form_coefficients(ci)
+    return ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top + node_correction * s.nodes
 
 
 def formula_222(degree: int, sect_genus: int, K2: int, chi_O: int) -> int:

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DivisibilityViolation, NegativeCount
-from .surfaces import SurfaceInvariants
+from .surfaces import H0_QUADRICS_P7, SurfaceInvariants
 
 HILBERT_DIM = 99          # h0(N_{X/P7}) for a smooth (2,2,2) fourfold
-H0_QUADRICS_P7 = 36       # h0(O_{P7}(2))
 
 FLAG_VANISHING = "assumes-vanishing"
 FLAG_NODAL_FIT = "fitted-nodal-rule"
@@ -88,3 +87,9 @@ def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
         codim_bound=HILBERT_DIM - (h0_n + grass - h0_NSX),
         flags=tuple(flags),
     )
+
+
+def codimension_window(s: SurfaceInvariants) -> tuple[ParameterCount, ParameterCount]:
+    """The bounds at h0(N_S/X) = 0 and at the clamped Euler estimate, for a
+    surface with no known h0(N_S/X)."""
+    return codimension_bound(s, 0), codimension_bound(s, max(chi_NSX_lower(s), 0))

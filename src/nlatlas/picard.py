@@ -108,12 +108,6 @@ def neg_curve_catalogue(k: int, degree_bound: int = 3) -> list[DivisorClass]:
                 for j in idx:
                     m[j] = 1
                 out.append(DivisorClass(3, m))
-    # shapes cannot collide, but dedup anyway to keep the contract explicit
-    seen = set()
-    unique = []
-    for c in out:
-        key = (c.plane_degree, c.mults)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    return unique
+    # the shapes have distinct plane degrees and combinations never repeat,
+    # so every class appears once
+    return out

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chow import CI222, CompleteIntersectionType, congruence_secancy
-from .counts import chi_NSX_lower, codimension_bound
+from .counts import codimension_bound, codimension_window
 from .dataset import Dataset, TableRow
 from .errors import DatasetMissing, RowMismatch
 from .lattice import (discriminant, fourfold_lattice, mod16_class,
@@ -46,21 +46,22 @@ def check_row(row: TableRow) -> RowCheck:
 
     s = parse_surface_spec(row.surface)
     lat = fourfold_lattice(CI222, s)
+    disc = discriminant(lat)
     expect("matrix", (lat.m11, lat.m12, lat.m22), row.matrix)
-    expect("discriminant", discriminant(lat), row.discriminant)
+    expect("discriminant", disc, row.discriminant)
     count = codimension_bound(s, row.h0_NSX)
     expect("h0_IS2", count.h0_IS2, row.h0_IS2)
     expect("h0_N", count.h0_N, row.h0_N)
     expect("codim", count.codim_bound, row.codim)
-    expect("mod16-admissible", mod16_class(discriminant(lat)).admissible, True)
+    expect("mod16-admissible", mod16_class(disc).admissible, True)
     if row.congruence_degree is not None:
         expect("congruence_secancy",
                congruence_secancy(row.congruence_degree), row.congruence_secancy)
     if row.assoc is not None:
         deg, g, k2 = row.assoc
-        assoc_lat = surface_matrix(deg, g, k2)
-        expect("assoc_discriminant", discriminant(assoc_lat), row.assoc_discriminant)
-        expect("dual-discriminant", discriminant(assoc_lat), row.discriminant)
+        assoc_disc = discriminant(surface_matrix(deg, g, k2))
+        expect("assoc_discriminant", assoc_disc, row.assoc_discriminant)
+        expect("dual-discriminant", assoc_disc, row.discriminant)
     return RowCheck(row_id=row.id, surface=row.surface, ok=not diffs, diffs=diffs)
 
 
@@ -123,12 +124,10 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
             f"  codimension bound = {count.codim_bound}   [flags: {', '.join(count.flags)}]",
         ]
     else:
-        lo = codimension_bound(s, 0)
-        hi = codimension_bound(s, max(chi_NSX_lower(s), 0))
+        lo, hi = codimension_window(s)
         lines += [
             "parameter count (no dataset value for h0(N_S/X); showing the window",
-            f" from h0(N_S/X) = 0 to the clamped Euler estimate "
-            f"{max(chi_NSX_lower(s), 0)}):",
+            f" from h0(N_S/X) = 0 to the clamped Euler estimate {hi.h0_NSX}):",
             f"  h0(I_S(2)) = {lo.h0_IS2}, h0(N_S/P7) = {lo.h0_N}, "
             f"Grassmannian dim = {lo.grass_dim}",
             f"  codimension bound in [{lo.codim_bound}, {hi.codim_bound}]"

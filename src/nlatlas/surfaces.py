@@ -19,11 +19,12 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall
-from .picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
+from .picard import DivisorClass, pair
 
 # ambient projective space is P^7 throughout; a surface with h0_H > 8 can only
 # be brought there by a projection, so its span is clamped at P^7 for display
 AMBIENT_H0 = 8
+H0_QUADRICS_P7 = 36       # h0(O_{P7}(2))
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,6 @@ class PlaneModel:
             raise ValueError(f"plane-curve degree must be >= 1, got {self.a}")
         if any(n < 0 for n in self.point_counts):
             raise ValueError(f"point counts must be >= 0, got {self.point_counts}")
-
-    @property
-    def total_points(self) -> int:
-        return sum(self.point_counts)
 
     def spec_string(self) -> str:
         return f"{self.a};{','.join(str(n) for n in self.point_counts)}"
@@ -199,20 +196,32 @@ def normalize_contractions(h: DivisorClass) -> tuple[DivisorClass, tuple[Divisor
     return reduced, tuple(contracted)
 
 
+def _count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(degree, sectional genus, h0(H), h0(I_S(2))) of S(a; counts) from the
+    counts alone; contractions leave every H-derived number unchanged, so
+    they hold for the normalized surface too.  H^2 + H.K = a^2 - 3a -
+    sum (i^2 - i) n_i is even, so the halves are exact."""
+    deg = a * a
+    hk = -3 * a
+    for i, n in enumerate(counts, start=1):
+        deg -= i * i * n
+        hk += i * n
+    # h0(I(2)) = 36 - chi(O_S(2H)) with chi(O_S) = 1
+    return deg, 1 + (deg + hk) // 2, 1 + (deg - hk) // 2, H0_QUADRICS_P7 - 1 - 2 * deg + hk
+
+
 def invariants(model: PlaneModel) -> SurfaceInvariants:
-    """Invariant record of the (normalized) image surface of a plane model."""
+    """Invariant record of the (normalized) image surface of a plane model:
+    the H-derived numbers from ``_count_numbers``, and K^2 = 9 - k plus one
+    per contracted (-1)-class."""
     h = expand(model)
-    h_red, contracted = normalize_contractions(h)
-    n_dropped = h.k - h_red.k
-    n_blowdowns = len(contracted) - n_dropped
-    degree = pair(h_red, h_red)
-    g = adjunction_genus(h_red)
-    h0 = riemann_roch_chi(h_red)
+    _, contracted = normalize_contractions(h)
+    degree, g, h0, _ = _count_numbers(model.a, model.point_counts)
     if h0 < 4 and degree != 1:
         raise SpanTooSmall(
             f"{model} gives h0(H) = {h0}: the system maps to a plane without embedding"
         )
-    K2 = 9 - h_red.k + n_blowdowns
+    K2 = 9 - h.k + len(contracted)
     return SurfaceInvariants(
         degree=degree,
         sect_genus=g,

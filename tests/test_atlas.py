@@ -5,11 +5,12 @@ import pytest
 
 from nlatlas.atlas import (SearchBounds, _candidate_grid, _count_numbers,
                            _evaluate, enumerate_atlas, gap_report)
-from nlatlas.counts import h0_quadrics
+from nlatlas.counts import H0_QUADRICS_P7, h0_quadrics
 from nlatlas.errors import NegativeCount, NotNef, SpanTooSmall
 from nlatlas.lattice import mod16_class
+from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
 from nlatlas.serialize import encode
-from nlatlas.surfaces import PlaneModel, invariants, parse_surface_spec
+from nlatlas.surfaces import PlaneModel, expand, invariants, parse_surface_spec
 
 TABLE_VALUES = {16, 28, 31, 32, 39, 44, 47, 48, 55, 60, 63, 64, 71, 76, 79, 80,
                 87, 92, 96, 103}
@@ -136,8 +137,8 @@ def test_pruned_grid_drops_only_rejects(bounds):
 
 
 def test_count_numbers_match_the_record():
-    # the record goes through the classes, contraction normalization and
-    # Riemann-Roch; the counts only through integer sums over (a, counts)
+    # the record takes its H-numbers from the counts, so the counts are also
+    # checked against pairings and Riemann-Roch on the expanded classes
     checked = contracted = 0
     for a in range(1, 10):
         for counts in itertools.product(range(11), repeat=4):
@@ -148,6 +149,11 @@ def test_count_numbers_match_the_record():
             except (NotNef, SpanTooSmall, ValueError):
                 continue
             deg, genus, h0, h0_is2 = _count_numbers(a, counts)
+            h = expand(PlaneModel(a, counts))
+            twice = DivisorClass(2 * a, [2 * m for m in h.mults])
+            assert (deg, genus, h0, h0_is2) == (
+                pair(h, h), adjunction_genus(h), riemann_roch_chi(h),
+                H0_QUADRICS_P7 - riemann_roch_chi(twice)), (a, counts)
             assert (deg, genus, h0) == (s.degree, s.sect_genus, s.h0_H), (a, counts)
             try:
                 assert h0_is2 == h0_quadrics(s), (a, counts)
