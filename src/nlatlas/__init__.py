@@ -14,8 +14,8 @@ from .hodge import (DiagramSpec, HodgeDiamond, blowup, classify,
                     diagram_from_dict, preset, solve_diagram, surface_diamond)
 from .lattice import (RankTwoLattice, Side, discriminant, fourfold_lattice,
                       mod16_class, surface_matrix, surface_picard_matrix)
-from .picard import (DivisorClass, adjunction_genus, canonical,
-                     neg_curve_catalogue, pair, riemann_roch_chi)
+from .picard import (DivisorClass, adjunction_genus, canonical, pair,
+                     riemann_roch_chi)
 from .report import describe, reproduce_tables
 from .surfaces import (PlaneModel, SurfaceInvariants, abstract_surface, expand,
                        external_projection, internal_projection, invariants,
@@ -35,8 +35,8 @@ __all__ = [
     "preset", "solve_diagram", "surface_diamond",
     "RankTwoLattice", "Side", "discriminant", "fourfold_lattice",
     "mod16_class", "surface_matrix", "surface_picard_matrix",
-    "DivisorClass", "adjunction_genus", "canonical", "neg_curve_catalogue",
-    "pair", "riemann_roch_chi",
+    "DivisorClass", "adjunction_genus", "canonical", "pair",
+    "riemann_roch_chi",
     "describe", "reproduce_tables",
     "PlaneModel", "SurfaceInvariants", "abstract_surface", "expand",
     "external_projection", "internal_projection", "invariants",

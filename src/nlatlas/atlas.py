@@ -19,9 +19,9 @@ where H.K = sum i n_i - 3a.  The survivors go through ``invariants``, which
 alone needs the classes, and must then pass the conditions that need the
 record:
 
-  * H pairs non-negatively with every catalogue (-1)-class (contractions are
-    normalized away and raise K^2; ``normalize_contractions`` decides this
-    from the sorted multiplicities),
+  * H pairs non-negatively with every (-1)-class (``normalize_contractions``
+    Cremona-reduces H; the classes orthogonal to H are blown down and raise
+    K^2),
   * the resulting discriminant is non-negative,
   * the codimension-bound window, taken over h0(N_S/X) between 0 and the
     clamped Euler estimate, meets [0, max_codim].

@@ -11,7 +11,6 @@ All arithmetic is over Python integers, hence exact at any size.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import MismatchedLattice, ParityViolation
@@ -70,44 +69,3 @@ def adjunction_genus(d: DivisorClass) -> int:
     if n % 2 != 0:
         raise ParityViolation(f"D^2 + D.K = {n} is odd for D = {d}")
     return 1 + n // 2
-
-
-def _exceptional(k: int, i: int) -> DivisorClass:
-    m = [0] * k
-    m[i] = -1
-    return DivisorClass(0, m)
-
-
-def neg_curve_catalogue(k: int, degree_bound: int = 3) -> list[DivisorClass]:
-    """Representatives of (-1)-classes of plane degree <= degree_bound.
-
-    The shapes are E_i, L - Ei - Ej, 2L - (five E's), 3L - 2Ei - (six E's);
-    every returned class C satisfies C^2 = -1 and C.K = -1.  This is a fixed
-    finite catalogue, not a full Cremona-orbit enumeration.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be >= 1")
-    out: list[DivisorClass] = [_exceptional(k, i) for i in range(k)]
-    for i, j in itertools.combinations(range(k), 2):
-        m = [0] * k
-        m[i] = m[j] = 1
-        out.append(DivisorClass(1, m))
-    if degree_bound >= 2:
-        for idx in itertools.combinations(range(k), 5):
-            m = [0] * k
-            for i in idx:
-                m[i] = 1
-            out.append(DivisorClass(2, m))
-    if degree_bound >= 3:
-        for i in range(k):
-            for idx in itertools.combinations((j for j in range(k) if j != i), 6):
-                m = [0] * k
-                m[i] = 2
-                for j in idx:
-                    m[j] = 1
-                out.append(DivisorClass(3, m))
-    # the shapes have distinct plane degrees and combinations never repeat,
-    # so every class appears once
-    return out

@@ -4,9 +4,10 @@ surfaces they define.
 A plane model is the image of P^2 under the linear system of degree-a curves
 with n_i general base points of multiplicity i.  The hyperplane class is
 H = a*L - sum m_j E_j.  Base-point data for which H pairs to zero with a
-(-1)-class is handled by blow-down bookkeeping: each contracted class raises
-K^2 by one and lowers chi_top by one, while every H-derived number (degree,
-sectional genus, chi(O(H))) is unchanged because H.C = 0.
+(-1)-class is handled by blow-down bookkeeping: Cremona reduction of H finds
+those classes, each contracted class raises K^2 by one and lowers chi_top by
+one, while every H-derived number (degree, sectional genus, chi(O(H))) is
+unchanged because H.C = 0.
 
 Surfaces that are not blow-ups of the plane (K3 projections and friends)
 enter through abstract invariants (deg, g, K^2, chi(O)); chi_top is then
@@ -15,7 +16,6 @@ forced by the Noether formula K^2 = 12 chi(O) - chi_top.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall
@@ -111,89 +111,41 @@ def expand(model: PlaneModel) -> DivisorClass:
     return DivisorClass(model.a, mults)
 
 
-def _tied(m: tuple[int, ...], desc: list[int], size: int) -> list[tuple[int, ...]]:
-    """Index tuples of ``size`` entries of ``m`` summing to ``sum(desc[:size])``,
-    the largest possible sum, in lexicographic order.
+def normalize_contractions(h: DivisorClass) -> tuple[DivisorClass, int]:
+    """Cremona-reduce H and count the (-1)-classes orthogonal to it.
 
-    Such a tuple holds every index whose value exceeds ``desc[size - 1]`` and
-    is filled up from the indices at that value; adding the same fixed part
-    to every pick keeps the lexicographic order of ``itertools.combinations``.
-    """
-    v = desc[size - 1]
-    above = [i for i, x in enumerate(m) if x > v]
-    level = [i for i, x in enumerate(m) if x == v]
-    return [tuple(sorted(above + list(pick)))
-            for pick in itertools.combinations(level, size - len(above))]
+    The multiplicities are sorted in descending order and padded to three
+    with zeros (points not blown up).  While a < m1 + m2 + m3, the quadratic
+    transformation at the top three points applies: with e = m1 + m2 + m3 - a,
+    a and m1, m2, m3 all drop by e.  Each step maps E_i to a (-1)-class and
+    keeps H^2 and H.K, and a drops, so the loop ends; a negative multiplicity
+    is the pairing of H with a (-1)-class, hence ``NotNef``.  In the reduced
+    (standard) form the classes orthogonal to H are the E_i of multiplicity 0
+    and, when a = m1 + m2, the line L - E1 - E2 (Harbourne, Duke Math. J. 52,
+    1985).  By the Hodge index theorem they are pairwise orthogonal once
+    H^2 >= 1, so blowing them all down raises K^2 by their number.
 
-
-def normalize_contractions(h: DivisorClass) -> tuple[DivisorClass, tuple[DivisorClass, ...]]:
-    """Detect and blow down catalogue (-1)-classes orthogonal to H.
-
-    Returns the class on the reduced lattice (coordinates of contracted
-    exceptional classes dropped) together with the contracted classes, always
-    expressed on the input lattice, in the order of ``neg_curve_catalogue``.
-    By the Hodge index theorem the contracted classes are pairwise orthogonal
-    once H^2 >= 1, so a single pass blows them all down.
-
-    Nefness is decided from the multiplicities sorted in descending order,
-    ``top_n`` being the sum of the n largest: over each catalogue shape the
-    smallest pairing is m_min (E_i), a - top_2 (L - Ei - Ej), 2a - top_5
-    (conics) and 3a - m_max - top_7 (3L - 2Ei - six E's).  A shape contracts
-    only when its minimum is 0, and then exactly its classes that attain the
-    minimum pair to zero, so only those are built.
+    Returns the standard class with the zero multiplicities dropped and the
+    number of contracted classes.  Only (-1)-classes are checked: with ten or
+    more points, nefness against all curves (Nagata's problem) is not claimed.
     """
     a = h.plane_degree
-    m = h.mults
-    k = len(m)
+    k = h.k
     h2 = pair(h, h)
     if h2 < 1:
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
-    desc = sorted(m, reverse=True)
-    if k and desc[-1] < 0:
-        i = next(i for i in range(k) if m[i] < 0)
-        raise NotNef(f"H.E_{i + 1} = {m[i]} < 0 for H = {h}")
-    line = a - desc[0] - desc[1] if k >= 2 else 1
-    if line < 0:
-        i, j = next((i, j) for i, j in itertools.combinations(range(k), 2)
-                    if m[i] + m[j] > a)
-        raise NotNef(f"H.(L-E_{i + 1}-E_{j + 1}) = {a - m[i] - m[j]} < 0 for H = {h}")
-    conic = 2 * a - sum(desc[:5]) if k >= 5 else 1
-    if conic < 0:
-        raise NotNef(f"a conic (-1)-class pairs negatively with H = {h}")
-    cubic = 3 * a - desc[0] - sum(desc[:7]) if k >= 7 else 1
-    if cubic < 0:
-        raise NotNef(f"a cubic (-1)-class pairs negatively with H = {h}")
-
-    def curve(degree: int, idx: tuple[int, ...], double: int = -1) -> DivisorClass:
-        mm = [0] * k
-        for i in idx:
-            mm[i] = 2 if i == double else 1
-        return DivisorClass(degree, mm)
-
-    contracted = [DivisorClass(0, [-1 if j == i else 0 for j in range(k)])
-                  for i in range(k) if m[i] == 0]
-    if line == 0:
-        contracted.extend(curve(1, idx) for idx in _tied(m, desc, 2))
-    if conic == 0:
-        contracted.extend(curve(2, idx) for idx in _tied(m, desc, 5))
-    if cubic == 0:
-        # the double point has the largest multiplicity: 2 m_i + (six others)
-        # reaches m_max + top_7 only for m_i = m_max inside a top-7 tuple
-        sevens = _tied(m, desc, 7)
-        contracted.extend(curve(3, idx, double=i)
-                          for i in range(k) if m[i] == desc[0]
-                          for idx in sevens if i in idx)
-
-    assert len(contracted) <= k, "more contractions than lattice rank"
-    assert all(pair(c1, c2) == 0
-               for n1, c1 in enumerate(contracted)
-               for c2 in contracted[n1 + 1:]), "contracted classes must be orthogonal"
-
-    # only zero-multiplicity coordinates can be dropped exactly; contractions
-    # of L- or 2L-shape leave the blown-up-plane family, so H keeps its
-    # representation and the bookkeeping lives in the contraction count
-    reduced = DivisorClass(a, [x for x in m if x != 0])
-    return reduced, tuple(contracted)
+    m = sorted(h.mults, reverse=True) + [0] * (3 - k)
+    while True:
+        if m[-1] < 0:
+            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = {h}")
+        e = m[0] + m[1] + m[2] - a
+        if e <= 0:
+            break
+        a -= e
+        m[:3] = m[0] - e, m[1] - e, m[2] - e
+        m.sort(reverse=True)
+    standard = [x for x in m if x]
+    return DivisorClass(a, standard), k - len(standard) + (a == m[0] + m[1])
 
 
 def _count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -221,7 +173,7 @@ def invariants(model: PlaneModel) -> SurfaceInvariants:
         raise SpanTooSmall(
             f"{model} gives h0(H) = {h0}: the system maps to a plane without embedding"
         )
-    K2 = 9 - h.k + len(contracted)
+    K2 = 9 - h.k + contracted
     return SurfaceInvariants(
         degree=degree,
         sect_genus=g,

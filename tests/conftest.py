@@ -1,6 +1,19 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import settings
 
 import nlatlas as nl
+
+# the same examples on every run, no example database and no deadline, so a
+# busy host cannot fail a property test
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+# hypothesis also caches the constants it reads from the modules under test,
+# database or not; keep that cache out of the working tree
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "nlatlas-hypothesis"))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 
 from nlatlas.errors import MismatchedLattice
 from nlatlas.picard import (DivisorClass, _dot_canonical, adjunction_genus,
-                            canonical, neg_curve_catalogue, pair, riemann_roch_chi)
+                            canonical, pair, riemann_roch_chi)
 
 L = DivisorClass(1, ())
 
@@ -58,31 +58,6 @@ def test_adjunction_examples():
     assert adjunction_genus(L) == 0
     assert adjunction_genus(DivisorClass(5, (1, 1, 1, 1, 1, 1, 1, 3))) == 3
     assert adjunction_genus(DivisorClass(4, (1, 1, 1, 1, 1, 1, 2))) == 2
-
-
-def test_catalogue_contains_line_class():
-    cat = neg_curve_catalogue(2)
-    assert DivisorClass(1, (1, 1)) in cat
-
-
-def test_catalogue_empty_plane():
-    assert neg_curve_catalogue(0) == []
-
-
-def test_catalogue_conic_class():
-    cat = neg_curve_catalogue(5, degree_bound=2)
-    assert DivisorClass(2, (1, 1, 1, 1, 1)) in cat
-    assert all(c.plane_degree <= 2 for c in cat)
-
-
-def test_catalogue_classes_are_minus_one():
-    for k in range(9):
-        cat = neg_curve_catalogue(k)
-        kc = canonical(k)
-        for c in cat:
-            assert pair(c, c) == -1
-            assert pair(c, kc) == -1
-        assert len(cat) == len({(c.plane_degree, c.mults) for c in cat})
 
 
 def _random_class(rng, k):
