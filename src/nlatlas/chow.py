@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import ParseError
 from .surfaces import SurfaceInvariants, _parse_int
 
 
@@ -56,14 +57,17 @@ CI222 = CompleteIntersectionType((2, 2, 2))
 
 
 def parse_ci(text: str) -> CompleteIntersectionType:
-    """A multidegree "a1,a2,...": integers as in surface specs, with spaces
-    allowed around each; a bad token is reported at its own position."""
+    """A multidegree "a1,a2,...": integers >= 2 as in surface specs, with
+    spaces allowed around each; a bad token is reported at its own position."""
     degrees = []
     offset = 0
     for token in text.split(","):
         digits = token.lstrip()
         at = offset + len(token) - len(digits)
-        degrees.append(_parse_int(text, digits.rstrip(), at))
+        degree = _parse_int(text, digits.rstrip(), at)
+        if degree < 2:
+            raise ParseError(f"degrees must be >= 2, got {degree}", text, at)
+        degrees.append(degree)
         offset += len(token) + 1
     return CompleteIntersectionType(degrees)
 

@@ -105,12 +105,13 @@ def test_parse_ci():
     assert parse_ci(" 3 ").degrees == (3,)
     with pytest.raises(Exception):
         parse_ci("2,x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_ci("1,2")
 
 
 @pytest.mark.parametrize("text,position", [
     ("+2,2,2", 0), ("2,2,\uff12", 4), (" 2,x", 3), ("2,1_0", 2), ("2,,2", 2),
+    ("1,2", 0), ("2, 0", 3), ("2,-3", 2),
 ])
 def test_parse_ci_error_positions(text, position):
     with pytest.raises(ParseError) as info:

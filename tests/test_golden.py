@@ -66,6 +66,7 @@ ERRORS = {
     "selfint-ci-space": ["selfint", "--ci", " 2,x", "--surface", "5;7,0,1"],
     "selfint-ci-underscore": ["selfint", "--ci", "2,1_0", "--surface", "5;7,0,1"],
     "selfint-ci-empty": ["selfint", "--ci", "2,,2", "--surface", "5;7,0,1"],
+    "selfint-ci-one": ["selfint", "--ci", "1,2", "--surface", "5;7,0,1"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
