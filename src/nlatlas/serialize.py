@@ -4,8 +4,9 @@ A record goes on the wire as ``{"kind": ...}`` followed by its fields in
 declaration order, under their own names except ``DivisorClass.plane_degree``,
 which is written ``"d"``.  Tuples become arrays, a ``Side`` becomes its value
 and nested records are encoded the same way; ``decode`` reverses each step,
-rebuilding the enum from the field's type.  All numbers stay Python integers
-end to end.
+rebuilding the enum from the field's type, and raises ``TypeError`` for a
+value whose wire type does not match the field's.  All numbers stay Python
+integers end to end.
 """
 
 from __future__ import annotations
@@ -49,28 +50,45 @@ def _to_wire(value: Any) -> Any:
     return value
 
 
-def _from_wire(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_from_wire(v) for v in value)
-    if isinstance(value, dict):
-        return decode(value)
-    return value
-
-
-def _converters(hint: Any) -> tuple[Any, Any]:
-    """(to wire, from wire) for a field of type ``hint``; None keeps the value,
-    which spares scalar fields, most of every record, a call per field."""
+def _reader(hint: Any) -> Any:
+    """Turn the wire value of a field of type ``hint`` back into the field,
+    raising ``TypeError`` for a value of another type."""
     if hint in (int, str, bool):
-        return None, None
-    if isinstance(hint, enum.EnumMeta):
-        return _to_wire, hint
-    return _to_wire, _from_wire
+        def read(value):
+            if type(value) is not hint:
+                raise TypeError(value)
+            return value
+    elif isinstance(hint, enum.EnumMeta):
+        def read(value):
+            try:
+                return hint(value)
+            except ValueError:
+                raise TypeError(value) from None
+    elif typing.get_origin(hint) is tuple:
+        # every tuple field holds one element type (tuple[int, int] included)
+        item = _reader(typing.get_args(hint)[0])
+
+        def read(value):
+            if type(value) is not list:
+                raise TypeError(value)
+            return tuple(item(v) for v in value)
+    else:
+        def read(value):
+            record = decode(value)
+            if type(record) is not hint:
+                raise TypeError(value)
+            return record
+    return read
 
 
 def _layout(cls: type) -> tuple[tuple[str, str, Any, Any], ...]:
-    """(attribute, wire name, to wire, from wire) for each field."""
+    """(attribute, wire name, to wire, from wire) for each field; None as the
+    encoder keeps the value, which spares scalar fields, most of every
+    record, a call per field."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, WIRE_NAMES.get((cls, f.name), f.name), *_converters(hints[f.name]))
+    return tuple((f.name, WIRE_NAMES.get((cls, f.name), f.name),
+                  None if hints[f.name] in (int, str, bool) else _to_wire,
+                  _reader(hints[f.name]))
                  for f in dataclasses.fields(cls))
 
 
@@ -93,8 +111,7 @@ def encode(obj: Any) -> Any:
 def decode(data: Any) -> Any:
     try:
         cls, layout = _DECODERS[data["kind"]]
-        fields = {name: data[wire] if from_wire is None else from_wire(data[wire])
-                  for name, wire, _, from_wire in layout}
+        fields = {name: from_wire(data[wire]) for name, wire, _, from_wire in layout}
     except (KeyError, TypeError):
         raise TypeError(f"cannot decode {data!r}") from None
     return cls(**fields)

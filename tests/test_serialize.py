@@ -9,7 +9,10 @@ def test_encode_rejects_unknown_types():
 
 
 @pytest.mark.parametrize("data", [{"kind": "nope"}, [1], {}, "kind", {"kind": [1]},
-                                  {"kind": "divisor"}, {"kind": "surface", "degree": 1}])
+                                  {"kind": "divisor"}, {"kind": "surface", "degree": 1},
+                                  {"kind": "divisor", "d": "x", "mults": [1]},
+                                  {"kind": "rank2_lattice", "m11": 8, "m12": 4, "m22": 4,
+                                   "side": "bogus"}])
 def test_decode_rejects_unknown_kinds(data):
     with pytest.raises(TypeError, match="^cannot decode "):
         decode(data)
