@@ -65,11 +65,14 @@ def _reader(hint: Any) -> Any:
             except ValueError:
                 raise TypeError(value) from None
     elif typing.get_origin(hint) is tuple:
-        # every tuple field holds one element type (tuple[int, int] included)
-        item = _reader(typing.get_args(hint)[0])
+        # every tuple field holds one element type: tuple[int, ...] or a
+        # fixed-length tuple[int, int]
+        args = typing.get_args(hint)
+        item = _reader(args[0])
+        size = None if args[-1] is Ellipsis else len(args)
 
         def read(value):
-            if type(value) is not list:
+            if type(value) is not list or size not in (None, len(value)):
                 raise TypeError(value)
             return tuple(item(v) for v in value)
     else:
