@@ -114,14 +114,6 @@ def test_orbit_classes_are_minus_one():
     assert max(d for d, _ in MINUS_ONE) == 12
 
 
-def test_placements_count_tied_blocks():
-    # the line through two of three equal points: three placements
-    assert _placements([2, 2, 2], (1, 1, 0)) == 3
-    # the conic through the five points of the top block of six
-    assert _placements([3] * 6 + [1], (1,) * 5 + (0, 0)) == 6
-    assert _placements([3, 2, 1], (1, 1, 0)) == 1
-
-
 def test_normalize_matches_orbit_oracle():
     grid = _candidate_grid(SearchBounds())
     large = _candidate_grid(SearchBounds(max_a=10, max_points=16, max_mult=4))

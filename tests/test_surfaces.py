@@ -161,12 +161,15 @@ def test_normalize_reduces_to_standard_form():
 
 
 @pytest.mark.parametrize("h,error,message", [
-    (DivisorClass(3, (1, -1, 2)), NotNef, "H.C = -1 < 0 for a (-1)-class C and H = (3; 1,-1,2)"),
-    (DivisorClass(3, (2, 2)), NotNef, "H.C = -1 < 0 for a (-1)-class C and H = (3; 2,2)"),
-    (DivisorClass(6, (3, 3, 3, 2, 2)), NotNef,
-     "H.C = -1 < 0 for a (-1)-class C and H = (6; 3,3,3,2,2)"),
-    (DivisorClass(9, (5, 3, 3, 3, 3, 3, 3)), NotNef,
-     "H.C = -1 < 0 for a (-1)-class C and H = (9; 5,3,3,3,3,3,3)"),
+    # H pairs negatively with E_2, a line, a conic and a nodal cubic in turn
+    pytest.param(DivisorClass(3, (1, -1, 2)), NotNef,
+                 "H.C = -1 < 0 for a (-1)-class C and H = (3; 1,-1,2)", id="point"),
+    pytest.param(DivisorClass(3, (2, 2)), NotNef,
+                 "H.C = -1 < 0 for a (-1)-class C and H = (3; 2,2)", id="line"),
+    pytest.param(DivisorClass(6, (3, 3, 3, 2, 2)), NotNef,
+                 "H.C = -1 < 0 for a (-1)-class C and H = (6; 3,3,3,2,2)", id="conic"),
+    pytest.param(DivisorClass(9, (5, 3, 3, 3, 3, 3, 3)), NotNef,
+                 "H.C = -1 < 0 for a (-1)-class C and H = (9; 5,3,3,3,3,3,3)", id="cubic"),
     (DivisorClass(3, (2, 2, 1, 1)), ValueError, "H^2 = -1 < 1: not an embedding class"),
 ])
 def test_normalize_error_messages(h, error, message):
