@@ -38,6 +38,7 @@ KINDS = {
 }
 
 WIRE_NAMES = {(DivisorClass, "plane_degree"): "d"}
+SCALARS = (int, str, bool)
 
 
 def _to_wire(value: Any) -> Any:
@@ -53,7 +54,7 @@ def _to_wire(value: Any) -> Any:
 def _reader(hint: Any) -> Any:
     """Turn the wire value of a field of type ``hint`` back into the field,
     raising ``TypeError`` for a value of another type."""
-    if hint in (int, str, bool):
+    if hint in SCALARS:
         def read(value):
             if type(value) is not hint:
                 raise TypeError(value)
@@ -90,7 +91,7 @@ def _layout(cls: type) -> tuple[tuple[str, str, Any, Any], ...]:
     record, a call per field."""
     hints = typing.get_type_hints(cls)
     return tuple((f.name, WIRE_NAMES.get((cls, f.name), f.name),
-                  None if hints[f.name] in (int, str, bool) else _to_wire,
+                  None if hints[f.name] in SCALARS else _to_wire,
                   _reader(hints[f.name]))
                  for f in dataclasses.fields(cls))
 
