@@ -188,10 +188,9 @@ class GapReport:
         return "\n".join(lines)
 
 
-def gap_report(atlas: list[AtlasEntry], up_to: int,
-               bounds: SearchBounds | None = None) -> GapReport:
-    """Admissible discriminants up to ``up_to`` with no atlas entry."""
-    bounds = bounds or SearchBounds()
+def gap_report(atlas: list[AtlasEntry], up_to: int, bounds: SearchBounds) -> GapReport:
+    """Admissible discriminants up to ``up_to`` with no entry in the atlas
+    that ``bounds`` built."""
     hit = {e.discriminant for e in atlas}
     attained = sorted(hit)
     gaps = [v for v in range(GAP_FLOOR, up_to + 1)

@@ -74,8 +74,8 @@ def parse_ci(text: str) -> CompleteIntersectionType:
 
 @dataclass(frozen=True)
 class TruncatedClass:
-    """A class c0 + (h*H + k*K) + (h2*H^2 + hk*HK + k2*K^2 + e*c2) restricted
-    to a surface, truncated above degree 2."""
+    """A class c0 + (h*H + k*K) + (h2*H^2 + hk*HK + k2*K^2 + e*c2) pulled
+    back to a surface, truncated above degree 2."""
 
     c0: int = 0
     h: int = 0
@@ -151,16 +151,16 @@ def chern_engine_coefficients(ci: CompleteIntersectionType) -> tuple[int, int]:
     return c2_nsx.h2, c2_nsx.hk
 
 
-def self_intersection(ci: CompleteIntersectionType, s: SurfaceInvariants,
-                      node_correction: int = 2) -> int:
-    """(S)^2_X for the cycle class of s inside a fourfold of type ci.
+# Each ordinary double point of the embedded image adds this much to the
+# cycle self-intersection: a fitted rule anchored by a single nodal example.
+NODE_CORRECTION = 2
 
-    Each ordinary double point of the embedded image adds ``node_correction``
-    to the cycle self-intersection; the default 2 is a fitted rule anchored
-    by a single nodal example, so it is kept configurable.
-    """
+
+def self_intersection(ci: CompleteIntersectionType, s: SurfaceInvariants) -> int:
+    """(S)^2_X for the cycle class of s inside a fourfold of type ci, with
+    ``NODE_CORRECTION`` per node."""
     ch2, chk = closed_form_coefficients(ci)
-    return ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top + node_correction * s.nodes
+    return ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top + NODE_CORRECTION * s.nodes
 
 
 def formula_222(degree: int, sect_genus: int, K2: int, chi_O: int) -> int:

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import atlas as atlas_mod
-from .chow import (CI222, closed_form_coefficients, parse_ci,
+from .chow import (CI222, NODE_CORRECTION, closed_form_coefficients, parse_ci,
                    self_intersection)
 from .counts import codimension_bound
 from .dataset import load_dataset
@@ -81,7 +81,7 @@ def _cmd_selfint(args) -> int:
                "node_rule_used": bool(s.nodes)}
     text = f"(S)^2_X = {value}   coefficients (cH2, cHK) = ({ch2}, {chk})"
     if s.nodes:
-        text += f"   [includes fitted +2 per node for {s.nodes} node(s)]"
+        text += f"   [includes fitted +{NODE_CORRECTION} per node for {s.nodes} node(s)]"
     _emit(args, payload, text)
     return EXIT_OK
 
@@ -132,7 +132,7 @@ def _cmd_search(args) -> int:
         max_a=args.max_a, max_points=args.max_points, max_mult=args.max_mult,
         min_h0_IS2=args.min_h0_is2, max_codim=args.max_codim,
     )
-    entries = atlas_mod.enumerate_atlas(bounds, workers=args.workers)
+    entries = atlas_mod.enumerate_atlas(bounds)
     if args.gaps:
         rep = atlas_mod.gap_report(entries, up_to=args.up_to, bounds=bounds)
         _emit(args, encode(rep), rep.describe())
@@ -175,22 +175,22 @@ def _cmd_tables(args) -> int:
         if args.format == "json":
             print(json.dumps({
                 "table": w, "ok": rep.ok,
-                "mismatches": [{"row": c.row_id, "diffs": {
+                "mismatches": [{"row": c.row.id, "diffs": {
                     k: {"got": got, "want": want} for k, (got, want) in c.diffs.items()}}
                     for c in rep.mismatches],
             }, indent=2))
         elif args.format == "md":
             print(f"### Table {w}\n")
-            print(table_markdown(rep, dataset))
+            print(table_markdown(rep))
             print()
         elif args.format == "csv":
-            print(table_csv(rep, dataset))
+            print(table_csv(rep))
         else:
             status = "all rows match" if rep.ok else \
                 f"{len(rep.mismatches)} mismatching row(s)"
             print(f"table {w}: {len(rep.checks)} rows, {status}")
             for c in rep.mismatches:
-                print(f"  {c.row_id} ({c.surface}): {c.diffs}")
+                print(f"  {c.row.id} ({c.row.surface}): {c.diffs}")
         all_ok = all_ok and rep.ok
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", type=int, default=None, help="filter to one bucket")
     p.add_argument("--gaps", action="store_true", help="emit the gap report")
     p.add_argument("--up-to", type=int, default=110)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("tables", help="recompute the bundled tables and diff")
@@ -284,10 +283,7 @@ def main(argv=None) -> int:
         # error; point stdout at devnull so the interpreter's last flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except NLAtlasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (NLAtlasError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

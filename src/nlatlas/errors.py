@@ -54,18 +54,6 @@ class DatasetMissing(NLAtlasError):
     """The bundled (or user supplied) table dataset could not be loaded."""
 
 
-class RowMismatch(NLAtlasError):
-    """A recomputed table row disagrees with the stored dataset row."""
-
-    def __init__(self, row_id: str, fields: dict):
-        self.row_id = row_id
-        self.fields = fields
-        detail = ", ".join(
-            f"{name}: got {got!r}, expected {want!r}" for name, (got, want) in fields.items()
-        )
-        super().__init__(f"row {row_id}: {detail}")
-
-
 class ParseError(NLAtlasError):
     """A specification string could not be parsed; carries the offending position."""
 

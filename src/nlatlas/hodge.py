@@ -88,13 +88,13 @@ def surface(pg: int, q: int, h11: int) -> HodgeDiamond:
     return HodgeDiamond(2, ((1, q, pg), (q, h11, q), (pg, q, 1)))
 
 
-def fourfold(h11: int, h21: int, h31: int, h22: int, h10: int = 0, h20: int = 0) -> HodgeDiamond:
+def fourfold(h11: int, h21: int, h31: int, h22: int) -> HodgeDiamond:
     return HodgeDiamond(4, (
-        (1, h10, h20, 0, 0),
-        (h10, h11, h21, h31, 0),
-        (h20, h21, h22, h21, h20),
-        (0, h31, h21, h11, h10),
-        (0, 0, h20, h10, 1),
+        (1, 0, 0, 0, 0),
+        (0, h11, h21, h31, 0),
+        (0, h21, h22, h21, 0),
+        (0, h31, h21, h11, 0),
+        (0, 0, 0, 0, 1),
     ))
 
 
@@ -251,7 +251,7 @@ class Classification:
     minimal_model_K2: int | None
 
 
-def classify(pg: int, q: int, K2: int, chi_O: int) -> Classification:
+def classify(pg: int, q: int, K2: int) -> Classification:
     """Castelnuovo bound K^2 >= 3 p_g - 7 (type I when equality holds) and the
     non-minimality test K^2 < 2 p_g - 4 for a regular surface of general type.
     A non-minimal solution is blown down to the Castelnuovo value K^2 = 3p_g - 7."""
@@ -272,7 +272,7 @@ def classify(pg: int, q: int, K2: int, chi_O: int) -> Classification:
 
 def classify_solved(solved: SolvedDiagram) -> Classification:
     inv = solved.invariants
-    return classify(inv.pg, inv.q, inv.K2, inv.chi_O)
+    return classify(inv.pg, inv.q, inv.K2)
 
 
 def _center_from_spec(obj) -> HodgeDiamond | str:
@@ -284,8 +284,6 @@ def _center_from_spec(obj) -> HodgeDiamond | str:
         if obj in _PRESETS:
             return preset(obj)
         return surface_diamond(parse_surface_spec(obj))
-    if isinstance(obj, dict) and "surface" in obj:
-        return surface_diamond(parse_surface_spec(obj["surface"]))
     if isinstance(obj, (list, tuple)):
         return HodgeDiamond(len(obj) - 1, tuple(tuple(r) for r in obj))
     raise ValueError(f"cannot interpret diagram center {obj!r}")

@@ -46,13 +46,12 @@ class RankTwoLattice:
         return f"[[{self.m11},{self.m12}],[{self.m12},{self.m22}]]"
 
 
-def fourfold_lattice(ci: CompleteIntersectionType, s: SurfaceInvariants,
-                     node_correction: int = 2) -> RankTwoLattice:
+def fourfold_lattice(ci: CompleteIntersectionType, s: SurfaceInvariants) -> RankTwoLattice:
     """The lattice <h^2, [S]> inside the middle cohomology of the fourfold."""
     return RankTwoLattice(
         m11=ci.fourfold_degree,
         m12=s.degree,
-        m22=self_intersection(ci, s, node_correction=node_correction),
+        m22=self_intersection(ci, s),
         side=Side.FOURFOLD_MIDDLE,
     )
 

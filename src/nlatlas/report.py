@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import CI222, CompleteIntersectionType, congruence_secancy
+from .chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
+                   congruence_secancy)
 from .counts import codimension_bound, codimension_window
 from .dataset import Dataset, TableRow
-from .errors import DatasetMissing, RowMismatch
+from .errors import DatasetMissing
 from .lattice import (discriminant, fourfold_lattice, mod16_class,
                       surface_matrix)
 from .surfaces import parse_surface_spec
@@ -16,10 +17,12 @@ from .surfaces import parse_surface_spec
 
 @dataclass(frozen=True)
 class RowCheck:
-    row_id: str
-    surface: str
-    ok: bool
+    row: TableRow
     diffs: dict
+
+    @property
+    def ok(self) -> bool:
+        return not self.diffs
 
 
 @dataclass(frozen=True)
@@ -62,22 +65,15 @@ def check_row(row: TableRow) -> RowCheck:
         assoc_disc = discriminant(surface_matrix(deg, g, k2))
         expect("assoc_discriminant", assoc_disc, row.assoc_discriminant)
         expect("dual-discriminant", assoc_disc, row.discriminant)
-    return RowCheck(row_id=row.id, surface=row.surface, ok=not diffs, diffs=diffs)
+    return RowCheck(row=row, diffs=diffs)
 
 
-def reproduce_tables(which: int, dataset: Dataset, strict: bool = False) -> TableReport:
-    """Recompute one table and diff it; with ``strict`` the first mismatching
-    row raises instead of being collected."""
+def reproduce_tables(which: int, dataset: Dataset) -> TableReport:
+    """Recompute one table and diff every row."""
     rows = dataset.table_rows(which)
     if not rows:
         raise DatasetMissing(f"dataset has no rows for table {which}")
-    checks = []
-    for row in rows:
-        result = check_row(row)
-        if strict and not result.ok:
-            raise RowMismatch(row.id, result.diffs)
-        checks.append(result)
-    return TableReport(which=which, checks=tuple(checks))
+    return TableReport(which=which, checks=tuple(check_row(row) for row in rows))
 
 
 def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
@@ -104,9 +100,10 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
     ]
     if s.nodes:
         # m22 is the self-intersection, fitted node rule included
+        fitted = NODE_CORRECTION * s.nodes
         lines.append(
-            f"  self-intersection used the fitted +2 per node rule: "
-            f"{lat.m22} = {lat.m22 - 2 * s.nodes} + 2*{s.nodes}"
+            f"  self-intersection used the fitted +{NODE_CORRECTION} per node rule: "
+            f"{lat.m22} = {lat.m22 - fitted} + {NODE_CORRECTION}*{s.nodes}"
         )
     row = None
     if dataset is not None:
@@ -136,14 +133,14 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
     return "\n".join(lines)
 
 
-def table_markdown(report: TableReport, dataset: Dataset) -> str:
+def table_markdown(report: TableReport) -> str:
     """Markdown rendering in the printed tables' column order:
     surface, matrix, codim, counts."""
     head = ("| surface | matrix (det) | codim | h0(I(2)), h0(N_P7), h0(N_X) |\n"
             "|---|---|---|---|")
     body = []
     for check in report.checks:
-        row = dataset.row(check.row_id)
+        row = check.row
         mark = "" if check.ok else "  **MISMATCH**"
         m11, m12, m22 = row.matrix
         body.append(
@@ -154,10 +151,10 @@ def table_markdown(report: TableReport, dataset: Dataset) -> str:
     return "\n".join([head] + body)
 
 
-def table_csv(report: TableReport, dataset: Dataset) -> str:
+def table_csv(report: TableReport) -> str:
     lines = ["id,surface,m11,m12,m22,discriminant,codim,h0_IS2,h0_N,h0_NSX,ok"]
     for check in report.checks:
-        row = dataset.row(check.row_id)
+        row = check.row
         m11, m12, m22 = row.matrix
         lines.append(
             f"{row.id},{row.surface},{m11},{m12},{m22},{row.discriminant},"

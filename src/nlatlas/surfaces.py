@@ -94,13 +94,13 @@ class SurfaceInvariants:
 
 
 def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
-                     nodes: int = 0, label: str = "") -> SurfaceInvariants:
+                     label: str = "") -> SurfaceInvariants:
     """Build a record from (deg, g, K^2, chi(O)); chi_top and h0_H derived."""
     chi_top = 12 * chi_O - K2
     HK = 2 * sect_genus - 2 - degree
     h0 = chi_O + (degree - HK) // 2
     return SurfaceInvariants(degree, sect_genus, K2, chi_O, chi_top, h0,
-                             nodes=nodes, provenance_label=label)
+                             provenance_label=label)
 
 
 def expand(model: PlaneModel) -> DivisorClass:

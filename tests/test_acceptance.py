@@ -140,7 +140,7 @@ def test_criterion_6_hodge_ledger():
 
 def test_criterion_7_gap_report(atlas):
     attained = {e.discriminant for e in atlas}
-    rep = gap_report(atlas, up_to=110)
+    rep = gap_report(atlas, up_to=110, bounds=SearchBounds())
     ok = (TABLE_VALUES <= attained
           and rep.gaps == (23, 95, 108)
           and "a <= 8" in rep.describe())

@@ -42,7 +42,7 @@ def test_max_a_one_gives_exactly_the_plane():
 
 
 def test_gap_report_contains_the_three_gaps(default_atlas):
-    rep = gap_report(default_atlas, up_to=110)
+    rep = gap_report(default_atlas, up_to=110, bounds=SearchBounds())
     assert set(rep.gaps) >= {23, 95, 108}
     assert rep.gaps == (23, 95, 108)
     text = rep.describe()
@@ -50,10 +50,10 @@ def test_gap_report_contains_the_three_gaps(default_atlas):
 
 
 def test_gap_report_below_floor(default_atlas):
-    rep = gap_report(default_atlas, up_to=15)
+    rep = gap_report(default_atlas, up_to=15, bounds=SearchBounds())
     assert rep.gaps == ()
     assert set(rep.below_floor) == {0, 7, 12, 15}
-    rep = gap_report(default_atlas, up_to=16)
+    rep = gap_report(default_atlas, up_to=16, bounds=SearchBounds())
     assert rep.gaps == ()
 
 

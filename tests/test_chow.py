@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from nlatlas.chow import (CI222, CompleteIntersectionType, TruncatedClass,
-                          chern_engine_coefficients, closed_form_coefficients,
-                          congruence_secancy, flopped_fiber_secancy,
-                          formula_222, parse_ci, self_intersection)
+from nlatlas.chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
+                          TruncatedClass, chern_engine_coefficients,
+                          closed_form_coefficients, congruence_secancy,
+                          flopped_fiber_secancy, formula_222, parse_ci,
+                          self_intersection)
 from nlatlas.errors import ParseError
 from nlatlas.surfaces import abstract_surface, invariants, nodal_projection, \
     parse_surface_spec, PlaneModel
@@ -43,10 +45,12 @@ def test_self_intersection_anchors():
     assert self_intersection(CI222, nodal) == 26
 
 
-def test_node_correction_is_configurable():
+def test_node_correction_is_added_per_node():
+    assert NODE_CORRECTION == 2
     nodal = parse_surface_spec("5;6,2 nodes=1")
-    assert self_intersection(CI222, nodal, node_correction=0) == 24
-    assert self_intersection(CI222, nodal, node_correction=2) == 26
+    smooth = dataclasses.replace(nodal, nodes=0)
+    assert self_intersection(CI222, smooth) == 24
+    assert self_intersection(CI222, nodal) == 24 + NODE_CORRECTION
 
 
 def test_formula_222_consistent_with_general_path():

@@ -161,10 +161,10 @@ def test_solved_noether_identity():
 
 
 def test_classify_cases():
-    assert classify(3, 0, 2, 4).castelnuovo_type_I
-    c = classify(3, 0, 1, 4)
+    assert classify(3, 0, 2).castelnuovo_type_I
+    c = classify(3, 0, 1)
     assert c.non_minimal and c.minimal_model_K2 == 2
-    c = classify(0, 0, 9, 1)
+    c = classify(0, 0, 9)
     assert not c.castelnuovo_type_I and not c.non_minimal
 
 
