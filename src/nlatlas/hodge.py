@@ -275,6 +275,14 @@ def classify_solved(solved: SolvedDiagram) -> Classification:
     return classify(inv.pg, inv.q, inv.K2)
 
 
+def _table(rows: list | tuple) -> HodgeDiamond:
+    """An explicit diamond, given as a nested list of integers."""
+    if not all(isinstance(r, (list, tuple)) and all(type(x) is int for x in r)
+               for r in rows):
+        raise ValueError(f"a Hodge table is a list of integer rows, got {rows!r}")
+    return HodgeDiamond(len(rows) - 1, tuple(tuple(r) for r in rows))
+
+
 def _center_from_spec(obj) -> HodgeDiamond | str:
     """A diagram center: "unknown", a preset name, a surface spec string, or
     an explicit diamond given as a nested list."""
@@ -285,7 +293,7 @@ def _center_from_spec(obj) -> HodgeDiamond | str:
             return preset(obj)
         return surface_diamond(parse_surface_spec(obj))
     if isinstance(obj, (list, tuple)):
-        return HodgeDiamond(len(obj) - 1, tuple(tuple(r) for r in obj))
+        return _table(obj)
     raise ValueError(f"cannot interpret diagram center {obj!r}")
 
 
@@ -293,16 +301,20 @@ def _fourfold_from_spec(obj) -> HodgeDiamond:
     if isinstance(obj, str):
         return preset(obj)
     if isinstance(obj, (list, tuple)):
-        return HodgeDiamond(len(obj) - 1, tuple(tuple(r) for r in obj))
+        return _table(obj)
     raise ValueError(f"cannot interpret fourfold {obj!r}")
 
 
 def diagram_from_dict(data: dict) -> DiagramSpec:
     """Schema: {"left": {"fourfold": ..., "center": ...},
                 "right": {"fourfold": ..., "center": ...},
-                "flop_bridge": bool}."""
-    left = data["left"]
-    right = data["right"]
+                "flop_bridge": bool}; a missing side or field is a ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a diagram is a JSON object, got {type(data).__name__}")
+    left, right = data.get("left"), data.get("right")
+    for name, side in (("left", left), ("right", right)):
+        if not isinstance(side, dict) or not {"fourfold", "center"} <= side.keys():
+            raise ValueError(f"diagram side {name!r} needs a 'fourfold' and a 'center'")
     return DiagramSpec(
         left_fourfold=_fourfold_from_spec(left["fourfold"]),
         left_center=_center_from_spec(left["center"]),

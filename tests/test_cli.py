@@ -146,6 +146,21 @@ def test_ledger_command(tmp_path, capsys):
     assert "K^2 = 1" in out and "non-minimal" in out and "K^2 = 2" in out
 
 
+@pytest.mark.parametrize("data", [
+    {},
+    [],
+    {"left": {"fourfold": "X222"}, "right": {"fourfold": "ci22", "center": "unknown"}},
+    {"left": {"fourfold": "X222", "center": [1, 2]},
+     "right": {"fourfold": "ci22", "center": "unknown"}},
+], ids=["empty-object", "list", "left-without-center", "flat-table"])
+def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps(data))
+    code, out, err = run(capsys, "ledger", "--diagram", str(diagram))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_search_det_filter(capsys):
     code, out, _ = run(capsys, "search", "--max-a", "3", "--det", "16")
     assert code == 0
