@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 2 when a table reproduction found a mismatch,
-3 on parse errors, bad input or I/O trouble.  All numeric output is exact
-integer arithmetic.
+3 on usage errors, parse errors, bad input or I/O trouble.  All numeric
+output is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -272,8 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message; exit 2 means a table
+        # mismatch here, so a usage error is bad input (--help still exits 0)
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         code = args.func(args)
         sys.stdout.flush()

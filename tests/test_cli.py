@@ -161,6 +161,17 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_usage_errors_exit_3_and_help_exits_0(capsys):
+    # exit 2 means a table mismatch, so argparse's own usage exit is not used
+    for argv in (["search", "--max-a", "x"], ["search", "--workers", "2"],
+                 ["bogus"], ["describe"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("usage: nlatlas") and "error:" in err, argv
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: nlatlas")
+
+
 def test_search_det_filter(capsys):
     code, out, _ = run(capsys, "search", "--max-a", "3", "--det", "16")
     assert code == 0
