@@ -41,10 +41,12 @@ def test_max_a_one_gives_exactly_the_plane():
     assert entry.discriminant == 31
 
 
-def test_gap_report_contains_the_three_gaps(default_atlas):
+def test_gap_report_contains_the_three_gaps(dataset, default_atlas):
     rep = gap_report(default_atlas, up_to=110, bounds=SearchBounds())
     assert set(rep.gaps) >= {23, 95, 108}
     assert rep.gaps == (23, 95, 108)
+    # the paper's empty buckets, as the dataset records them
+    assert list(rep.gaps) == sorted(g.discriminant for g in dataset.gap_rows)
     text = rep.describe()
     assert "a <= 8" in text and "13 points" in text  # bounds are printed
 
