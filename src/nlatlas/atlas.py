@@ -1,23 +1,23 @@
 """Deterministic enumeration of plane models and the discriminant atlas.
 
-The candidate grid runs over all S(a; n1, ..., n_maxmult) with a <= max_a, at
-most max_points base points in total and multiplicities up to max_mult.  Only
-the models with H^2 = a^2 - sum i^2 n_i >= 1 are generated: the others are
-not embedding classes and would be rejected by ``invariants`` anyway.
-
-The numbers carried by H alone are linear in the point counts, so these
-conditions are decided on (a, counts), before any class or record is built:
+The search box is every S(a; n1, ..., n_maxmult) with a <= max_a, at most
+max_points base points in total and multiplicities up to max_mult.  The
+numbers carried by H alone are linear in the point counts, so these
+conditions are decided on (a, counts), while the grid is generated:
 
   * the image has degree H^2 >= 1 and, when the bounds ask for it,
     non-negative sectional genus 1 + (H^2 + H.K)/2,
-  * the system embeds: h0(H) = 1 + (H^2 - H.K)/2 between 4 and 8, with the
-    plane (degree 1, h0 = 3) as the one legitimate small case,
+  * the system embeds: h0(H) = 1 + (H^2 - H.K)/2 between 4 and 8; models
+    of degree 1, the plane among them (h0 = 3), pass at any h0(H) <= 8,
   * at least min_h0_IS2 (and at least 3) quadrics pass through it,
     h0(I(2)) = 35 - 2 H^2 + H.K,
 
-where H.K = sum i n_i - 3a.  The survivors go through ``invariants``, which
-alone needs the classes, and must then pass the conditions that need the
-record:
+where H.K = sum i n_i - 3a.  ``_candidate_grid`` fixes the multiplicities
+above one and solves these conditions for n_1, which they bound to an
+interval (plus the degree-1 model), so no candidate outside them is built:
+on the default bounds 304 of the 1,155 models with H^2 >= 1.  The
+candidates go through ``invariants``, which alone needs the classes, and
+must then pass the conditions that need the record:
 
   * H pairs non-negatively with every (-1)-class (``normalize_contractions``
     Cremona-reduces H; the classes orthogonal to H are blown down and raise
@@ -82,16 +82,10 @@ class AtlasEntry:
 
 
 def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEntry | None:
-    deg, genus, h0, h0_is2 = _count_numbers(a, counts)
-    if deg < 1 or h0 > 8 or (h0 < 4 and deg != 1):
-        return None
-    if bounds.require_positive_genus_bound and genus < 0:
-        return None
-    if h0_is2 < bounds.min_h0_IS2 or h0_is2 < 3:
-        return None
+    """The entry of a candidate of ``_candidate_grid``, or None."""
     model = PlaneModel(a, counts)
-    # a SpanTooSmall or H^2 ValueError here would mean the count formulas
-    # disagree with the record, so only NotNef is a rejection
+    # the grid holds only models with H^2 >= 1 and h0(H) >= 4 or degree 1, so
+    # a SpanTooSmall or H^2 ValueError here would be a fault; NotNef rejects
     try:
         s = invariants(model)
     except NotNef:
@@ -110,24 +104,39 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEnt
         lattice=lat,
         discriminant=disc,
         codim_bound_range=window,
-        h0_IS2=h0_is2,
+        h0_IS2=_count_numbers(a, counts)[3],
         h0_N=lo.h0_N,
     )
 
 
 def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
-    """Every (a, counts) in the bounds with H^2 = a^2 - sum i^2 n_i >= 1, in
-    lexicographic order; the rest could only fail the H^2 check of
-    ``invariants``, so they are never built."""
+    """Every (a, counts) in the bounds that passes the count conditions.
+
+    n_maxmult, ..., n_2 are chosen first, within the H^2 >= 1 budget.  With
+    them fixed, each simple point lowers the degree and h0(H) by one, raises
+    h0(I(2)) by three and leaves the genus alone, so the n_1 that pass form
+    one interval, plus the degree-1 model, whose h0(H) may lie below 4.
+    """
+    need = max(bounds.min_h0_IS2, 3)
     grid = []
 
-    def fill(a: int, counts: tuple[int, ...], points: int, budget: int):
-        i = len(counts) + 1
-        if i > bounds.max_mult:
-            grid.append((a, counts))
+    def fill(a: int, high: tuple[int, ...], points: int, budget: int):
+        i = bounds.max_mult - len(high)
+        if i > 1:
+            for n in range(min(points, budget // (i * i)) + 1):
+                fill(a, (n,) + high, points - n, budget - n * i * i)
             return
-        for n in range(min(points, budget // (i * i)) + 1):
-            fill(a, counts + (n,), points - n, budget - n * i * i)
+        deg, genus, h0, h0_is2 = _count_numbers(a, (0,) + high)
+        if genus < 0 and bounds.require_positive_genus_bound:
+            return
+        # n_1 >= 0, h0(H) - n_1 <= 8 and h0(I(2)) + 3 n_1 >= need (rounded up)
+        lo = max(0, h0 - 8, -((h0_is2 - need) // 3))
+        # n_1 <= points, degree - n_1 >= 1 and h0(H) - n_1 >= 4
+        hi = min(points, deg - 1, h0 - 4)
+        grid.extend([(a, (n,) + high) for n in range(lo, hi + 1)])
+        # n_1 = deg - 1 gives degree 1, which needs no h0(H) >= 4
+        if hi < deg - 1 <= points and lo <= deg - 1:
+            grid.append((a, (deg - 1,) + high))
 
     for a in range(1, bounds.max_a + 1):
         fill(a, (), bounds.max_points, a * a - 1)

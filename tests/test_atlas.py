@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -120,23 +122,59 @@ def test_enumeration_deterministic_and_parallel():
     assert blob(serial) == blob(parallel)
 
 
+def _passes_counts(bounds, a, counts):
+    """The conditions on (a, counts) that the grid decides, one candidate at
+    a time."""
+    deg, genus, h0, h0_is2 = _count_numbers(a, counts)
+    return (deg >= 1 and h0 <= 8 and (h0 >= 4 or deg == 1)
+            and (genus >= 0 or not bounds.require_positive_genus_bound)
+            and h0_is2 >= max(bounds.min_h0_IS2, 3))
+
+
 @pytest.mark.parametrize("bounds", [
     SearchBounds(max_a=6, max_points=8),
     SearchBounds(max_a=5, max_points=9, max_mult=4),
     SearchBounds(max_a=7, max_points=6, max_mult=2),
     SearchBounds(max_a=6, max_points=8, min_h0_IS2=3, require_positive_genus_bound=False),
     SearchBounds(max_a=6, max_points=8, min_h0_IS2=12),
+    # holds the degree-1 pencil S(7;1,5,3), h0(H) = 2, besides the plane:
+    # degree 1 passes below h0(H) = 4, off the n_1 interval of the rest
+    SearchBounds(max_a=7, max_points=9),
+    # drops the plane (h0(I(2)) = 30) but keeps that pencil (32)
+    SearchBounds(max_a=7, max_points=9, min_h0_IS2=31),
+    # S(9;2,15) has h0(I(2)) = 2, under the floor of 3 quadrics
+    SearchBounds(max_a=9, max_points=17, max_mult=2, min_h0_IS2=1),
 ])
 def test_pruned_grid_drops_only_rejects(bounds):
     full = [(a, counts) for a in range(1, bounds.max_a + 1)
             for counts in itertools.product(range(bounds.max_points + 1),
                                             repeat=bounds.max_mult)
             if sum(counts) <= bounds.max_points]
-    kept = [(a, counts) for a, counts in full
-            if a * a - sum(i * i * n for i, n in enumerate(counts, start=1)) >= 1]
-    assert _candidate_grid(bounds) == kept
-    entries = [e for e in (_evaluate(bounds, a, c) for a, c in full) if e is not None]
+    kept = [(a, counts) for a, counts in full if _passes_counts(bounds, a, counts)]
+    assert sorted(_candidate_grid(bounds)) == kept
+    entries = [e for e in (_evaluate(bounds, a, c) for a, c in kept) if e is not None]
     assert enumerate_atlas(bounds) == sorted(entries, key=lambda e: e.sort_key)
+
+
+# sha256 of the atlas entries' field tuples, one repr per line, on three
+# grids; a deliberate change of atlas output records its new digests here
+ATLAS_DIGESTS = [
+    pytest.param(SearchBounds(max_a=8, max_points=13, max_mult=3),
+                 "5c8dd19b657a1825e98ae09ef7ab6ccba6585aa38349396ab8cc143f1fa9b2c0",
+                 id="default"),
+    pytest.param(SearchBounds(max_a=12, max_points=16, max_mult=3),
+                 "b0ffe32cbf243a00cf47531e7ff2298ec75981df729d3b2e2629887bd396d5a0",
+                 id="a12p16"),
+    pytest.param(SearchBounds(max_a=10, max_points=16, max_mult=4),
+                 "a4e5b2cb5a23680b07c7027a0e1e8a01c84f9d9a50874f7a54cbc39b30bcccef",
+                 id="a10p16m4"),
+]
+
+
+@pytest.mark.parametrize("bounds,digest", ATLAS_DIGESTS)
+def test_atlas_output_is_pinned(bounds, digest):
+    text = "\n".join(repr(dataclasses.astuple(e)) for e in enumerate_atlas(bounds))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_count_numbers_match_the_record():

@@ -17,7 +17,7 @@ from itertools import groupby
 
 from hypothesis import given, strategies as st
 
-from nlatlas.atlas import SearchBounds, _candidate_grid
+from nlatlas.atlas import SearchBounds
 from nlatlas.chow import CI222
 from nlatlas.errors import NotNef, SpanTooSmall
 from nlatlas.lattice import discriminant, fourfold_lattice
@@ -114,9 +114,29 @@ def test_orbit_classes_are_minus_one():
     assert max(d for d, _ in MINUS_ONE) == 12
 
 
+def _embedding_box(bounds):
+    """Every (a, counts) in the bounds with H^2 = a^2 - sum i^2 n_i >= 1, in
+    lexicographic order: wider than the atlas grid, so that models outside
+    the h0 and quadric windows are checked too."""
+    box = []
+
+    def fill(a, counts, points, budget):
+        i = len(counts) + 1
+        if i > bounds.max_mult:
+            box.append((a, counts))
+            return
+        for n in range(min(points, budget // (i * i)) + 1):
+            fill(a, counts + (n,), points - n, budget - n * i * i)
+
+    for a in range(1, bounds.max_a + 1):
+        fill(a, (), bounds.max_points, a * a - 1)
+    return box
+
+
 def test_normalize_matches_orbit_oracle():
-    grid = _candidate_grid(SearchBounds())
-    large = _candidate_grid(SearchBounds(max_a=10, max_points=16, max_mult=4))
+    grid = _embedding_box(SearchBounds())
+    large = _embedding_box(SearchBounds(max_a=10, max_points=16, max_mult=4))
+    assert (len(grid), len(large)) == (1155, 7142)
     grid += random.Random(1985).sample(large, 1500)
     deep = 0   # accepted models that take at least one quadratic transformation
     for a, counts in grid:
