@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .surfaces import SurfaceInvariants, _parse_int
+from .surfaces import SurfaceInvariants, _parse_int_list
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,10 @@ def parse_ci(text: str) -> CompleteIntersectionType:
     """A multidegree "a1,a2,...": integers >= 2 as in surface specs, with
     spaces allowed around each; a bad token is reported at its own position."""
     degrees = []
-    offset = 0
-    for token in text.split(","):
-        digits = token.lstrip()
-        at = offset + len(token) - len(digits)
-        degree = _parse_int(text, digits.rstrip(), at)
+    for degree, at in _parse_int_list(text):
         if degree < 2:
             raise ParseError(f"degrees must be >= 2, got {degree}", text, at)
         degrees.append(degree)
-        offset += len(token) + 1
     return CompleteIntersectionType(degrees)
 
 

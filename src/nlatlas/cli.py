@@ -23,7 +23,7 @@ from .hodge import classify_solved, diagram_from_dict, solve_diagram
 from .lattice import discriminant, fourfold_lattice, mod16_class
 from .report import describe, reproduce_tables, table_csv, table_markdown
 from .serialize import encode
-from .surfaces import parse_surface_spec
+from .surfaces import _parse_int_list, parse_surface_spec
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -168,7 +168,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_tables(args) -> int:
     dataset = load_dataset(args.dataset)
-    which = [int(w) for w in args.which.split(",")] if args.which else [1, 2, 3, 4]
+    which = [w for w, _ in _parse_int_list(args.which)] if args.which else [1, 2, 3, 4]
     all_ok = True
     for w in which:
         rep = reproduce_tables(w, dataset)
@@ -196,11 +196,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    dataset = None
-    try:
-        dataset = load_dataset(args.dataset)
-    except NLAtlasError:
-        pass
+    dataset = load_dataset(args.dataset)
     ci = parse_ci(args.ci) if args.ci else CI222
     print(describe(args.surface, ci, dataset))
     return EXIT_OK

@@ -262,6 +262,19 @@ def _parse_int(text: str, token: str, offset: int) -> int:
     return int(token)
 
 
+def _parse_int_list(text: str) -> list[tuple[int, int]]:
+    """(value, position) of each item of a comma list of integers, with
+    spaces allowed around each item."""
+    items = []
+    offset = 0
+    for token in text.split(","):
+        digits = token.lstrip()
+        at = offset + len(token) - len(digits)
+        items.append((_parse_int(text, digits.rstrip(), at), at))
+        offset += len(token) + 1
+    return items
+
+
 def _parse_plane(text: str, base: str, start: int) -> PlaneModel:
     head, sep, tail = base.partition(";")
     if not sep:

@@ -134,6 +134,37 @@ def test_missing_dataset_exits_3(capsys):
     assert code == 3
 
 
+def test_describe_with_unloadable_named_dataset_exits_3(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for path in ("/nonexistent/rows.json", str(bad)):
+        code, out, err = run(capsys, "--dataset", path, "describe", "--surface", "5;7,0,1")
+        assert (code, out) == (3, ""), path
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, path
+        monkeypatch.setenv("NLATLAS_DATASET", path)
+        code, out, err = run(capsys, "describe", "--surface", "5;7,0,1")
+        assert (code, out) == (3, ""), path
+        monkeypatch.delenv("NLATLAS_DATASET")
+    # nothing named: the bundled dataset, whose row t1-10 is this surface
+    code, out, _ = run(capsys, "describe", "--surface", "5;7,0,1")
+    assert code == 0 and "t1-10" in out
+
+
+@pytest.mark.parametrize("which,position", [
+    ("1,x", 2), ("x", 0), ("1,,2", 2), ("1, 2,+3", 5), ("\uff11", 0), ("1,2\u0663", 2),
+])
+def test_tables_which_reports_position(capsys, which, position):
+    code, out, err = run(capsys, "tables", "--which", which)
+    assert (code, out) == (3, "")
+    assert f"(at position {position} in {which!r})" in err
+
+
+def test_tables_which_allows_spaces(capsys):
+    code, out, _ = run(capsys, "tables", "--which", " 2 , 3")
+    assert code == 0
+    assert out.startswith("table 2: 13 rows") and "table 3: 4 rows" in out
+
+
 def test_ledger_command(tmp_path, capsys):
     diagram = tmp_path / "diagram.json"
     diagram.write_text(json.dumps({
