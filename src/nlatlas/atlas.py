@@ -16,8 +16,8 @@ where H.K = sum i n_i - 3a.  ``_candidate_grid`` fixes the multiplicities
 above one and solves these conditions for n_1, which they bound to an
 interval (plus the degree-1 model), so no candidate outside them is built:
 on the default bounds 304 of the 1,155 models with H^2 >= 1.  The
-candidates go through ``invariants``, which alone needs the classes, and
-must then pass the conditions that need the record:
+candidates go through ``invariants``, which Cremona-reduces (a, counts),
+and must then pass the conditions that need the record:
 
   * H pairs non-negatively with every (-1)-class (``normalize_contractions``
     Cremona-reduces H; the classes orthogonal to H are blown down and raise
@@ -104,7 +104,7 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEnt
         lattice=lat,
         discriminant=disc,
         codim_bound_range=window,
-        h0_IS2=_count_numbers(a, counts)[3],
+        h0_IS2=lo.h0_IS2,
         h0_N=lo.h0_N,
     )
 

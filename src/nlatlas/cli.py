@@ -18,7 +18,7 @@ from .chow import (CI222, NODE_CORRECTION, closed_form_coefficients, parse_ci,
                    self_intersection)
 from .counts import codimension_bound
 from .dataset import load_dataset
-from .errors import NLAtlasError
+from .errors import DatasetMissing, NLAtlasError, ParseError
 from .hodge import classify_solved, diagram_from_dict, solve_diagram
 from .lattice import discriminant, fourfold_lattice, mod16_class
 from .report import describe, reproduce_tables, table_csv, table_markdown
@@ -30,13 +30,16 @@ EXIT_MISMATCH = 2
 EXIT_BAD_INPUT = 3
 
 
-def _surface_from_args(args) -> object:
-    spec = args.surface
-    if getattr(args, "abs", None):
-        spec = "abs:" + args.abs
-    if not spec:
+def _surface_from_args(args, row_spec: str | None = None) -> object:
+    """Parse the one surface named by --table-row, --surface or --abs."""
+    named = {"--table-row": row_spec, "--surface": args.surface,
+             "--abs": "abs:" + args.abs if getattr(args, "abs", None) else None}
+    given = [flag for flag, spec in named.items() if spec]
+    if not given:
         raise NLAtlasError("need --surface or --abs")
-    return parse_surface_spec(spec)
+    if len(given) > 1:
+        raise NLAtlasError(f"give only one of {' and '.join(given)}")
+    return parse_surface_spec(named[given[0]])
 
 
 def _emit(args, payload: dict, text: str):
@@ -88,15 +91,11 @@ def _cmd_selfint(args) -> int:
 
 def _cmd_count(args) -> int:
     dataset = load_dataset(args.dataset)
-    if args.table_row:
-        row = dataset.row(args.table_row)
-        s = parse_surface_spec(row.surface)
-        h0_nsx = row.h0_NSX
-    else:
-        s = _surface_from_args(args)
-        if args.h0nsx is None:
-            raise NLAtlasError("need --h0nsx N or --table-row ID")
-        h0_nsx = args.h0nsx
+    row = dataset.row(args.table_row) if args.table_row else None
+    s = _surface_from_args(args, row.surface if row else None)
+    h0_nsx = row.h0_NSX if row else args.h0nsx
+    if h0_nsx is None:
+        raise NLAtlasError("need --h0nsx N or --table-row ID")
     count = codimension_bound(s, h0_nsx)
     text = (f"h0(I_S(2)) = {count.h0_IS2}, h0(N_S/P7) = {count.h0_N}, "
             f"Grassmannian dim = {count.grass_dim}, h0(N_S/X) = {count.h0_NSX}\n"
@@ -168,19 +167,22 @@ def _cmd_search(args) -> int:
 
 def _cmd_tables(args) -> int:
     dataset = load_dataset(args.dataset)
-    which = [w for w, _ in _parse_int_list(args.which)] if args.which else [1, 2, 3, 4]
-    all_ok = True
-    for w in which:
-        rep = reproduce_tables(w, dataset)
+    reports = []
+    for w, at in _parse_int_list(args.which):
+        try:
+            reports.append(reproduce_tables(w, dataset))
+        except DatasetMissing as exc:
+            raise ParseError(str(exc), args.which, at) from None
+    for rep in reports:
         if args.format == "json":
             print(json.dumps({
-                "table": w, "ok": rep.ok,
+                "table": rep.which, "ok": rep.ok,
                 "mismatches": [{"row": c.row.id, "diffs": {
                     k: {"got": got, "want": want} for k, (got, want) in c.diffs.items()}}
                     for c in rep.mismatches],
             }, indent=2))
         elif args.format == "md":
-            print(f"### Table {w}\n")
+            print(f"### Table {rep.which}\n")
             print(table_markdown(rep))
             print()
         elif args.format == "csv":
@@ -188,11 +190,10 @@ def _cmd_tables(args) -> int:
         else:
             status = "all rows match" if rep.ok else \
                 f"{len(rep.mismatches)} mismatching row(s)"
-            print(f"table {w}: {len(rep.checks)} rows, {status}")
+            print(f"table {rep.which}: {len(rep.checks)} rows, {status}")
             for c in rep.mismatches:
                 print(f"  {c.row.id} ({c.row.surface}): {c.diffs}")
-        all_ok = all_ok and rep.ok
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return EXIT_OK if all(rep.ok for rep in reports) else EXIT_MISMATCH
 
 
 def _cmd_describe(args) -> int:
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("tables", help="recompute the bundled tables and diff")
-    p.add_argument("--which", default=None, help="comma list from 1,2,3,4")
+    p.add_argument("--which", default="1,2,3,4", help="comma list from 1,2,3,4")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("describe", help="one-screen report for a surface spec")

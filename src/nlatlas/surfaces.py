@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall
-from .picard import DivisorClass, pair
+from .picard import DivisorClass
 
 # ambient projective space is P^7 throughout; a surface with h0_H > 8 can only
 # be brought there by a projection, so its span is clamped at P^7 for display
@@ -105,16 +105,13 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
 
 def expand(model: PlaneModel) -> DivisorClass:
     """The class H = a*L - sum m_j E_j, with n_i copies of multiplicity i."""
-    mults: list[int] = []
-    for i, n in enumerate(model.point_counts, start=1):
-        mults.extend([i] * n)
-    return DivisorClass(model.a, mults)
+    return DivisorClass(model.a, [i for i, n in enumerate(model.point_counts, 1) for _ in range(n)])
 
 
-def normalize_contractions(h: DivisorClass) -> tuple[DivisorClass, int]:
+def normalize_contractions(model: PlaneModel) -> tuple[PlaneModel, int]:
     """Cremona-reduce H and count the (-1)-classes orthogonal to it.
 
-    The multiplicities are sorted in descending order and padded to three
+    The multiplicities are listed in descending order and padded to three
     with zeros (points not blown up).  While a < m1 + m2 + m3, the quadratic
     transformation at the top three points applies: with e = m1 + m2 + m3 - a,
     a and m1, m2, m3 all drop by e.  Each step maps E_i to a (-1)-class and
@@ -125,27 +122,29 @@ def normalize_contractions(h: DivisorClass) -> tuple[DivisorClass, int]:
     1985).  By the Hodge index theorem they are pairwise orthogonal once
     H^2 >= 1, so blowing them all down raises K^2 by their number.
 
-    Returns the standard class with the zero multiplicities dropped and the
+    Returns the standard model (the points of multiplicity 0 dropped) and the
     number of contracted classes.  Only (-1)-classes are checked: with ten or
     more points, nefness against all curves (Nagata's problem) is not claimed.
     """
-    a = h.plane_degree
-    k = h.k
-    h2 = pair(h, h)
+    a = model.a
+    c = model.point_counts
+    m = [i for i in range(len(c), 0, -1) for _ in range(c[i - 1])]
+    k = len(m)
+    h2 = a * a - sum(x * x for x in m)
     if h2 < 1:
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
-    m = sorted(h.mults, reverse=True) + [0] * (3 - k)
+    m += [0] * (3 - k)
     while True:
         if m[-1] < 0:
-            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = {h}")
+            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = {expand(model)}")
         e = m[0] + m[1] + m[2] - a
         if e <= 0:
             break
         a -= e
         m[:3] = m[0] - e, m[1] - e, m[2] - e
         m.sort(reverse=True)
-    standard = [x for x in m if x]
-    return DivisorClass(a, standard), k - len(standard) + (a == m[0] + m[1])
+    counts = [m.count(i) for i in range(1, m[0] + 1)]
+    return PlaneModel(a, counts), k - sum(counts) + (a == m[0] + m[1])
 
 
 def _count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -166,14 +165,13 @@ def invariants(model: PlaneModel) -> SurfaceInvariants:
     """Invariant record of the (normalized) image surface of a plane model:
     the H-derived numbers from ``_count_numbers``, and K^2 = 9 - k plus one
     per contracted (-1)-class."""
-    h = expand(model)
-    _, contracted = normalize_contractions(h)
+    _, contracted = normalize_contractions(model)
     degree, g, h0, _ = _count_numbers(model.a, model.point_counts)
     if h0 < 4 and degree != 1:
         raise SpanTooSmall(
             f"{model} gives h0(H) = {h0}: the system maps to a plane without embedding"
         )
-    K2 = 9 - h.k + contracted
+    K2 = 9 - sum(model.point_counts) + contracted
     return SurfaceInvariants(
         degree=degree,
         sect_genus=g,

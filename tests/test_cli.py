@@ -152,11 +152,24 @@ def test_describe_with_unloadable_named_dataset_exits_3(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("which,position", [
     ("1,x", 2), ("x", 0), ("1,,2", 2), ("1, 2,+3", 5), ("\uff11", 0), ("1,2\u0663", 2),
+    ("1,5", 2),
 ])
 def test_tables_which_reports_position(capsys, which, position):
     code, out, err = run(capsys, "tables", "--which", which)
     assert (code, out) == (3, "")
     assert f"(at position {position} in {which!r})" in err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    pytest.param(["lattice", "--surface", "5;7,0,1", "--abs", "deg=13,g=12,K2=2,chiO=4"],
+                 "--surface and --abs", id="lattice"),
+    pytest.param(["count", "--table-row", "t1-01", "--surface", "5;7,0,1"],
+                 "--table-row and --surface", id="count"),
+])
+def test_surface_named_twice_exits_3(capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: give only one of {flags}\n"
 
 
 def test_tables_which_allows_spaces(capsys):
