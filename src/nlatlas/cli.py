@@ -13,16 +13,15 @@ import json
 import os
 import sys
 
-from . import atlas as atlas_mod
+# atlas, hodge and the codec (serialize imports every record module) load
+# only in the commands that use them, which keeps start-up short
 from .chow import (CI222, NODE_CORRECTION, closed_form_coefficients, parse_ci,
                    self_intersection)
 from .counts import codimension_bound
 from .dataset import load_dataset
 from .errors import DatasetMissing, NLAtlasError, ParseError
-from .hodge import classify_solved, diagram_from_dict, solve_diagram
 from .lattice import discriminant, fourfold_lattice, mod16_class
 from .report import describe, reproduce_tables, table_csv, table_markdown
-from .serialize import encode
 from .surfaces import _parse_int_list, parse_surface_spec
 
 EXIT_OK = 0
@@ -30,21 +29,34 @@ EXIT_MISMATCH = 2
 EXIT_BAD_INPUT = 3
 
 
+def _given(flags: dict) -> list[str]:
+    """The flags (flag -> value) whose value is true; more than one is an error."""
+    given = [flag for flag, value in flags.items() if value]
+    if len(given) > 1:
+        raise NLAtlasError(f"give only one of {' and '.join(given)}")
+    return given
+
+
 def _surface_from_args(args, row_spec: str | None = None) -> object:
     """Parse the one surface named by --table-row, --surface or --abs."""
     named = {"--table-row": row_spec, "--surface": args.surface,
              "--abs": "abs:" + args.abs if getattr(args, "abs", None) else None}
-    given = [flag for flag, spec in named.items() if spec]
+    given = _given(named)
     if not given:
         raise NLAtlasError("need --surface or --abs")
-    if len(given) > 1:
-        raise NLAtlasError(f"give only one of {' and '.join(given)}")
     return parse_surface_spec(named[given[0]])
 
 
-def _emit(args, payload: dict, text: str):
+def _encode(record) -> dict:
+    from .serialize import encode
+    return encode(record)
+
+
+def _emit(args, payload, text: str):
+    """Print ``text``, or for ``--format json`` the JSON of ``payload()``;
+    the payload is built only then, so text output never loads the codec."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
         print(text)
 
@@ -57,7 +69,7 @@ def _cmd_invariants(args) -> int:
         f"chi_top = {s.chi_top}, h0(O(H)) = {s.h0_H}, span PP^{s.span_dim}"
         + (f", {s.nodes} node(s)" if s.nodes else "")
     )
-    _emit(args, encode(s), text)
+    _emit(args, lambda: _encode(s), text)
     return EXIT_OK
 
 
@@ -67,11 +79,11 @@ def _cmd_lattice(args) -> int:
     lat = fourfold_lattice(ci, s)
     disc = discriminant(lat)
     mod = mod16_class(disc)
-    payload = {"lattice": encode(lat), "discriminant": disc, "mod16": mod._asdict()}
     text = (f"matrix {lat}\ndiscriminant {disc} "
             f"(residue {mod.residue} mod 16, "
             + ("admissible" if mod.admissible else "inadmissible") + ")")
-    _emit(args, payload, text)
+    _emit(args, lambda: {"lattice": _encode(lat), "discriminant": disc,
+                         "mod16": mod._asdict()}, text)
     return EXIT_OK
 
 
@@ -80,16 +92,16 @@ def _cmd_selfint(args) -> int:
     ci = parse_ci(args.ci)
     value = self_intersection(ci, s)
     ch2, chk = closed_form_coefficients(ci)
-    payload = {"self_intersection": value, "cH2": ch2, "cHK": chk,
-               "node_rule_used": bool(s.nodes)}
     text = f"(S)^2_X = {value}   coefficients (cH2, cHK) = ({ch2}, {chk})"
     if s.nodes:
         text += f"   [includes fitted +{NODE_CORRECTION} per node for {s.nodes} node(s)]"
-    _emit(args, payload, text)
+    _emit(args, lambda: {"self_intersection": value, "cH2": ch2, "cHK": chk,
+                         "node_rule_used": bool(s.nodes)}, text)
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
+    _given({"--table-row": args.table_row, "--h0nsx": args.h0nsx is not None})
     dataset = load_dataset(args.dataset)
     row = dataset.row(args.table_row) if args.table_row else None
     s = _surface_from_args(args, row.surface if row else None)
@@ -101,19 +113,17 @@ def _cmd_count(args) -> int:
             f"Grassmannian dim = {count.grass_dim}, h0(N_S/X) = {count.h0_NSX}\n"
             f"codimension bound = {count.codim_bound}   "
             f"[flags: {', '.join(count.flags)}]")
-    _emit(args, encode(count), text)
+    _emit(args, lambda: _encode(count), text)
     return EXIT_OK
 
 
 def _cmd_ledger(args) -> int:
+    from .hodge import classify_solved, diagram_from_dict, solve_diagram
     with open(args.diagram) as fh:
         data = json.load(fh)
     solved = solve_diagram(diagram_from_dict(data))
     cls = classify_solved(solved)
     inv = solved.invariants
-    payload = {"unknown_diamond": encode(solved.unknown),
-               "invariants": dataclasses.asdict(inv),
-               "classification": dataclasses.asdict(cls)}
     text = (solved.unknown.pretty() + "\n"
             f"p_g = {inv.pg}, q = {inv.q}, b2 = {inv.b2}, chi(O) = {inv.chi_O}, "
             f"chi_top = {inv.chi_top}, K^2 = {inv.K2}\n")
@@ -122,24 +132,28 @@ def _cmd_ledger(args) -> int:
     if cls.non_minimal:
         text += (f"non-minimal: {cls.blow_downs} blow-down(s) reach the minimal "
                  f"model with K^2 = {cls.minimal_model_K2}\n")
-    _emit(args, payload, text.rstrip())
+    _emit(args, lambda: {"unknown_diamond": _encode(solved.unknown),
+                         "invariants": dataclasses.asdict(inv),
+                         "classification": dataclasses.asdict(cls)}, text.rstrip())
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    bounds = atlas_mod.SearchBounds(
+    from .atlas import SearchBounds, enumerate_atlas, gap_report
+    _given({"--det": args.det is not None, "--gaps": args.gaps})
+    bounds = SearchBounds(
         max_a=args.max_a, max_points=args.max_points, max_mult=args.max_mult,
         min_h0_IS2=args.min_h0_is2, max_codim=args.max_codim,
     )
-    entries = atlas_mod.enumerate_atlas(bounds)
+    entries = enumerate_atlas(bounds)
     if args.gaps:
-        rep = atlas_mod.gap_report(entries, up_to=args.up_to, bounds=bounds)
-        _emit(args, encode(rep), rep.describe())
+        rep = gap_report(entries, up_to=args.up_to, bounds=bounds)
+        _emit(args, lambda: _encode(rep), rep.describe())
         return EXIT_OK
     if args.det is not None:
         entries = [e for e in entries if e.discriminant == args.det]
     if args.format == "json":
-        print(json.dumps([encode(e) for e in entries], indent=2))
+        print(json.dumps([_encode(e) for e in entries], indent=2))
     elif args.format == "csv":
         print("surface,m11,m12,m22,discriminant,codim_lo,codim_hi,h0_IS2,h0_N")
         for e in entries:

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -24,3 +25,12 @@ def dataset():
 @pytest.fixture(scope="session")
 def default_atlas():
     return nl.enumerate_atlas()
+
+
+@pytest.fixture(scope="session")
+def fresh_env():
+    """Environment of a fresh interpreter that imports nlatlas from this
+    source tree and reads the bundled dataset."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nl.__file__).resolve().parent.parent))
+    env.pop("NLATLAS_DATASET", None)
+    return env

@@ -172,6 +172,19 @@ def test_surface_named_twice_exits_3(capsys, argv, flags):
     assert err == f"error: give only one of {flags}\n"
 
 
+@pytest.mark.parametrize("argv,flags", [
+    pytest.param(["count", "--table-row", "t1-01", "--h0nsx", "5"],
+                 "--table-row and --h0nsx", id="count"),
+    pytest.param(["count", "--table-row", "t1-01", "--h0nsx", "0"],
+                 "--table-row and --h0nsx", id="count-zero"),
+    pytest.param(["search", "--det", "47", "--gaps"], "--det and --gaps", id="search"),
+])
+def test_conflicting_flags_exit_3(capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: give only one of {flags}\n"
+
+
 def test_tables_which_allows_spaces(capsys):
     code, out, _ = run(capsys, "tables", "--which", " 2 , 3")
     assert code == 0

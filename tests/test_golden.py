@@ -15,6 +15,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -129,6 +131,19 @@ def test_cli_golden(name, fmt, paths, capsys):
     captured = capsys.readouterr()
     want = (GOLDEN / "cli" / f"{name}.{fmt}").read_text()
     assert _record(code, captured.out, captured.err) == want
+
+
+# commands that import atlas, hodge or the codec when they run, launched
+# through ``from nlatlas.cli import main`` in an interpreter that has loaded
+# nothing else of nlatlas
+@pytest.mark.parametrize("name,fmt", [("ledger", "text"), ("search-det", "text"),
+                                      ("invariants", "json")])
+def test_cli_golden_in_fresh_interpreter(name, fmt, paths, fresh_env):
+    launch = "import sys; from nlatlas.cli import main; sys.exit(main())"
+    proc = subprocess.run([sys.executable, "-c", launch, *_argv(name, fmt, paths)],
+                          env=fresh_env, capture_output=True, text=True)
+    want = (GOLDEN / "cli" / f"{name}.{fmt}").read_text()
+    assert _record(proc.returncode, proc.stdout, proc.stderr) == want
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
