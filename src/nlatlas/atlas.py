@@ -94,19 +94,10 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEnt
     disc = discriminant(lat)
     if disc < 0:
         return None
-    lo, hi = codimension_window(s)
-    window = (lo.codim_bound, hi.codim_bound)
-    if window[1] < 0 or window[0] > bounds.max_codim:
+    h0_is2, h0_n, _, lo, hi = codimension_window(s)
+    if hi < 0 or lo > bounds.max_codim:
         return None
-    return AtlasEntry(
-        model=model,
-        surface=s,
-        lattice=lat,
-        discriminant=disc,
-        codim_bound_range=window,
-        h0_IS2=lo.h0_IS2,
-        h0_N=lo.h0_N,
-    )
+    return AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n)
 
 
 def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:

@@ -14,7 +14,9 @@ range that matters.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -28,7 +30,7 @@ class CompleteIntersectionType:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(a) for a in self.degrees))
+        object.__setattr__(self, "degrees", tuple(map(operator.index, self.degrees)))
         if len(self.degrees) < 1:
             raise ValueError("need at least one degree")
         if any(a < 2 for a in self.degrees):
@@ -42,7 +44,7 @@ class CompleteIntersectionType:
     def ambient_dim(self) -> int:
         return self.r + 4
 
-    @property
+    @functools.cached_property
     def fourfold_degree(self) -> int:
         p = 1
         for a in self.degrees:
@@ -115,9 +117,15 @@ def _power(base: TruncatedClass, n: int) -> TruncatedClass:
 
 def closed_form_coefficients(ci: CompleteIntersectionType) -> tuple[int, int]:
     """The (cH2, cHK) pair straight from the closed formula."""
-    r = ci.r
-    s = sum(ci.degrees)
-    s2 = sum(a * b for a, b in itertools.combinations(ci.degrees, 2))
+    return _closed_form(ci.degrees)
+
+
+@functools.cache
+def _closed_form(degrees: tuple[int, ...]) -> tuple[int, int]:
+    """The closed formula, evaluated once per multidegree."""
+    r = len(degrees)
+    s = sum(degrees)
+    s2 = sum(a * b for a, b in itertools.combinations(degrees, 2))
     ch2 = (r + 4) * (r + 5) // 2 - (r + 5) * s + s * s - s2
     chk = r + 5 - s
     return ch2, chk
@@ -154,7 +162,7 @@ NODE_CORRECTION = 2
 def self_intersection(ci: CompleteIntersectionType, s: SurfaceInvariants) -> int:
     """(S)^2_X for the cycle class of s inside a fourfold of type ci, with
     ``NODE_CORRECTION`` per node."""
-    ch2, chk = closed_form_coefficients(ci)
+    ch2, chk = _closed_form(ci.degrees)
     return ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top + NODE_CORRECTION * s.nodes
 
 

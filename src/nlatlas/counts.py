@@ -62,34 +62,58 @@ def chi_NSX_lower(s: SurfaceInvariants) -> int:
     """Euler-characteristic estimate chi(N_{S/X}) = h0(N_{S/P7}) - 3*chi(O_S(2))
     from 0 -> N_{S/X} -> N_{S/P7} -> O_S(2)^3 -> 0.  Explicitly NOT an h^0:
     it may undershoot (h^1 terms) and is only a semicontinuity sanity bound."""
-    return h0_normal_bundle(s) - 3 * s.chi_twist(2)
+    return _chi_NSX(s, h0_normal_bundle(s))
+
+
+def _chi_NSX(s: SurfaceInvariants, h0_n: int) -> int:
+    return h0_n - 3 * s.chi_twist(2)
+
+
+def _net_of_quadrics(s: SurfaceInvariants) -> int:
+    """h0(I_S(2)), which must leave room for a net of quadrics."""
+    h0_is2 = h0_quadrics(s)
+    if h0_is2 < 3:
+        raise NegativeCount(
+            f"h0(I_S(2)) = {h0_is2} < 3: no net of quadrics through the surface"
+        )
+    return h0_is2
+
+
+def grassmannian_dim(h0_is2: int) -> int:
+    """dim G(3, h0(I_S(2))): the nets of quadrics through the surface."""
+    return 3 * (h0_is2 - 3)
+
+
+def _codim(h0_is2: int, h0_n: int, h0_NSX: int) -> int:
+    return HILBERT_DIM - (h0_n + grassmannian_dim(h0_is2) - h0_NSX)
+
+
+def count_flags(s: SurfaceInvariants) -> tuple[str, ...]:
+    """The assumptions every parameter count of s rests on."""
+    return (FLAG_VANISHING, FLAG_NODAL_FIT) if s.nodes else (FLAG_VANISHING,)
 
 
 def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
     """Assemble the codimension bound; h0(N_{S/X}) is caller-supplied data."""
     if h0_NSX < 0:
         raise NegativeCount(f"h0(N_S/X) must be >= 0, got {h0_NSX}")
-    h0_is2 = h0_quadrics(s)
-    if h0_is2 < 3:
-        raise NegativeCount(
-            f"h0(I_S(2)) = {h0_is2} < 3: no net of quadrics through the surface"
-        )
+    h0_is2 = _net_of_quadrics(s)
     h0_n = h0_normal_bundle(s)
-    grass = 3 * (h0_is2 - 3)
-    flags = [FLAG_VANISHING]
-    if s.nodes:
-        flags.append(FLAG_NODAL_FIT)
     return ParameterCount(
         h0_IS2=h0_is2,
         h0_N=h0_n,
         h0_NSX=h0_NSX,
-        grass_dim=grass,
-        codim_bound=HILBERT_DIM - (h0_n + grass - h0_NSX),
-        flags=tuple(flags),
+        grass_dim=grassmannian_dim(h0_is2),
+        codim_bound=_codim(h0_is2, h0_n, h0_NSX),
+        flags=count_flags(s),
     )
 
 
-def codimension_window(s: SurfaceInvariants) -> tuple[ParameterCount, ParameterCount]:
-    """The bounds at h0(N_S/X) = 0 and at the clamped Euler estimate, for a
-    surface with no known h0(N_S/X)."""
-    return codimension_bound(s, 0), codimension_bound(s, max(chi_NSX_lower(s), 0))
+def codimension_window(s: SurfaceInvariants) -> tuple[int, int, int, int, int]:
+    """For a surface with no known h0(N_{S/X}): (h0(I_S(2)), h0(N_{S/P7}), the
+    clamped Euler estimate of h0(N_{S/X}), and the codimension bounds at
+    h0(N_{S/X}) = 0 and at that estimate), each number computed once."""
+    h0_is2 = _net_of_quadrics(s)
+    h0_n = h0_normal_bundle(s)
+    nsx = max(_chi_NSX(s, h0_n), 0)
+    return h0_is2, h0_n, nsx, _codim(h0_is2, h0_n, 0), _codim(h0_is2, h0_n, nsx)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
                    congruence_secancy)
-from .counts import codimension_bound, codimension_window
+from .counts import (codimension_bound, codimension_window, count_flags,
+                     grassmannian_dim)
 from .dataset import Dataset, TableRow
 from .errors import DatasetMissing
 from .lattice import (discriminant, fourfold_lattice, mod16_class,
@@ -121,14 +122,14 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
             f"  codimension bound = {count.codim_bound}   [flags: {', '.join(count.flags)}]",
         ]
     else:
-        lo, hi = codimension_window(s)
+        h0_is2, h0_n, nsx, lo, hi = codimension_window(s)
         lines += [
             "parameter count (no dataset value for h0(N_S/X); showing the window",
-            f" from h0(N_S/X) = 0 to the clamped Euler estimate {hi.h0_NSX}):",
-            f"  h0(I_S(2)) = {lo.h0_IS2}, h0(N_S/P7) = {lo.h0_N}, "
-            f"Grassmannian dim = {lo.grass_dim}",
-            f"  codimension bound in [{lo.codim_bound}, {hi.codim_bound}]"
-            f"   [flags: {', '.join(lo.flags)}]",
+            f" from h0(N_S/X) = 0 to the clamped Euler estimate {nsx}):",
+            f"  h0(I_S(2)) = {h0_is2}, h0(N_S/P7) = {h0_n}, "
+            f"Grassmannian dim = {grassmannian_dim(h0_is2)}",
+            f"  codimension bound in [{lo}, {hi}]"
+            f"   [flags: {', '.join(count_flags(s))}]",
         ]
     return "\n".join(lines)
 

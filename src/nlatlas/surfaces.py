@@ -16,6 +16,7 @@ forced by the Noether formula K^2 = 12 chi(O) - chi_top.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall
@@ -35,14 +36,17 @@ class PlaneModel:
     point_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "point_counts", tuple(int(n) for n in self.point_counts))
-        if self.a < 1:
+        # operator.index rejects floats and strings, which int() would truncate
+        # or parse
+        counts = tuple(map(operator.index, self.point_counts))
+        object.__setattr__(self, "point_counts", counts)
+        if operator.index(self.a) < 1:
             raise ValueError(f"plane-curve degree must be >= 1, got {self.a}")
-        if any(n < 0 for n in self.point_counts):
-            raise ValueError(f"point counts must be >= 0, got {self.point_counts}")
+        if counts and min(counts) < 0:
+            raise ValueError(f"point counts must be >= 0, got {counts}")
 
     def spec_string(self) -> str:
-        return f"{self.a};{','.join(str(n) for n in self.point_counts)}"
+        return f"{self.a};{','.join(map(str, self.point_counts))}"
 
     def __str__(self) -> str:
         return f"S({self.spec_string()})"
@@ -122,18 +126,22 @@ def normalize_contractions(model: PlaneModel) -> tuple[PlaneModel, int]:
     1985).  By the Hodge index theorem they are pairwise orthogonal once
     H^2 >= 1, so blowing them all down raises K^2 by their number.
 
-    Returns the standard model (the points of multiplicity 0 dropped) and the
-    number of contracted classes.  Only (-1)-classes are checked: with ten or
-    more points, nefness against all curves (Nagata's problem) is not claimed.
+    Returns the standard model (the points of multiplicity 0 dropped; the
+    input itself when it is already standard) and the number of contracted
+    classes.  Only (-1)-classes are checked: with ten or more points,
+    nefness against all curves (Nagata's problem) is not claimed.
     """
     a = model.a
     c = model.point_counts
-    m = [i for i in range(len(c), 0, -1) for _ in range(c[i - 1])]
-    k = len(m)
-    h2 = a * a - sum(x * x for x in m)
+    h2 = _count_numbers(a, c)[0]
     if h2 < 1:
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
+    m = [i for i in range(len(c), 0, -1) for _ in range(c[i - 1])]
+    k = len(m)
     m += [0] * (3 - k)
+    if m[0] + m[1] + m[2] <= a and (not c or c[-1]):
+        # standard already: no zero multiplicity, so only the line can contract
+        return model, int(a == m[0] + m[1])
     while True:
         if m[-1] < 0:
             raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = {expand(model)}")
@@ -305,7 +313,10 @@ def _parse_abstract(text: str, base: str, start: int) -> SurfaceInvariants:
                              text, offset)
         if key in fields:
             raise ParseError(f"duplicate field {key!r}", text, offset)
-        fields[key] = _parse_int(text, val, offset + len(key) + 1)
+        at = offset + len(key) + 1
+        fields[key] = _parse_int(text, val, at)
+        if key == "deg" and fields[key] < 1:
+            raise ParseError(f"degree must be >= 1, got {fields[key]}", text, at)
         offset += len(token) + 1
     missing = [k for k in _ABS_KEYS if k not in fields]
     if missing:

@@ -7,7 +7,8 @@ import pytest
 
 from nlatlas.atlas import (SearchBounds, _candidate_grid, _count_numbers,
                            _evaluate, enumerate_atlas, gap_report)
-from nlatlas.counts import H0_QUADRICS_P7, h0_quadrics
+from nlatlas.chow import _closed_form
+from nlatlas.counts import H0_QUADRICS_P7, ParameterCount, h0_quadrics
 from nlatlas.errors import NegativeCount, NotNef, SpanTooSmall
 from nlatlas.lattice import mod16_class
 from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
@@ -203,6 +204,36 @@ def test_count_numbers_match_the_record():
             checked += 1
             contracted += s.K2 != 9 - sum(counts)
     assert checked > 1000 and contracted > 100
+
+
+def test_atlas_work_counts(monkeypatch):
+    """Work counted instead of timed, so that a busy host cannot fail it: one
+    default atlas evaluates the closed form once per multidegree, builds no
+    ``ParameterCount`` and at most one ``PlaneModel`` per candidate, plus the
+    standard model of each candidate that is not standard already."""
+    bounds = SearchBounds()
+    grid = _candidate_grid(bounds)
+    nonstandard = sum(1 for a, counts in grid
+                      if (counts and not counts[-1])
+                      or a < sum(sorted(expand(PlaneModel(a, counts)).mults)[-3:]))
+    built = {"model": 0, "count": 0}
+
+    def counted(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            built[key] += 1
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(PlaneModel, "__post_init__", "model")
+    counted(ParameterCount, "__init__", "count")
+    _closed_form.cache_clear()
+    assert len(enumerate_atlas(bounds)) == 239
+    assert _closed_form.cache_info().misses == 1     # (2,2,2) only
+    assert built["count"] == 0
+    assert 0 < nonstandard < len(grid)
+    assert len(grid) <= built["model"] <= len(grid) + nonstandard
 
 
 def test_atlas_consistent_with_direct_pipeline(default_atlas):

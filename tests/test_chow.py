@@ -123,6 +123,13 @@ def test_parse_ci_error_positions(text, position):
     assert info.value.position == position
 
 
+@pytest.mark.parametrize("degrees", [(2.7, 2, 2), ("2", 2, 2), (2, 2.0)])
+def test_ci_rejects_non_integers(degrees):
+    # int() would truncate 2.7 to 2 and parse "2"
+    with pytest.raises(TypeError):
+        CompleteIntersectionType(degrees)
+
+
 def test_ci_basic_fields():
     ci = CompleteIntersectionType((4, 2))
     assert ci.r == 2 and ci.ambient_dim == 6 and ci.fourfold_degree == 8

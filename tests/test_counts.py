@@ -1,8 +1,10 @@
 import pytest
 
-from nlatlas.counts import (chi_NSX_lower, codimension_bound, h0_normal_bundle,
-                            h0_quadrics, FLAG_NODAL_FIT, FLAG_VANISHING)
-from nlatlas.errors import DivisibilityViolation, NegativeCount
+from nlatlas.atlas import SearchBounds, _candidate_grid
+from nlatlas.counts import (chi_NSX_lower, codimension_bound, codimension_window,
+                            h0_normal_bundle, h0_quadrics, FLAG_NODAL_FIT,
+                            FLAG_VANISHING)
+from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef, SpanTooSmall
 from nlatlas.surfaces import (SurfaceInvariants, abstract_surface, invariants,
                               parse_surface_spec, PlaneModel)
 
@@ -91,3 +93,30 @@ def test_all_smooth_table_rows_reproduce(dataset):
         assert codimension_bound(s, row.h0_NSX).codim_bound == row.codim, row.id
         checked += 1
     assert checked == 34
+
+
+def _window_from_bounds(s):
+    """The window assembled from two ``ParameterCount`` records."""
+    nsx = max(chi_NSX_lower(s), 0)
+    lo, hi = codimension_bound(s, 0), codimension_bound(s, nsx)
+    assert (lo.h0_IS2, lo.h0_N) == (hi.h0_IS2, hi.h0_N)
+    return lo.h0_IS2, lo.h0_N, nsx, lo.codim_bound, hi.codim_bound
+
+
+def _outcome(f, s):
+    try:
+        return f(s)
+    except NegativeCount as exc:
+        return str(exc)
+
+
+def test_window_matches_codimension_bound(dataset):
+    surfaces = [parse_surface_spec(row.surface) for row in dataset.rows]
+    for a, counts in _candidate_grid(SearchBounds()):
+        try:
+            surfaces.append(invariants(PlaneModel(a, counts)))
+        except (NotNef, SpanTooSmall):
+            pass
+    assert len(surfaces) == 41 + 294
+    for s in surfaces:
+        assert _outcome(codimension_window, s) == _outcome(_window_from_bounds, s), s

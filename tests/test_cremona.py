@@ -15,7 +15,7 @@ import operator
 import random
 from itertools import groupby
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from nlatlas.atlas import SearchBounds
 from nlatlas.chow import CI222
@@ -186,3 +186,28 @@ def test_cremona_moves_keep_invariants(default_atlas, data):
     # H.(L - E_j - E_l) >= 0 for nef H, so the moved class stays nef
     assert a >= 1 and min(moved) >= 0
     assert _numbers(invariants(_model(a, moved))) == _numbers(entry.surface)
+
+
+LARGE_BOX = _embedding_box(SearchBounds(max_a=10, max_points=16, max_mult=4))
+
+
+def _numbers_or_span(model):
+    try:
+        return _numbers(invariants(model))
+    except SpanTooSmall:
+        return SpanTooSmall
+
+
+@given(st.sampled_from(LARGE_BOX))
+def test_normalize_is_idempotent(model_data):
+    a, counts = model_data
+    model = PlaneModel(a, counts)
+    try:
+        std, _ = normalize_contractions(model)
+    except NotNef:
+        assume(False)
+    # the standard model comes back as it is, and it carries the same numbers
+    assert normalize_contractions(std)[0] is std
+    if a >= sum(sorted(expand(model).mults)[-3:]) and (not counts or counts[-1]):
+        assert std is model
+    assert _numbers_or_span(std) == _numbers_or_span(model)

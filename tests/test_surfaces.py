@@ -163,6 +163,25 @@ def test_normalize_error_messages(model, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("a,counts", [
+    (5, (7.9, 0, 1)), (5.5, (7,)), (5, ("7",)), ("5", (7,)), (5, (7.0,)),
+])
+def test_plane_model_rejects_non_integers(a, counts):
+    # int() would truncate 7.9 to 7 and parse "7"; a non-integer degree would
+    # carry floats into every invariant
+    with pytest.raises(TypeError):
+        PlaneModel(a, counts)
+
+
+def test_normalize_returns_a_standard_input_itself():
+    for model in [PlaneModel(1), PlaneModel(3, (5,)), PlaneModel(5, (7, 0, 1)),
+                  PlaneModel(4, (0, 0, 1)), PlaneModel(2, (2,))]:
+        std, contracted = normalize_contractions(model)
+        assert std is model
+        assert normalize_contractions(PlaneModel(model.a, model.point_counts + (0,))) == (
+            model, contracted)
+
+
 def test_genus_roundtrip_identity():
     for spec in [(3, (5,)), (5, (7, 0, 1)), (8, (4, 7, 2)), (6, (11, 1, 1))]:
         s = invariants(PlaneModel(*spec))
@@ -203,7 +222,7 @@ def test_parse_errors(bad):
     ("0;1", 0), ("-2;", 0), ("5;7,-1,1", 4), ("5;7,0,-1", 6),
     ("5;7,0,1 nodes=x", 14), ("5;7,0,1   nodes=x", 16), ("5;7,0,1 7", 8),
     ("5;7,0,1 int-proj squint", 17), (" abs:deg=13,g=x,K2=-1,chiO=2", 14),
-    ("abs:deg=13", 10),
+    ("abs:deg=13", 10), ("abs:deg=0,g=0,K2=0,chiO=1", 8), ("abs:g=0,deg=-2", 12),
     ("5;6,2 nodes=0", 12), ("5;6,2 nodes=-1", 12), ("5;6,2 nodes=1_0", 12),
     ("\uff15;7,0,1", 0), ("+5;7,0,1", 0),
 ])
