@@ -44,7 +44,7 @@ class CompleteIntersectionType:
     def ambient_dim(self) -> int:
         return self.r + 4
 
-    @functools.cached_property
+    @property
     def fourfold_degree(self) -> int:
         p = 1
         for a in self.degrees:
