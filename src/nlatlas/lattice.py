@@ -48,12 +48,8 @@ class RankTwoLattice:
 
 def fourfold_lattice(ci: CompleteIntersectionType, s: SurfaceInvariants) -> RankTwoLattice:
     """The lattice <h^2, [S]> inside the middle cohomology of the fourfold."""
-    return RankTwoLattice(
-        m11=ci.fourfold_degree,
-        m12=s.degree,
-        m22=self_intersection(ci, s),
-        side=Side.FOURFOLD_MIDDLE,
-    )
+    return RankTwoLattice(ci.fourfold_degree, s.degree, self_intersection(ci, s),
+                          Side.FOURFOLD_MIDDLE)
 
 
 def surface_matrix(degree: int, sect_genus: int, K2: int) -> RankTwoLattice:

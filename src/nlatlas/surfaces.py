@@ -133,10 +133,15 @@ def normalize_contractions(model: PlaneModel) -> tuple[PlaneModel, int]:
     """
     a = model.a
     c = model.point_counts
-    h2 = _count_numbers(a, c)[0]
+    # the descending multiplicities and H^2 = a^2 - sum m_j^2 in one pass
+    m: list[int] = []
+    h2 = a * a
+    for i in range(len(c), 0, -1):
+        n = c[i - 1]
+        m += [i] * n
+        h2 -= i * i * n
     if h2 < 1:
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
-    m = [i for i in range(len(c), 0, -1) for _ in range(c[i - 1])]
     k = len(m)
     m += [0] * (3 - k)
     if m[0] + m[1] + m[2] <= a and (not c or c[-1]):
@@ -151,7 +156,10 @@ def normalize_contractions(model: PlaneModel) -> tuple[PlaneModel, int]:
         a -= e
         m[:3] = m[0] - e, m[1] - e, m[2] - e
         m.sort(reverse=True)
-    counts = [m.count(i) for i in range(1, m[0] + 1)]
+    counts = [0] * m[0]
+    for i in m:
+        if i:
+            counts[i - 1] += 1
     return PlaneModel(a, counts), k - sum(counts) + (a == m[0] + m[1])
 
 
@@ -180,16 +188,8 @@ def invariants(model: PlaneModel) -> SurfaceInvariants:
             f"{model} gives h0(H) = {h0}: the system maps to a plane without embedding"
         )
     K2 = 9 - sum(model.point_counts) + contracted
-    return SurfaceInvariants(
-        degree=degree,
-        sect_genus=g,
-        K2=K2,
-        chi_O=1,
-        chi_top=12 - K2,
-        h0_H=h0,
-        nodes=0,
-        provenance_label=str(model),
-    )
+    # positional: this runs once per atlas candidate
+    return SurfaceInvariants(degree, g, K2, 1, 12 - K2, h0, 0, True, str(model))
 
 
 def internal_projection(src: SurfaceInvariants) -> SurfaceInvariants:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from nlatlas import atlas, surfaces
 from nlatlas.atlas import (SearchBounds, _candidate_grid, _count_numbers,
                            _evaluate, enumerate_atlas, gap_report)
 from nlatlas.chow import _closed_form
@@ -210,13 +211,26 @@ def test_atlas_work_counts(monkeypatch):
     """Work counted instead of timed, so that a busy host cannot fail it: one
     default atlas evaluates the closed form once per multidegree, builds no
     ``ParameterCount`` and at most one ``PlaneModel`` per candidate, plus the
-    standard model of each candidate that is not standard already."""
+    standard model of each candidate that is not standard already, and runs
+    the degree/genus/h0 loop ``_count_numbers`` at most once per grid leaf
+    (a choice of the counts above n_1) and once per candidate."""
     bounds = SearchBounds()
     grid = _candidate_grid(bounds)
     nonstandard = sum(1 for a, counts in grid
                       if (counts and not counts[-1])
                       or a < sum(sorted(expand(PlaneModel(a, counts)).mults)[-3:]))
-    built = {"model": 0, "count": 0}
+    leaves = sum(1 for a in range(1, bounds.max_a + 1)
+                 for high in itertools.product(range(bounds.max_points + 1),
+                                               repeat=bounds.max_mult - 1)
+                 if sum(high) <= bounds.max_points
+                 and sum(i * i * n for i, n in enumerate(high, 2)) < a * a)
+    built = {"model": 0, "count": 0, "loop": 0}
+
+    def counted_loop(*args):
+        built["loop"] += 1
+        return _count_numbers(*args)
+    monkeypatch.setattr(atlas, "_count_numbers", counted_loop)
+    monkeypatch.setattr(surfaces, "_count_numbers", counted_loop)
 
     def counted(cls, name, key):
         original = getattr(cls, name)
@@ -234,6 +248,7 @@ def test_atlas_work_counts(monkeypatch):
     assert built["count"] == 0
     assert 0 < nonstandard < len(grid)
     assert len(grid) <= built["model"] <= len(grid) + nonstandard
+    assert 0 < built["loop"] <= leaves + len(grid)
 
 
 def test_atlas_consistent_with_direct_pipeline(default_atlas):
