@@ -4,6 +4,7 @@ externally computed h0(N_S/X) values that cannot be recomputed here."""
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -68,41 +69,65 @@ class Dataset:
         return tuple(r for r in self.rows if r.table == which)
 
 
+def _int(value, what: str) -> int:
+    """An exact integer: ``operator.index`` refuses floats and strings, which
+    ``int()`` would truncate or parse, and JSON booleans are refused too."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def _row_from_dict(d: dict) -> TableRow:
+    rid = d.get("id")
+
+    def num(key: str) -> int:
+        return _int(d[key], f"row {rid}: {key}")
+
+    def optional(key: str) -> int | None:
+        return None if d.get(key) is None else num(key)
+
     assoc = d.get("assoc")
-    m11, m12, m22 = (int(x) for x in d["matrix"])
-    if m11 * m22 - m12 * m12 != int(d["discriminant"]):
-        raise ValueError(f"row {d.get('id')}: matrix and discriminant disagree")
-    if min(int(d[k]) for k in ("h0_IS2", "h0_N", "h0_NSX")) < 0:
-        raise ValueError(f"row {d.get('id')}: negative count")
+    matrix = tuple(_int(x, f"row {rid}: matrix") for x in d["matrix"])
+    m11, m12, m22 = matrix
+    disc = num("discriminant")
+    if m11 * m22 - m12 * m12 != disc:
+        raise ValueError(f"row {rid}: matrix and discriminant disagree")
+    h0_is2, h0_n, h0_nsx = num("h0_IS2"), num("h0_N"), num("h0_NSX")
+    if min(h0_is2, h0_n, h0_nsx) < 0:
+        raise ValueError(f"row {rid}: negative count")
     return TableRow(
         id=d["id"],
-        table=int(d["table"]),
+        table=num("table"),
         surface=d["surface"],
-        matrix=tuple(int(x) for x in d["matrix"]),
-        discriminant=int(d["discriminant"]),
-        codim=int(d["codim"]),
-        h0_IS2=int(d["h0_IS2"]),
-        h0_N=int(d["h0_N"]),
-        h0_NSX=int(d["h0_NSX"]),
+        matrix=matrix,
+        discriminant=disc,
+        codim=num("codim"),
+        h0_IS2=h0_is2,
+        h0_N=h0_n,
+        h0_NSX=h0_nsx,
         flags=tuple(d.get("flags", ())),
         surface_desc=d.get("surface_desc", ""),
-        congruence_degree=d.get("congruence_degree"),
-        congruence_secancy=d.get("congruence_secancy"),
+        congruence_degree=optional("congruence_degree"),
+        congruence_secancy=optional("congruence_secancy"),
         fourfold=d.get("fourfold", ""),
-        fourfold_index=d.get("fourfold_index"),
+        fourfold_index=optional("fourfold_index"),
         u_desc=d.get("u_desc", ""),
-        assoc=(assoc["deg"], assoc["g"], assoc["K2"]) if assoc else None,
-        assoc_discriminant=d.get("assoc_discriminant"),
+        assoc=(tuple(_int(assoc[k], f"row {rid}: assoc {k}") for k in ("deg", "g", "K2"))
+               if assoc else None),
+        assoc_discriminant=optional("assoc_discriminant"),
     )
 
 
 def _dataset_from_dict(data: dict, source: str) -> Dataset:
     try:
         return Dataset(
-            version=int(data["version"]),
+            version=_int(data["version"], "version"),
             unirational_rows=tuple(_row_from_dict(r) for r in data["unirational_rows"]),
-            gap_rows=tuple(GapRow(int(g["table"]), int(g["discriminant"]))
+            gap_rows=tuple(GapRow(_int(g["table"], "gap row table"),
+                                  _int(g["discriminant"], "gap row discriminant"))
                            for g in data["gap_rows"]),
             rational_rows=tuple(_row_from_dict(r) for r in data["rational_rows"]),
             source=source,

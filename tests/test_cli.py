@@ -129,6 +129,56 @@ def test_dataset_rejects_inconsistent_matrix(tmp_path):
         load_dataset(bad)
 
 
+def _bundled_rows() -> dict:
+    from importlib import resources
+    return json.loads(resources.files("nlatlas").joinpath("data/table_rows.json").read_text())
+
+
+@pytest.mark.parametrize("row_id,key,value", [
+    ("t1-01", "h0_NSX", 3.9),
+    ("t1-01", "h0_NSX", 3.0),
+    ("t1-01", "h0_NSX", "3"),
+    ("t1-01", "codim", True),
+    ("t1-01", "table", 1.0),
+    ("t1-01", "discriminant", 16.0),
+    ("t1-01", "matrix", [8.0, 4, 4]),
+    ("t1-01", "matrix", [8, 4, False]),
+    ("t3-1", "congruence_degree", 1.0),
+    ("t3-1", "congruence_secancy", True),
+    ("t3-1", "fourfold_index", 5.0),
+    ("t3-1", "assoc", {"deg": 9, "g": 9.0, "K2": 2}),
+    ("t3-1", "assoc", {"deg": "9", "g": 9, "K2": 2}),
+    ("t3-1", "assoc_discriminant", 31.5),
+])
+def test_dataset_takes_only_exact_integers(tmp_path, capsys, row_id, key, value):
+    data = _bundled_rows()
+    row = next(r for r in data["unirational_rows"] + data["rational_rows"]
+               if r["id"] == row_id)
+    row[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(DatasetMissing, match=f"malformed dataset .*row {row_id}: {key}"):
+        load_dataset(bad)
+    for argv in (["tables", "--which", "1"], ["count", "--table-row", row_id]):
+        code, out, err = run(capsys, "--dataset", str(bad), *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: malformed dataset")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.update(version=1.0),
+    lambda data: data["gap_rows"][0].update(discriminant=23.0),
+    lambda data: data["gap_rows"][0].update(table=True),
+])
+def test_dataset_header_and_gap_rows_take_only_exact_integers(tmp_path, edit):
+    data = _bundled_rows()
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(DatasetMissing, match="malformed dataset"):
+        load_dataset(bad)
+
+
 def test_missing_dataset_exits_3(capsys):
     code, _, err = run(capsys, "--dataset", "/nonexistent/rows.json", "tables")
     assert code == 3
