@@ -10,10 +10,10 @@ from .chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
 from .counts import (codimension_bound, codimension_window, count_flags,
                      grassmannian_dim)
 from .dataset import Dataset, TableRow
-from .errors import DatasetMissing
+from .errors import DatasetMissing, NLAtlasError
 from .lattice import (discriminant, fourfold_lattice, mod16_class,
                       surface_matrix)
-from .surfaces import parse_surface_spec
+from .surfaces import SurfaceInvariants, parse_surface_spec
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,13 @@ def reproduce_tables(which: int, dataset: Dataset) -> TableReport:
     return TableReport(which=which, checks=tuple(check_row(row) for row in rows))
 
 
+def _parses_to(spec: str, s: SurfaceInvariants) -> bool:
+    try:
+        return parse_surface_spec(spec) == s
+    except NLAtlasError:
+        return False
+
+
 def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
              dataset: Dataset | None = None) -> str:
     """One-screen report: invariants, lattice, discriminant with its mod-16
@@ -111,7 +118,8 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
         try:
             row = dataset.row(surface_spec)
         except DatasetMissing:
-            row = None
+            # another spelling of a row's spec: the same record, label included
+            row = next((r for r in dataset.rows if _parses_to(r.surface, s)), None)
     lines.append("")
     if row is not None:
         count = codimension_bound(s, row.h0_NSX)

@@ -384,6 +384,24 @@ def test_describe_without_dataset_row_shows_window():
     assert "discriminant 64" in text
 
 
+@pytest.mark.parametrize("spec,row_id", [
+    ("3;5,0,0", "t1-01"),
+    (" 3;5,0,0", "t1-01"),
+    ("03;5,0,0", "t1-01"),
+    ("3;05,0,0 ", "t1-01"),
+    ("abs:deg=14,g=8,K2=0,chiO=2  int-proj", "t3-3"),
+    # the same numbers under another label stay unmatched
+    ("3;5,0,0,0", None),
+    ("abs:g=8,deg=14,K2=0,chiO=2 int-proj", None),
+])
+def test_describe_finds_the_row_of_any_spelling(spec, row_id):
+    text = describe(spec, nl.CI222, load_dataset())
+    if row_id is None:
+        assert "no dataset value" in text
+    else:
+        assert f"from dataset row {row_id})" in text
+
+
 def test_dataset_row_lookup():
     dataset = load_dataset()
     assert dataset.row("t3-3").h0_NSX == 6
