@@ -43,6 +43,11 @@ COMMANDS = {
     "describe-plane": ["describe", "--surface", "5;7,0,1"],
     "describe-nodal": ["describe", "--surface", "5;6,2 nodes=1"],
     "describe-window": ["describe", "--surface", "abs:deg=13,g=8,K2=-1,chiO=2"],
+    # other spellings of row t1-01's spec: the same record finds the row ...
+    "describe-row-spaced": ["describe", "--surface", " 3;5,0,0"],
+    "describe-row-leading-zero": ["describe", "--surface", "03;5,0,0"],
+    # ... while a trailing zero count gives another label and the window
+    "describe-row-trailing-zero": ["describe", "--surface", "3;5,0,0,0"],
     "invariants": ["invariants", "--surface", "5;7,0,1"],
     "lattice-surface": ["lattice", "--surface", "5;7,0,1"],
     "lattice-abs": ["lattice", "--abs", "deg=13,g=12,K2=2,chiO=4"],
