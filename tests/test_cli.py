@@ -402,6 +402,15 @@ def test_describe_finds_the_row_of_any_spelling(spec, row_id):
         assert f"from dataset row {row_id})" in text
 
 
+def test_describe_skips_dataset_rows_that_do_not_parse(tmp_path):
+    data = _bundled_rows()
+    data["unirational_rows"][0]["surface"] = "1;1"     # H^2 = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    text = describe(" 5;7,0,1", nl.CI222, load_dataset(bad))
+    assert "from dataset row t1-10)" in text
+
+
 def test_dataset_row_lookup():
     dataset = load_dataset()
     assert dataset.row("t3-3").h0_NSX == 6
