@@ -34,7 +34,6 @@ produced them; nothing is asserted beyond the enumeration window.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .chow import CI222
@@ -144,22 +143,70 @@ def _evaluate_chunk(bounds: SearchBounds,
     return out
 
 
+def _send_share(conn, bounds: SearchBounds,
+                share: list[tuple[int, tuple[int, ...]]]) -> None:
+    """Body of a forked worker: evaluate ``share`` and send back the entries,
+    or the exception it raised with its traceback text, as ``(ok, value)``."""
+    try:
+        result = (True, _evaluate_chunk(bounds, share))
+    except Exception as exc:
+        import traceback
+        result = (False, (exc, traceback.format_exc()))
+    conn.send(result)
+
+
+def _evaluate_strided(bounds: SearchBounds, grid: list[tuple[int, tuple[int, ...]]],
+                      n: int) -> list[AtlasEntry]:
+    """Evaluate ``grid[0::n]`` here and each ``grid[j::n]``, 0 < j < n, in a
+    forked process.  A candidate's cost grows with a, and strides spread the
+    costly ones evenly.  No worker outlives the call."""
+    # imported here so that serial runs and the CLI do not pay for it;
+    # fork, because workers inherit the grid and any wrappers of this module
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    try:
+        for j in range(1, n):
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            p = ctx.Process(target=_send_share, args=(send, bounds, grid[j::n]))
+            p.start()
+            procs.append(p)
+            send.close()
+        entries = _evaluate_chunk(bounds, grid[0::n])
+        # read every pipe before joining: a worker blocks until its result is read
+        for recv in pipes:
+            try:
+                ok, part = recv.recv()
+            except EOFError:
+                raise ChildProcessError("an atlas worker exited before sending its share") from None
+            if not ok:
+                exc, text = part
+                raise exc from ChildProcessError(f"in an atlas worker:\n{text}")
+            entries.extend(part)
+    except BaseException:
+        for p in procs:
+            p.terminate()
+        raise
+    finally:
+        for p in procs:
+            p.join()
+        for recv in pipes:
+            recv.close()
+    return entries
+
+
 def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> list[AtlasEntry]:
-    """Build the atlas; identical output for every worker count."""
+    """Build the atlas; identical output for every worker count, which is
+    capped at the number of candidates (see ``_evaluate_strided``)."""
     bounds = bounds or SearchBounds()
     grid = _candidate_grid(bounds)
+    workers = min(workers, len(grid))
     if workers <= 1:
         entries = _evaluate_chunk(bounds, grid)
     else:
-        step = max(1, len(grid) // (workers * 4))
-        chunks = [grid[i:i + step] for i in range(0, len(grid), step)]
-        # imported here so that serial runs and the CLI do not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        entries = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_evaluate_chunk, itertools.repeat(bounds), chunks):
-                entries.extend(part)
+        entries = _evaluate_strided(bounds, grid, workers)
     entries.sort(key=lambda e: e.sort_key)
     return entries
 

@@ -62,11 +62,11 @@ def chi_NSX_lower(s: SurfaceInvariants) -> int:
     """Euler-characteristic estimate chi(N_{S/X}) = h0(N_{S/P7}) - 3*chi(O_S(2))
     from 0 -> N_{S/X} -> N_{S/P7} -> O_S(2)^3 -> 0.  Explicitly NOT an h^0:
     it may undershoot (h^1 terms) and is only a semicontinuity sanity bound."""
-    return _chi_NSX(s, h0_normal_bundle(s))
+    return _chi_NSX(h0_normal_bundle(s), s.chi_twist(2))
 
 
-def _chi_NSX(s: SurfaceInvariants, h0_n: int) -> int:
-    return h0_n - 3 * s.chi_twist(2)
+def _chi_NSX(h0_n: int, chi_2h: int) -> int:
+    return h0_n - 3 * chi_2h
 
 
 def _net_of_quadrics(s: SurfaceInvariants) -> int:
@@ -115,5 +115,6 @@ def codimension_window(s: SurfaceInvariants) -> tuple[int, int, int, int, int]:
     h0(N_{S/X}) = 0 and at that estimate), each number computed once."""
     h0_is2 = _net_of_quadrics(s)
     h0_n = h0_normal_bundle(s)
-    nsx = max(_chi_NSX(s, h0_n), 0)
+    # chi(O_S(2H)), read back from h0(I(2)) = 36 - chi(O_S(2H)) + nodes
+    nsx = max(_chi_NSX(h0_n, H0_QUADRICS_P7 + s.nodes - h0_is2), 0)
     return h0_is2, h0_n, nsx, _codim(h0_is2, h0_n, 0), _codim(h0_is2, h0_n, nsx)

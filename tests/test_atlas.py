@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import multiprocessing
+import multiprocessing.context
+import os
+import time
 
 import pytest
 
@@ -9,7 +13,8 @@ from nlatlas import atlas, surfaces
 from nlatlas.atlas import (SearchBounds, _candidate_grid, _count_numbers,
                            _evaluate, enumerate_atlas, gap_report)
 from nlatlas.chow import _closed_form
-from nlatlas.counts import H0_QUADRICS_P7, ParameterCount, h0_quadrics
+from nlatlas.counts import (H0_QUADRICS_P7, ParameterCount, codimension_window,
+                            h0_quadrics)
 from nlatlas.errors import NegativeCount, NotNef, SpanTooSmall
 from nlatlas.lattice import mod16_class
 from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
@@ -124,6 +129,86 @@ def test_enumeration_deterministic_and_parallel():
     assert blob(serial) == blob(parallel)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_reproduces_the_a12p16_pin(workers):
+    bounds, digest = ATLAS_DIGESTS[1].values
+    assert _digest(enumerate_atlas(bounds, workers=workers)) == digest
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_starts_at_most_one_process_per_other_candidate(monkeypatch):
+    bounds = SearchBounds(max_a=2, max_points=1)
+    grid = _candidate_grid(bounds)
+    assert len(grid) == 3
+    started = []
+
+    class Counted(multiprocessing.context.ForkProcess):
+        def start(self):
+            if len(started) == len(grid) - 1:
+                pytest.fail(f"workers=8 starts more than {len(grid) - 1} processes")
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(multiprocessing.context.ForkContext, "Process", Counted)
+    assert enumerate_atlas(bounds, workers=8) == enumerate_atlas(bounds)
+    assert len(started) == len(grid) - 1
+    assert multiprocessing.active_children() == []
+
+
+SMALL = SearchBounds(max_a=3, max_points=3)
+
+
+def _before_evaluate(monkeypatch, hook):
+    """Patch ``atlas._evaluate`` to run ``hook(a, counts)`` first; forked
+    workers inherit the patch."""
+    original = atlas._evaluate
+
+    def evaluate(bounds, a, counts):
+        hook(a, counts)
+        return original(bounds, a, counts)
+    monkeypatch.setattr(atlas, "_evaluate", evaluate)
+
+
+def test_pool_raises_a_worker_exception_and_leaves_no_child(monkeypatch):
+    grid = _candidate_grid(SMALL)
+
+    def hook(a, counts):
+        if (a, counts) == grid[1]:      # in grid[1::2], the only worker's stride
+            raise ValueError("boom")
+    _before_evaluate(monkeypatch, hook)
+    with pytest.raises(ValueError, match="^boom$") as raised:
+        enumerate_atlas(SMALL, workers=2)
+    assert "ValueError: boom" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_terminates_busy_workers_when_the_caller_fails(monkeypatch):
+    caller = os.getpid()
+
+    def hook(a, counts):
+        if os.getpid() == caller:
+            raise ValueError("boom")
+        time.sleep(60)                  # a worker still busy is not waited for
+    _before_evaluate(monkeypatch, hook)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="^boom$"):
+        # three candidates: the worker's stride holds one
+        enumerate_atlas(SearchBounds(max_a=2, max_points=1), workers=2)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_reports_a_worker_that_dies_and_leaves_no_child(monkeypatch):
+    caller = os.getpid()
+
+    def hook(a, counts):
+        if os.getpid() != caller:
+            os._exit(1)
+    _before_evaluate(monkeypatch, hook)
+    with pytest.raises(ChildProcessError, match="exited before sending its share"):
+        enumerate_atlas(SMALL, workers=3)
+    assert multiprocessing.active_children() == []
+
+
 def _passes_counts(bounds, a, counts):
     """The conditions on (a, counts) that the grid decides, one candidate at
     a time."""
@@ -173,10 +258,14 @@ ATLAS_DIGESTS = [
 ]
 
 
+def _digest(entries):
+    text = "\n".join(repr(dataclasses.astuple(e)) for e in entries)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("bounds,digest", ATLAS_DIGESTS)
 def test_atlas_output_is_pinned(bounds, digest):
-    text = "\n".join(repr(dataclasses.astuple(e)) for e in enumerate_atlas(bounds))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _digest(enumerate_atlas(bounds)) == digest
 
 
 def test_count_numbers_match_the_record():
@@ -213,7 +302,9 @@ def test_atlas_work_counts(monkeypatch):
     ``ParameterCount`` and at most one ``PlaneModel`` per candidate, plus the
     standard model of each candidate that is not standard already, and runs
     the degree/genus/h0 loop ``_count_numbers`` at most once per grid leaf
-    (a choice of the counts above n_1) and once per candidate."""
+    (a choice of the counts above n_1) and once per candidate.  Each
+    codimension window takes chi(O_S(2H)) and chi(O_S(H)) once: at most two
+    ``chi_twist`` calls per window."""
     bounds = SearchBounds()
     grid = _candidate_grid(bounds)
     nonstandard = sum(1 for a, counts in grid
@@ -224,13 +315,24 @@ def test_atlas_work_counts(monkeypatch):
                                                repeat=bounds.max_mult - 1)
                  if sum(high) <= bounds.max_points
                  and sum(i * i * n for i, n in enumerate(high, 2)) < a * a)
-    built = {"model": 0, "count": 0, "loop": 0}
+    built = {"model": 0, "count": 0, "loop": 0, "window": 0, "chi": 0}
 
     def counted_loop(*args):
         built["loop"] += 1
         return _count_numbers(*args)
     monkeypatch.setattr(atlas, "_count_numbers", counted_loop)
     monkeypatch.setattr(surfaces, "_count_numbers", counted_loop)
+
+    def counted_window(s):
+        built["window"] += 1
+        return codimension_window(s)
+    monkeypatch.setattr(atlas, "codimension_window", counted_window)
+    chi_twist = surfaces.SurfaceInvariants.chi_twist
+
+    def counted_chi(self, m):
+        built["chi"] += 1
+        return chi_twist(self, m)
+    monkeypatch.setattr(surfaces.SurfaceInvariants, "chi_twist", counted_chi)
 
     def counted(cls, name, key):
         original = getattr(cls, name)
@@ -249,6 +351,7 @@ def test_atlas_work_counts(monkeypatch):
     assert 0 < nonstandard < len(grid)
     assert len(grid) <= built["model"] <= len(grid) + nonstandard
     assert 0 < built["loop"] <= leaves + len(grid)
+    assert 0 < built["chi"] <= 2 * built["window"]
 
 
 def test_atlas_consistent_with_direct_pipeline(default_atlas):

@@ -1,11 +1,13 @@
 """The import contract: ``import nlatlas`` loads no submodule, the CLI loads
-atlas, hodge and the codec only in the commands that use them, and every
-public name of the package is the object of its home module."""
+atlas, hodge and the codec only in the commands that use them, a serial
+atlas starts no process machinery, and every public name of the package is
+the object of its home module."""
 
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,16 +17,16 @@ HEAVY = {"nlatlas.atlas", "nlatlas.hodge", "nlatlas.serialize"}
 
 
 def loaded_after(statement: str, env: dict) -> set[str]:
-    """The nlatlas submodules a fresh interpreter holds after ``statement``."""
-    script = (statement + "\nimport sys\n"
-              "print(*(m for m in sys.modules if m.startswith('nlatlas.')))")
+    """The modules a fresh interpreter holds after ``statement``."""
+    script = statement + "\nimport sys\nprint(*sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return set(proc.stdout.split())
 
 
 def test_import_package_loads_no_submodule(fresh_env):
-    assert loaded_after("import nlatlas", fresh_env) == set()
+    assert not {m for m in loaded_after("import nlatlas", fresh_env)
+                if m.startswith("nlatlas.")}
 
 
 def test_import_cli_leaves_atlas_hodge_and_codec_unloaded(fresh_env):
@@ -48,6 +50,24 @@ def test_text_output_never_loads_the_codec(fresh_env, tmp_path, argv, loads):
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  f"    assert main({argv!r}) == 0")
     assert loaded_after(statement, fresh_env) & HEAVY == loads
+
+
+PROCESS_MODULES = {"multiprocessing", "concurrent.futures"}
+
+
+@pytest.mark.parametrize("statement", [
+    "import nlatlas\nnlatlas.enumerate_atlas()",
+    "import contextlib, io\nfrom nlatlas.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(['search', '--gaps']) == 0",
+], ids=["enumerate_atlas", "search-gaps"])
+def test_serial_atlas_loads_no_process_machinery(fresh_env, statement):
+    assert not loaded_after(statement, fresh_env) & PROCESS_MODULES
+
+
+def test_no_module_imports_concurrent_futures():
+    for path in Path(nl.__file__).parent.glob("*.py"):
+        assert "concurrent.futures" not in path.read_text(), path.name
 
 
 def test_public_names_are_their_home_objects():
