@@ -80,8 +80,11 @@ class AtlasEntry:
         return (self.discriminant, self.model.a, self.model.point_counts)
 
 
-def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEntry | None:
-    """The entry of a candidate of ``_candidate_grid``, or None."""
+def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...],
+              shared: dict) -> AtlasEntry | None:
+    """The entry of a candidate of ``_candidate_grid``, or None.  ``shared``
+    holds the lattice, discriminant and window of each surface seen so far
+    in this call (None for the window of a negative discriminant)."""
     model = PlaneModel(a, counts)
     # the grid holds only models with H^2 >= 1 and h0(H) >= 4 or degree 1, so
     # a SpanTooSmall or H^2 ValueError here would be a fault; NotNef rejects
@@ -89,11 +92,17 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...]) -> AtlasEnt
         s = invariants(model)
     except NotNef:
         return None
-    lat = fourfold_lattice(CI222, s)
-    disc = discriminant(lat)
-    if disc < 0:
+    # the numbers of s that the lattice and the window read
+    key = (s.degree, s.sect_genus, s.K2, s.chi_O, s.nodes)
+    found = shared.get(key)
+    if found is None:
+        lat = fourfold_lattice(CI222, s)
+        disc = discriminant(lat)
+        found = shared[key] = (lat, disc, codimension_window(s) if disc >= 0 else None)
+    lat, disc, window = found
+    if window is None:
         return None
-    h0_is2, h0_n, _, lo, hi = codimension_window(s)
+    h0_is2, h0_n, _, lo, hi = window
     if hi < 0 or lo > bounds.max_codim:
         return None
     return AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n)
@@ -136,8 +145,9 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
 def _evaluate_chunk(bounds: SearchBounds,
                     chunk: list[tuple[int, tuple[int, ...]]]) -> list[AtlasEntry]:
     out = []
+    shared: dict = {}   # lives for this call only, see ``_evaluate``
     for a, counts in chunk:
-        entry = _evaluate(bounds, a, counts)
+        entry = _evaluate(bounds, a, counts, shared)
         if entry is not None:
             out.append(entry)
     return out

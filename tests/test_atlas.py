@@ -162,9 +162,9 @@ def _before_evaluate(monkeypatch, hook):
     workers inherit the patch."""
     original = atlas._evaluate
 
-    def evaluate(bounds, a, counts):
+    def evaluate(bounds, a, counts, *rest):
         hook(a, counts)
-        return original(bounds, a, counts)
+        return original(bounds, a, counts, *rest)
     monkeypatch.setattr(atlas, "_evaluate", evaluate)
 
 
@@ -239,7 +239,8 @@ def test_pruned_grid_drops_only_rejects(bounds):
             if sum(counts) <= bounds.max_points]
     kept = [(a, counts) for a, counts in full if _passes_counts(bounds, a, counts)]
     assert sorted(_candidate_grid(bounds)) == kept
-    entries = [e for e in (_evaluate(bounds, a, c) for a, c in kept) if e is not None]
+    shared = {}
+    entries = [e for e in (_evaluate(bounds, a, c, shared) for a, c in kept) if e is not None]
     assert enumerate_atlas(bounds) == sorted(entries, key=lambda e: e.sort_key)
 
 
@@ -302,11 +303,21 @@ def test_atlas_work_counts(monkeypatch):
     ``ParameterCount`` and at most one ``PlaneModel`` per candidate, plus the
     standard model of each candidate that is not standard already, and runs
     the degree/genus/h0 loop ``_count_numbers`` at most once per grid leaf
-    (a choice of the counts above n_1) and once per candidate.  Each
-    codimension window takes chi(O_S(2H)) and chi(O_S(H)) once: at most two
-    ``chi_twist`` calls per window."""
+    (a choice of the counts above n_1) and once per candidate.  It builds
+    at most one lattice and one codimension window per distinct (degree,
+    genus, K^2) among the nef candidates, and a second call builds them all
+    again.  Each codimension window takes chi(O_S(2H)) and chi(O_S(H)) once:
+    at most two ``chi_twist`` calls per window."""
     bounds = SearchBounds()
     grid = _candidate_grid(bounds)
+    surfaces_seen = set()
+    for a, counts in grid:
+        try:
+            s = invariants(PlaneModel(a, counts))
+        except NotNef:
+            continue
+        surfaces_seen.add((s.degree, s.sect_genus, s.K2))
+    assert len(surfaces_seen) == 90
     nonstandard = sum(1 for a, counts in grid
                       if (counts and not counts[-1])
                       or a < sum(sorted(expand(PlaneModel(a, counts)).mults)[-3:]))
@@ -315,7 +326,7 @@ def test_atlas_work_counts(monkeypatch):
                                                repeat=bounds.max_mult - 1)
                  if sum(high) <= bounds.max_points
                  and sum(i * i * n for i, n in enumerate(high, 2)) < a * a)
-    built = {"model": 0, "count": 0, "loop": 0, "window": 0, "chi": 0}
+    built = {"model": 0, "count": 0, "loop": 0, "window": 0, "chi": 0, "lattice": 0}
 
     def counted_loop(*args):
         built["loop"] += 1
@@ -327,6 +338,12 @@ def test_atlas_work_counts(monkeypatch):
         built["window"] += 1
         return codimension_window(s)
     monkeypatch.setattr(atlas, "codimension_window", counted_window)
+    fourfold_lattice = atlas.fourfold_lattice
+
+    def counted_lattice(ci, s):
+        built["lattice"] += 1
+        return fourfold_lattice(ci, s)
+    monkeypatch.setattr(atlas, "fourfold_lattice", counted_lattice)
     chi_twist = surfaces.SurfaceInvariants.chi_twist
 
     def counted_chi(self, m):
@@ -352,6 +369,12 @@ def test_atlas_work_counts(monkeypatch):
     assert len(grid) <= built["model"] <= len(grid) + nonstandard
     assert 0 < built["loop"] <= leaves + len(grid)
     assert 0 < built["chi"] <= 2 * built["window"]
+    assert 0 < built["window"] <= built["lattice"] <= len(surfaces_seen)
+    # nothing is kept across calls: the second call does all of it again
+    first = dict(built)
+    assert len(enumerate_atlas(bounds)) == 239
+    assert (built["lattice"], built["window"]) == (2 * first["lattice"],
+                                                  2 * first["window"])
 
 
 def test_atlas_consistent_with_direct_pipeline(default_atlas):
