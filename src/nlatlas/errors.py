@@ -58,6 +58,12 @@ class ParseError(NLAtlasError):
     """A specification string could not be parsed; carries the offending position."""
 
     def __init__(self, message: str, text: str, position: int):
+        self.message = message
         self.text = text
         self.position = position
         super().__init__(f"{message} (at position {position} in {text!r})")
+
+    def __reduce__(self):
+        # pickle would pass back the one formatted argument; the atlas pool
+        # sends a worker's exception to the caller by pickle
+        return type(self), (self.message, self.text, self.position), self.__dict__

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import multiprocessing.context
 import os
+import pickle
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from nlatlas.atlas import (SearchBounds, _candidate_grid, _count_numbers,
 from nlatlas.chow import _closed_form
 from nlatlas.counts import (H0_QUADRICS_P7, ParameterCount, codimension_window,
                             h0_quadrics)
-from nlatlas.errors import NegativeCount, NotNef, SpanTooSmall
+from nlatlas.errors import NegativeCount, NotNef, ParseError, SpanTooSmall
 from nlatlas.lattice import mod16_class
 from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
 from nlatlas.serialize import encode
@@ -178,6 +179,27 @@ def test_pool_raises_a_worker_exception_and_leaves_no_child(monkeypatch):
     with pytest.raises(ValueError, match="^boom$") as raised:
         enumerate_atlas(SMALL, workers=2)
     assert "ValueError: boom" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_error_survives_pickling():
+    exc = pickle.loads(pickle.dumps(ParseError("bad", "5;x", 2)))
+    assert type(exc) is ParseError
+    assert str(exc) == "bad (at position 2 in '5;x')"
+    assert (exc.text, exc.position) == ("5;x", 2)
+
+
+def test_pool_raises_a_worker_parse_error_with_its_position(monkeypatch):
+    grid = _candidate_grid(SMALL)
+
+    def hook(a, counts):
+        if (a, counts) == grid[1]:      # in grid[1::2], the only worker's stride
+            raise ParseError("bad", "5;x", 2)
+    _before_evaluate(monkeypatch, hook)
+    with pytest.raises(ParseError) as raised:
+        enumerate_atlas(SMALL, workers=2)
+    assert (raised.value.text, raised.value.position) == ("5;x", 2)
+    assert "ParseError: bad" in str(raised.value.__cause__)
     assert multiprocessing.active_children() == []
 
 
@@ -389,6 +411,7 @@ def test_bounds_validation():
         SearchBounds(max_a=0)
     with pytest.raises(ValueError):
         SearchBounds(max_codim=0)
+
 
 
 def test_genus_filter_vacuous_in_default_window(default_atlas):
