@@ -34,6 +34,7 @@ produced them; nothing is asserted beyond the enumeration window.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .chow import CI222
@@ -56,7 +57,11 @@ class SearchBounds:
 
     def __post_init__(self):
         for name in ("max_a", "max_points", "max_mult", "min_h0_IS2", "max_codim"):
-            if getattr(self, name) < 1:
+            # operator.index rejects floats and strings, which range() would
+            # only refuse deep inside the grid
+            value = operator.index(getattr(self, name))
+            object.__setattr__(self, name, value)
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
     def describe(self) -> str:

@@ -413,6 +413,14 @@ def test_bounds_validation():
         SearchBounds(max_codim=0)
 
 
+@pytest.mark.parametrize("field", ["max_a", "max_points", "max_mult", "min_h0_IS2",
+                                   "max_codim"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+def test_bounds_take_only_integers(field, value):
+    # refused at construction, not later by range() inside the grid
+    with pytest.raises(TypeError):
+        SearchBounds(**{field: value})
+
 
 def test_genus_filter_vacuous_in_default_window(default_atlas):
     # every surviving in-bounds model already has non-negative genus, so the
