@@ -252,7 +252,7 @@ class GapReport:
 
 def gap_report(atlas: list[AtlasEntry], up_to: int, bounds: SearchBounds) -> GapReport:
     """Admissible discriminants up to ``up_to`` with no entry in the atlas
-    that ``bounds`` built."""
+    that ``bounds`` built; attained values are listed up to ``up_to`` too."""
     hit = {e.discriminant for e in atlas}
     attained = sorted(hit)
     gaps = [v for v in range(GAP_FLOOR, up_to + 1)
@@ -262,5 +262,5 @@ def gap_report(atlas: list[AtlasEntry], up_to: int, bounds: SearchBounds) -> Gap
         up_to=up_to,
         gaps=tuple(gaps),
         attained=tuple(v for v in attained if GAP_FLOOR <= v <= up_to),
-        below_floor=tuple(v for v in attained if v < GAP_FLOOR),
+        below_floor=tuple(v for v in attained if v < GAP_FLOOR and v <= up_to),
     )

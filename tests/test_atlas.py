@@ -67,6 +67,10 @@ def test_gap_report_below_floor(default_atlas):
     assert set(rep.below_floor) == {0, 7, 12, 15}
     rep = gap_report(default_atlas, up_to=16, bounds=SearchBounds())
     assert rep.gaps == ()
+    # nothing past the report's own bound is named
+    rep = gap_report(default_atlas, up_to=5, bounds=SearchBounds())
+    assert rep.below_floor == (0,)
+    assert rep.describe().endswith("(flagged, not counted as gaps): 0")
 
 
 def test_every_table_model_in_atlas(dataset, default_atlas):
