@@ -26,6 +26,16 @@ and must then pass the conditions that need the record:
   * the codimension-bound window, taken over h0(N_S/X) between 0 and the
     clamped Euler estimate, meets [0, max_codim].
 
+The lattice, its discriminant and the window read only the degree, sectional
+genus, K^2, chi(O) and nodes of the surface, and Cremona-equivalent or
+numerically equal models repeat those numbers.  ``_evaluate_chunk`` keeps,
+for the length of its call, a dict from them to what it computed, so
+entries of one surface share one ``RankTwoLattice``.  On the three bench
+grids 493 lattices and windows serve 2,222 nef candidates, and a serial
+pass over them went from 1.22M to 1.45M candidates/s (medians of 10
+alternating pairs of 20-second benchmark runs, Python 3.11, 2 shared
+cores).  Nothing is kept between calls, and each worker keeps its own dict.
+
 The output is a pure function of the bounds: entries are sorted by
 (discriminant, a, point counts), so runs with any worker count agree byte
 for byte.  Gap claims are always reported together with the bounds that
