@@ -112,7 +112,7 @@ def expand(model: PlaneModel) -> DivisorClass:
     return DivisorClass(model.a, [i for i, n in enumerate(model.point_counts, 1) for _ in range(n)])
 
 
-def normalize_contractions(model: PlaneModel) -> tuple[PlaneModel, int]:
+def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int, ...], int]:
     """Cremona-reduce H and count the (-1)-classes orthogonal to it.
 
     The multiplicities are listed in descending order and padded to three
@@ -126,27 +126,31 @@ def normalize_contractions(model: PlaneModel) -> tuple[PlaneModel, int]:
     1985).  By the Hodge index theorem they are pairwise orthogonal once
     H^2 >= 1, so blowing them all down raises K^2 by their number.
 
-    Returns the standard model (the points of multiplicity 0 dropped; the
-    input itself when it is already standard) and the number of contracted
-    classes.  Only (-1)-classes are checked: with ten or more points,
-    nefness against all curves (Nagata's problem) is not claimed.
+    Returns ``(H^2, H.K, a, counts, contracted)``: H^2 and H.K, taken in
+    the pass that lists the multiplicities; the standard model as plain
+    ``(a, counts)`` (the points of multiplicity 0 dropped; the input's own
+    ``point_counts`` when it is already standard); and the number of
+    contracted classes.  Only (-1)-classes are checked: with ten or more
+    points, nefness against all curves (Nagata's problem) is not claimed.
     """
     a = model.a
     c = model.point_counts
-    # the descending multiplicities and H^2 = a^2 - sum m_j^2 in one pass
+    # the descending multiplicities, H^2 and H.K in one pass
     m: list[int] = []
     h2 = a * a
+    hk = -3 * a
     for i in range(len(c), 0, -1):
         n = c[i - 1]
         m += [i] * n
         h2 -= i * i * n
+        hk += i * n
     if h2 < 1:
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
     k = len(m)
     m += [0] * (3 - k)
     if m[0] + m[1] + m[2] <= a and (not c or c[-1]):
         # standard already: no zero multiplicity, so only the line can contract
-        return model, int(a == m[0] + m[1])
+        return h2, hk, a, c, int(a == m[0] + m[1])
     while True:
         if m[-1] < 0:
             raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = {expand(model)}")
@@ -160,7 +164,7 @@ def normalize_contractions(model: PlaneModel) -> tuple[PlaneModel, int]:
     for i in m:
         if i:
             counts[i - 1] += 1
-    return PlaneModel(a, counts), k - sum(counts) + (a == m[0] + m[1])
+    return h2, hk, a, tuple(counts), k - sum(counts) + (a == m[0] + m[1])
 
 
 def _count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -179,10 +183,11 @@ def _count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]
 
 def invariants(model: PlaneModel) -> SurfaceInvariants:
     """Invariant record of the (normalized) image surface of a plane model:
-    the H-derived numbers from ``_count_numbers``, and K^2 = 9 - k plus one
-    per contracted (-1)-class."""
-    _, contracted = normalize_contractions(model)
-    degree, g, h0, _ = _count_numbers(model.a, model.point_counts)
+    degree H^2, genus 1 + (H^2 + H.K)/2 and h0(H) = 1 + (H^2 - H.K)/2 from
+    the numbers ``normalize_contractions`` returns (H^2 + H.K is even), and
+    K^2 = 9 - k plus one per contracted (-1)-class."""
+    degree, hk, _, _, contracted = normalize_contractions(model)
+    g, h0 = 1 + (degree + hk) // 2, 1 + (degree - hk) // 2
     if h0 < 4 and degree != 1:
         raise SpanTooSmall(
             f"{model} gives h0(H) = {h0}: the system maps to a plane without embedding"

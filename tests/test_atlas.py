@@ -326,10 +326,11 @@ def test_count_numbers_match_the_record():
 def test_atlas_work_counts(monkeypatch):
     """Work counted instead of timed, so that a busy host cannot fail it: one
     default atlas evaluates the closed form once per multidegree, builds no
-    ``ParameterCount`` and at most one ``PlaneModel`` per candidate, plus the
-    standard model of each candidate that is not standard already, and runs
+    ``ParameterCount`` and exactly one ``PlaneModel`` per candidate, so no
+    standard model even for the candidates that are not standard, and runs
     the degree/genus/h0 loop ``_count_numbers`` at most once per grid leaf
-    (a choice of the counts above n_1) and once per candidate.  It builds
+    (a choice of the counts above n_1), never once per candidate: the
+    Cremona reduction returns those numbers itself.  It builds
     at most one lattice and one codimension window per distinct (degree,
     genus, K^2) among the nef candidates, and a second call builds them all
     again.  Each codimension window takes chi(O_S(2H)) and chi(O_S(H)) once:
@@ -392,8 +393,8 @@ def test_atlas_work_counts(monkeypatch):
     assert _closed_form.cache_info().misses == 1     # (2,2,2) only
     assert built["count"] == 0
     assert 0 < nonstandard < len(grid)
-    assert len(grid) <= built["model"] <= len(grid) + nonstandard
-    assert 0 < built["loop"] <= leaves + len(grid)
+    assert built["model"] == len(grid)
+    assert 0 < built["loop"] <= leaves < len(grid)
     assert 0 < built["chi"] <= 2 * built["window"]
     assert 0 < built["window"] <= built["lattice"] <= len(surfaces_seen)
     # nothing is kept across calls: the second call does all of it again

@@ -22,18 +22,19 @@ def test_expand_mixed_multiplicities():
 
 
 def test_normalize_del_pezzo_no_contractions():
-    assert normalize_contractions(PlaneModel(3, (5,))) == (PlaneModel(3, (5,)), 0)
+    # (H^2, H.K, a, counts, contracted)
+    assert normalize_contractions(PlaneModel(3, (5,))) == (4, -4, 3, (5,), 0)
 
 
 def test_normalize_contracts_line_class():
     # a = m1 + m2: the line L - E1 - E2 is contracted, leaving P^1 x P^1
-    assert normalize_contractions(PlaneModel(2, (2,))) == (PlaneModel(2, (2,)), 1)
+    assert normalize_contractions(PlaneModel(2, (2,))) == (2, -4, 2, (2,), 1)
     s = invariants(PlaneModel(2, (2,)))
     assert (s.degree, s.K2, s.chi_top, s.h0_H) == (2, 8, 4, 4)
 
 
 def test_normalize_plane_trivial():
-    assert normalize_contractions(PlaneModel(1)) == (PlaneModel(1), 0)
+    assert normalize_contractions(PlaneModel(1)) == (1, -3, 1, (), 0)
 
 
 def test_normalize_rejects_non_nef():
@@ -138,11 +139,11 @@ def test_nodal_projection_field_update_only():
 def test_normalize_reduces_to_standard_form():
     # S(6;4,1,3) is the plane: three quadratic transformations take
     # (6; 3,3,3,2,1,1,1,1) to (1;), and all eight points are contracted
-    assert normalize_contractions(PlaneModel(6, (4, 1, 3))) == (PlaneModel(1), 8)
+    assert normalize_contractions(PlaneModel(6, (4, 1, 3))) == (1, -3, 1, (), 8)
     assert invariants(PlaneModel(6, (4, 1, 3))).K2 == 9
     # S(7;1,5,3) reduces to the anticanonical cubics through eight of its
     # nine points; the ninth point is contracted
-    assert normalize_contractions(PlaneModel(7, (1, 5, 3))) == (PlaneModel(3, (8,)), 1)
+    assert normalize_contractions(PlaneModel(7, (1, 5, 3))) == (1, -1, 3, (8,), 1)
 
 
 @pytest.mark.parametrize("model,error,message", [
@@ -176,10 +177,10 @@ def test_plane_model_rejects_non_integers(a, counts):
 def test_normalize_returns_a_standard_input_itself():
     for model in [PlaneModel(1), PlaneModel(3, (5,)), PlaneModel(5, (7, 0, 1)),
                   PlaneModel(4, (0, 0, 1)), PlaneModel(2, (2,))]:
-        std, contracted = normalize_contractions(model)
-        assert std is model
-        assert normalize_contractions(PlaneModel(model.a, model.point_counts + (0,))) == (
-            model, contracted)
+        reduced = normalize_contractions(model)
+        _, _, a, counts, _ = reduced
+        assert a == model.a and counts is model.point_counts
+        assert normalize_contractions(PlaneModel(model.a, model.point_counts + (0,))) == reduced
 
 
 def test_genus_roundtrip_identity():
