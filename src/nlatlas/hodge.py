@@ -308,17 +308,22 @@ def _fourfold_from_spec(obj) -> HodgeDiamond:
 def diagram_from_dict(data: dict) -> DiagramSpec:
     """Schema: {"left": {"fourfold": ..., "center": ...},
                 "right": {"fourfold": ..., "center": ...},
-                "flop_bridge": bool}; a missing side or field is a ``ValueError``."""
+                "flop_bridge": bool}; a missing side or field is a ``ValueError``,
+    and so is a ``flop_bridge`` that is present but not a JSON boolean."""
     if not isinstance(data, dict):
         raise ValueError(f"a diagram is a JSON object, got {type(data).__name__}")
     left, right = data.get("left"), data.get("right")
     for name, side in (("left", left), ("right", right)):
         if not isinstance(side, dict) or not {"fourfold", "center"} <= side.keys():
             raise ValueError(f"diagram side {name!r} needs a 'fourfold' and a 'center'")
+    # bool() would read the strings "false" and "no" as set
+    bridge = data.get("flop_bridge", True)
+    if not isinstance(bridge, bool):
+        raise ValueError(f"diagram field 'flop_bridge' must be true or false, got {bridge!r}")
     return DiagramSpec(
         left_fourfold=_fourfold_from_spec(left["fourfold"]),
         left_center=_center_from_spec(left["center"]),
         right_fourfold=_fourfold_from_spec(right["fourfold"]),
         right_center=_center_from_spec(right["center"]),
-        flop_bridge=bool(data.get("flop_bridge", True)),
+        flop_bridge=bridge,
     )

@@ -259,13 +259,19 @@ def test_ledger_command(tmp_path, capsys):
     {"left": {"fourfold": "X222"}, "right": {"fourfold": "ci22", "center": "unknown"}},
     {"left": {"fourfold": "X222", "center": [1, 2]},
      "right": {"fourfold": "ci22", "center": "unknown"}},
-], ids=["empty-object", "list", "left-without-center", "flat-table"])
+    *({"left": {"fourfold": "X222", "center": "5;7,0,1"},
+       "right": {"fourfold": "ci22", "center": "unknown"},
+       "flop_bridge": bridge} for bridge in ("false", "no", 0, None)),
+], ids=["empty-object", "list", "left-without-center", "flat-table",
+        "bridge-string-false", "bridge-string-no", "bridge-zero", "bridge-null"])
 def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     diagram = tmp_path / "diagram.json"
     diagram.write_text(json.dumps(data))
     code, out, err = run(capsys, "ledger", "--diagram", str(diagram))
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    if "flop_bridge" in data:
+        assert "'flop_bridge'" in err
 
 
 def test_usage_errors_exit_3_and_help_exits_0(capsys):

@@ -181,6 +181,13 @@ def test_diagram_from_dict():
         "right": {"fourfold": "P4", "center": "unknown"},
     })
     assert solve_diagram(explicit).invariants.K2 == 2
+    # the bridge is a JSON boolean or absent; bool("false") would be True
+    assert explicit.flop_bridge
+    sides = {"left": {"fourfold": "X222", "center": "plane"},
+             "right": {"fourfold": "P4", "center": "unknown"}}
+    assert not diagram_from_dict(dict(sides, flop_bridge=False)).flop_bridge
+    with pytest.raises(ValueError, match="'flop_bridge' must be true or false, got 'false'"):
+        diagram_from_dict(dict(sides, flop_bridge="false"))
 
 
 def test_solved_diagrams_give_equal_blowups():
