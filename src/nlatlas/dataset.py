@@ -89,6 +89,20 @@ def _row_from_dict(d: dict) -> TableRow:
     def optional(key: str) -> int | None:
         return None if d.get(key) is None else num(key)
 
+    def text(key: str) -> str:
+        # exact text: a number or null here would fail in ``split`` later
+        if isinstance(d[key], str):
+            return d[key]
+        raise TypeError(f"row {rid}: {key} must be a string, got {d[key]!r}")
+
+    def optional_text(key: str) -> str:
+        return text(key) if key in d else ""
+
+    # a JSON string is iterable too, and tuple() would split it into letters
+    flags = d.get("flags", [])
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        raise TypeError(f"row {rid}: flags must be a list of strings, got {flags!r}")
+
     assoc = d.get("assoc")
     matrix = tuple(_int(x, f"row {rid}: matrix") for x in d["matrix"])
     m11, m12, m22 = matrix
@@ -99,22 +113,22 @@ def _row_from_dict(d: dict) -> TableRow:
     if min(h0_is2, h0_n, h0_nsx) < 0:
         raise ValueError(f"row {rid}: negative count")
     return TableRow(
-        id=d["id"],
+        id=text("id"),
         table=num("table"),
-        surface=d["surface"],
+        surface=text("surface"),
         matrix=matrix,
         discriminant=disc,
         codim=num("codim"),
         h0_IS2=h0_is2,
         h0_N=h0_n,
         h0_NSX=h0_nsx,
-        flags=tuple(d.get("flags", ())),
-        surface_desc=d.get("surface_desc", ""),
+        flags=tuple(flags),
+        surface_desc=optional_text("surface_desc"),
         congruence_degree=optional("congruence_degree"),
         congruence_secancy=optional("congruence_secancy"),
-        fourfold=d.get("fourfold", ""),
+        fourfold=optional_text("fourfold"),
         fourfold_index=optional("fourfold_index"),
-        u_desc=d.get("u_desc", ""),
+        u_desc=optional_text("u_desc"),
         assoc=(tuple(_int(assoc[k], f"row {rid}: assoc {k}") for k in ("deg", "g", "K2"))
                if assoc else None),
         assoc_discriminant=optional("assoc_discriminant"),

@@ -179,6 +179,41 @@ def test_dataset_header_and_gap_rows_take_only_exact_integers(tmp_path, edit):
         load_dataset(bad)
 
 
+@pytest.mark.parametrize("row_id,key,value,message", [
+    pytest.param("t1-01", "surface", 5, "row t1-01: surface must be a string, got 5",
+                 id="surface-number"),
+    pytest.param("t1-01", "surface", None, "row t1-01: surface must be a string, got None",
+                 id="surface-null"),
+    pytest.param("t1-01", "id", 7, "row 7: id must be a string, got 7", id="id-number"),
+    pytest.param("t3-1", "surface_desc", 3, "row t3-1: surface_desc must be a string, got 3",
+                 id="surface_desc-number"),
+    pytest.param("t3-1", "fourfold", None, "row t3-1: fourfold must be a string, got None",
+                 id="fourfold-null"),
+    pytest.param("t3-1", "u_desc", ["x"], "row t3-1: u_desc must be a string, got ['x']",
+                 id="u_desc-list"),
+    pytest.param("t1-01", "flags", "odd-degree",
+                 "row t1-01: flags must be a list of strings, got 'odd-degree'",
+                 id="flags-string"),
+    pytest.param("t1-01", "flags", [1], "row t1-01: flags must be a list of strings, got [1]",
+                 id="flags-number-item"),
+])
+def test_dataset_takes_only_text_in_text_fields(tmp_path, capsys, row_id, key, value, message):
+    data = _bundled_rows()
+    row = next(r for r in data["unirational_rows"] + data["rational_rows"]
+               if r["id"] == row_id)
+    row[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(DatasetMissing) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == f"malformed dataset {bad}: {message}"
+    for argv in (["tables"], ["describe", "--surface", "5;7,0,1"],
+                 ["count", "--table-row", "t1-02"]):
+        code, out, err = run(capsys, "--dataset", str(bad), *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: malformed dataset") and len(err.splitlines()) == 1
+
+
 def test_missing_dataset_exits_3(capsys):
     code, _, err = run(capsys, "--dataset", "/nonexistent/rows.json", "tables")
     assert code == 3
