@@ -245,10 +245,16 @@ class GapReport:
     below_floor: tuple[int, ...] = field(default=())
 
     def describe(self) -> str:
+        if self.up_to < GAP_FLOOR:
+            # [GAP_FLOOR, up_to] is empty: "none" would claim a search
+            searched = (f"up to {self.up_to} lies below the floor {GAP_FLOOR}: "
+                        f"no bucket at or above {GAP_FLOOR} was examined")
+        else:
+            searched = (f"admissible discriminants in [{GAP_FLOOR}, {self.up_to}] with empty "
+                        "buckets: " + (", ".join(map(str, self.gaps)) or "none"))
         lines = [
             f"search bounds: {self.bounds.describe()}",
-            f"admissible discriminants in [{GAP_FLOOR}, {self.up_to}] with empty buckets: "
-            + (", ".join(str(v) for v in self.gaps) if self.gaps else "none"),
+            searched,
             "gaps are relative to these bounds; no claim is made beyond them",
         ]
         if self.below_floor:

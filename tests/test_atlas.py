@@ -73,6 +73,17 @@ def test_gap_report_below_floor(default_atlas):
     assert rep.describe().endswith("(flagged, not counted as gaps): 0")
 
 
+def test_gap_report_below_floor_claims_no_search(default_atlas):
+    # [16, up_to] is empty below the floor, so "empty buckets: none" would
+    # claim a search that did not happen
+    for up_to in (5, 15):
+        text = gap_report(default_atlas, up_to=up_to, bounds=SearchBounds()).describe()
+        assert text.splitlines()[1] == (
+            f"up to {up_to} lies below the floor 16: no bucket at or above 16 was examined")
+    text = gap_report(default_atlas, up_to=16, bounds=SearchBounds()).describe()
+    assert text.splitlines()[1] == "admissible discriminants in [16, 16] with empty buckets: none"
+
+
 def test_every_table_model_in_atlas(dataset, default_atlas):
     by_model = {(e.model.a, e.model.point_counts): e for e in default_atlas}
     for row in dataset.unirational_rows:
