@@ -17,24 +17,28 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .surfaces import SurfaceInvariants, _parse_int_list
 
 
-@dataclass(frozen=True)
-class CompleteIntersectionType:
-    """Multidegree (a_1, ..., a_r) of a smooth fourfold in P^(r+4)."""
-
+class _CompleteIntersectionTypeFields(NamedTuple):
     degrees: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(map(operator.index, self.degrees)))
-        if len(self.degrees) < 1:
+
+class CompleteIntersectionType(_CompleteIntersectionTypeFields):
+    """Multidegree (a_1, ..., a_r) of a smooth fourfold in P^(r+4)."""
+
+    __slots__ = ()
+
+    def __new__(cls, degrees):
+        degrees = tuple(map(operator.index, degrees))
+        if len(degrees) < 1:
             raise ValueError("need at least one degree")
-        if any(a < 2 for a in self.degrees):
-            raise ValueError(f"all degrees must be >= 2, got {self.degrees}")
+        if any(a < 2 for a in degrees):
+            raise ValueError(f"all degrees must be >= 2, got {degrees}")
+        return tuple.__new__(cls, (degrees,))
 
     @property
     def r(self) -> int:
@@ -69,8 +73,7 @@ def parse_ci(text: str) -> CompleteIntersectionType:
     return CompleteIntersectionType(degrees)
 
 
-@dataclass(frozen=True)
-class TruncatedClass:
+class TruncatedClass(NamedTuple):
     """A class c0 + (h*H + k*K) + (h2*H^2 + hk*HK + k2*K^2 + e*c2) pulled
     back to a surface, truncated above degree 2."""
 
@@ -83,10 +86,10 @@ class TruncatedClass:
     e: int = 0
 
     def __add__(self, other: "TruncatedClass") -> "TruncatedClass":
-        return TruncatedClass(*(a + b for a, b in zip(self._tuple(), other._tuple())))
+        return TruncatedClass(*map(operator.add, self, other))
 
     def __sub__(self, other: "TruncatedClass") -> "TruncatedClass":
-        return TruncatedClass(*(a - b for a, b in zip(self._tuple(), other._tuple())))
+        return TruncatedClass(*map(operator.sub, self, other))
 
     def __mul__(self, other: "TruncatedClass") -> "TruncatedClass":
         return TruncatedClass(
@@ -99,8 +102,16 @@ class TruncatedClass:
             e=self.c0 * other.e + self.e * other.c0,
         )
 
-    def _tuple(self):
-        return (self.c0, self.h, self.k, self.h2, self.hk, self.k2, self.e)
+    # tuple would answer ``2 * x`` by repetition and ``x < y`` entrywise, and
+    # neither is an operation of the ring
+    def __rmul__(self, other):
+        raise TypeError("unsupported operand type(s) for *: "
+                        f"{type(other).__name__!r} and 'TruncatedClass'")
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 ONE = TruncatedClass(c0=1)

@@ -8,7 +8,6 @@ output is exact integer arithmetic.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -133,8 +132,8 @@ def _cmd_ledger(args) -> int:
         text += (f"non-minimal: {cls.blow_downs} blow-down(s) reach the minimal "
                  f"model with K^2 = {cls.minimal_model_K2}\n")
     _emit(args, lambda: {"unknown_diamond": _encode(solved.unknown),
-                         "invariants": dataclasses.asdict(inv),
-                         "classification": dataclasses.asdict(cls)}, text.rstrip())
+                         "invariants": inv._asdict(),
+                         "classification": cls._asdict()}, text.rstrip())
     return EXIT_OK
 
 

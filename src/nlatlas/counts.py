@@ -17,7 +17,7 @@ row and flagged as such in the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DivisibilityViolation, NegativeCount
 from .surfaces import H0_QUADRICS_P7, SurfaceInvariants
@@ -28,8 +28,7 @@ FLAG_VANISHING = "assumes-vanishing"
 FLAG_NODAL_FIT = "fitted-nodal-rule"
 
 
-@dataclass(frozen=True)
-class ParameterCount:
+class ParameterCount(NamedTuple):
     h0_IS2: int
     h0_N: int
     h0_NSX: int

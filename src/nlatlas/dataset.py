@@ -6,17 +6,16 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DatasetMissing
 
 DATASET_ENV = "NLATLAS_DATASET"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     id: str
     table: int
     surface: str
@@ -37,19 +36,17 @@ class TableRow:
     assoc_discriminant: int | None = None
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     table: int
     discriminant: int
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     version: int
     unirational_rows: tuple[TableRow, ...]
     gap_rows: tuple[GapRow, ...]
     rational_rows: tuple[TableRow, ...]
-    source: str = field(default="bundled")
+    source: str = "bundled"
 
     @property
     def rows(self) -> tuple[TableRow, ...]:
@@ -98,14 +95,25 @@ def _row_from_dict(d: dict) -> TableRow:
     def optional_text(key: str) -> str:
         return text(key) if key in d else ""
 
+    def assoc() -> tuple[int, int, int] | None:
+        # indexing a list here would fail without naming the row
+        value = d.get("assoc")
+        if not value:
+            return None
+        if not isinstance(value, dict):
+            raise TypeError(f"row {rid}: assoc must be an object, got {value!r}")
+        return tuple(_int(value.get(k), f"row {rid}: assoc {k}") for k in ("deg", "g", "K2"))
+
     # a JSON string is iterable too, and tuple() would split it into letters
     flags = d.get("flags", [])
     if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
         raise TypeError(f"row {rid}: flags must be a list of strings, got {flags!r}")
 
-    assoc = d.get("assoc")
-    matrix = tuple(_int(x, f"row {rid}: matrix") for x in d["matrix"])
-    m11, m12, m22 = matrix
+    # unpacking would fail on a wrong length without naming the row
+    matrix = d["matrix"]
+    if not (isinstance(matrix, list) and len(matrix) == 3):
+        raise TypeError(f"row {rid}: matrix must be a list of three integers, got {matrix!r}")
+    m11, m12, m22 = matrix = tuple(_int(x, f"row {rid}: matrix") for x in matrix)
     disc = num("discriminant")
     if m11 * m22 - m12 * m12 != disc:
         raise ValueError(f"row {rid}: matrix and discriminant disagree")
@@ -129,21 +137,32 @@ def _row_from_dict(d: dict) -> TableRow:
         fourfold=optional_text("fourfold"),
         fourfold_index=optional("fourfold_index"),
         u_desc=optional_text("u_desc"),
-        assoc=(tuple(_int(assoc[k], f"row {rid}: assoc {k}") for k in ("deg", "g", "K2"))
-               if assoc else None),
+        assoc=assoc(),
         assoc_discriminant=optional("assoc_discriminant"),
     )
+
+
+def _objects(data: dict, key: str) -> list[dict]:
+    """The list ``data[key]``, whose items must be JSON objects; a string row
+    would fail at its first field without naming where it stands."""
+    items = data[key]
+    if not isinstance(items, list):
+        raise TypeError(f"{key} must be a list, got {items!r}")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise TypeError(f"{key}[{i}] must be an object, got {item!r}")
+    return items
 
 
 def _dataset_from_dict(data: dict, source: str) -> Dataset:
     try:
         return Dataset(
             version=_int(data["version"], "version"),
-            unirational_rows=tuple(_row_from_dict(r) for r in data["unirational_rows"]),
+            unirational_rows=tuple(map(_row_from_dict, _objects(data, "unirational_rows"))),
             gap_rows=tuple(GapRow(_int(g["table"], "gap row table"),
                                   _int(g["discriminant"], "gap row discriminant"))
-                           for g in data["gap_rows"]),
-            rational_rows=tuple(_row_from_dict(r) for r in data["rational_rows"]),
+                           for g in _objects(data, "gap_rows")),
+            rational_rows=tuple(map(_row_from_dict, _objects(data, "rational_rows"))),
             source=source,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -17,7 +17,7 @@ formula, K^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (DimensionMismatch, Inconsistent, Underdetermined,
                      UnknownPreset)
@@ -26,21 +26,23 @@ from .surfaces import SurfaceInvariants, parse_surface_spec
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
-    """Table of h^{p,q} for a smooth projective variety of dimension 0-4."""
-
+class _HodgeDiamondFields(NamedTuple):
     dim: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.dim not in (0, 1, 2, 4):
-            raise ValueError(f"dimension must be 0, 1, 2 or 4, got {self.dim}")
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        n = self.dim + 1
+
+class HodgeDiamond(_HodgeDiamondFields):
+    """Table of h^{p,q} for a smooth projective variety of dimension 0-4."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, entries):
+        if dim not in (0, 1, 2, 4):
+            raise ValueError(f"dimension must be 0, 1, 2 or 4, got {dim}")
+        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        n = dim + 1
         if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError(f"need a {n}x{n} table for dimension {self.dim}")
+            raise ValueError(f"need a {n}x{n} table for dimension {dim}")
         if any(x < 0 for row in rows for x in row):
             raise ValueError("Hodge numbers must be >= 0")
         if rows[0][0] != 1:
@@ -49,8 +51,9 @@ class HodgeDiamond:
             for q in range(n):
                 if rows[p][q] != rows[q][p]:
                     raise ValueError(f"conjugation symmetry fails at ({p},{q})")
-                if rows[p][q] != rows[self.dim - p][self.dim - q]:
+                if rows[p][q] != rows[dim - p][dim - q]:
                     raise ValueError(f"Serre symmetry fails at ({p},{q})")
+        return tuple.__new__(cls, (dim, rows))
 
     def h(self, p: int, q: int) -> int:
         """h^{p,q}, zero outside the square."""
@@ -151,8 +154,7 @@ def blowup(y: HodgeDiamond, center: HodgeDiamond) -> HodgeDiamond:
     return HodgeDiamond(4, entries)
 
 
-@dataclass(frozen=True)
-class DerivedSurfaceInvariants:
+class DerivedSurfaceInvariants(NamedTuple):
     pg: int
     q: int
     b2: int
@@ -171,8 +173,7 @@ def derive_surface_invariants(d: HodgeDiamond) -> DerivedSurfaceInvariants:
     return DerivedSurfaceInvariants(pg, q, b2, chi_o, chi_top, 12 * chi_o - chi_top)
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
+class DiagramSpec(NamedTuple):
     """Bl_(left_center) left_fourfold = Bl_(right_center) right_fourfold, with
     the flopped-surface contributions cancelled when flop_bridge is set.
     Exactly one center may be the string "unknown"."""
@@ -184,8 +185,7 @@ class DiagramSpec:
     flop_bridge: bool = True
 
 
-@dataclass(frozen=True)
-class SolvedDiagram:
+class SolvedDiagram(NamedTuple):
     unknown: HodgeDiamond
     invariants: DerivedSurfaceInvariants
     side: str
@@ -243,8 +243,7 @@ def solve_diagram(spec: DiagramSpec) -> SolvedDiagram:
     return SolvedDiagram(unknown=unknown, invariants=inv, side=side)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     castelnuovo_type_I: bool
     non_minimal: bool
     blow_downs: int

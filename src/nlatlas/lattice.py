@@ -11,7 +11,6 @@ stored explicitly rather than inferred from a sign.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chow import CompleteIntersectionType, self_intersection
@@ -23,8 +22,7 @@ class Side(enum.Enum):
     SURFACE_PICARD = "surface-picard"
 
 
-@dataclass(frozen=True)
-class RankTwoLattice:
+class RankTwoLattice(NamedTuple):
     m11: int
     m12: int
     m22: int

@@ -11,20 +11,23 @@ All arithmetic is over Python integers, hence exact at any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MismatchedLattice, ParityViolation
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _DivisorClassFields(NamedTuple):
+    plane_degree: int
+    mults: tuple[int, ...]
+
+
+class DivisorClass(_DivisorClassFields):
     """A class d*L - sum m_i E_i on Bl_k P^2; ``mults`` stores the m_i."""
 
-    plane_degree: int
-    mults: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+    def __new__(cls, plane_degree: int, mults=()):
+        return tuple.__new__(cls, (plane_degree, tuple(int(m) for m in mults)))
 
     @property
     def k(self) -> int:

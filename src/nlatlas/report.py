@@ -3,7 +3,7 @@ describe report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
                    congruence_secancy)
@@ -16,8 +16,7 @@ from .lattice import (discriminant, fourfold_lattice, mod16_class,
 from .surfaces import SurfaceInvariants, parse_surface_spec
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     row: TableRow
     diffs: dict
 
@@ -26,8 +25,7 @@ class RowCheck:
         return not self.diffs
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     which: int
     checks: tuple[RowCheck, ...]
 

@@ -11,7 +11,6 @@ integers end to end.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import typing
 from typing import Any
@@ -42,12 +41,13 @@ SCALARS = (int, str, bool)
 
 
 def _to_wire(value: Any) -> Any:
+    # a record is a tuple too, so it is looked up first
+    if type(value) in _ENCODERS:
+        return encode(value)
     if isinstance(value, tuple):
         return [_to_wire(v) for v in value]
     if isinstance(value, enum.Enum):
         return value.value
-    if type(value) in _ENCODERS:
-        return encode(value)
     return value
 
 
@@ -89,11 +89,9 @@ def _layout(cls: type) -> tuple[tuple[str, str, Any, Any], ...]:
     """(attribute, wire name, to wire, from wire) for each field; None as the
     encoder keeps the value, which spares scalar fields, most of every
     record, a call per field."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, WIRE_NAMES.get((cls, f.name), f.name),
-                  None if hints[f.name] in SCALARS else _to_wire,
-                  _reader(hints[f.name]))
-                 for f in dataclasses.fields(cls))
+    return tuple((name, WIRE_NAMES.get((cls, name), name),
+                  None if hint in SCALARS else _to_wire, _reader(hint))
+                 for name, hint in typing.get_type_hints(cls).items())
 
 
 _ENCODERS = {cls: (kind, _layout(cls)) for kind, cls in KINDS.items()}

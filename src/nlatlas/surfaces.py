@@ -17,7 +17,7 @@ forced by the Noether formula K^2 = 12 chi(O) - chi_top.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall
 from .picard import DivisorClass
@@ -28,22 +28,25 @@ AMBIENT_H0 = 8
 H0_QUADRICS_P7 = 36       # h0(O_{P7}(2))
 
 
-@dataclass(frozen=True)
-class PlaneModel:
+class _PlaneModelFields(NamedTuple):
+    a: int
+    point_counts: tuple[int, ...]
+
+
+class PlaneModel(_PlaneModelFields):
     """S(a; n1, n2, ...): degree a with n_i points of multiplicity i."""
 
-    a: int
-    point_counts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: int, point_counts=()):
         # operator.index rejects floats and strings, which int() would truncate
         # or parse
-        counts = tuple(map(operator.index, self.point_counts))
-        object.__setattr__(self, "point_counts", counts)
-        if operator.index(self.a) < 1:
-            raise ValueError(f"plane-curve degree must be >= 1, got {self.a}")
+        counts = tuple(map(operator.index, point_counts))
+        if operator.index(a) < 1:
+            raise ValueError(f"plane-curve degree must be >= 1, got {a}")
         if counts and min(counts) < 0:
             raise ValueError(f"point counts must be >= 0, got {counts}")
+        return tuple.__new__(cls, (a, counts))
 
     def spec_string(self) -> str:
         return f"{self.a};{','.join(map(str, self.point_counts))}"
@@ -52,8 +55,19 @@ class PlaneModel:
         return f"S({self.spec_string()})"
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class _SurfaceInvariantsFields(NamedTuple):
+    degree: int
+    sect_genus: int
+    K2: int
+    chi_O: int
+    chi_top: int
+    h0_H: int
+    nodes: int
+    linearly_normal: bool
+    provenance_label: str
+
+
+class SurfaceInvariants(_SurfaceInvariantsFields):
     """Numerical record of an embedded surface.
 
     ``h0_H`` is chi(O_S(H)) under the vanishing assumption h^1 = h^2 = 0; the
@@ -62,26 +76,22 @@ class SurfaceInvariants:
     the smooth model.
     """
 
-    degree: int
-    sect_genus: int
-    K2: int
-    chi_O: int
-    chi_top: int
-    h0_H: int
-    nodes: int = 0
-    linearly_normal: bool = True
-    provenance_label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.chi_top != 12 * self.chi_O - self.K2:
+    def __new__(cls, degree: int, sect_genus: int, K2: int, chi_O: int, chi_top: int,
+                h0_H: int, nodes: int = 0, linearly_normal: bool = True,
+                provenance_label: str = ""):
+        if chi_top != 12 * chi_O - K2:
             raise ValueError(
-                f"Noether identity violated: chi_top={self.chi_top} != "
-                f"12*{self.chi_O} - {self.K2}"
+                f"Noether identity violated: chi_top={chi_top} != "
+                f"12*{chi_O} - {K2}"
             )
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if self.nodes < 0:
-            raise ValueError(f"nodes must be >= 0, got {self.nodes}")
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
+        if nodes < 0:
+            raise ValueError(f"nodes must be >= 0, got {nodes}")
+        return tuple.__new__(cls, (degree, sect_genus, K2, chi_O, chi_top, h0_H, nodes,
+                                   linearly_normal, provenance_label))
 
     @property
     def HK(self) -> int:
@@ -197,6 +207,12 @@ def invariants(model: PlaneModel) -> SurfaceInvariants:
     return SurfaceInvariants(degree, g, K2, 1, 12 - K2, h0, 0, True, str(model))
 
 
+def _rebuilt(src: SurfaceInvariants, **changes) -> SurfaceInvariants:
+    """``src`` with ``changes``, built through the constructor so that its
+    checks run; ``_replace`` alone would skip them."""
+    return SurfaceInvariants(*src._replace(**changes))
+
+
 def internal_projection(src: SurfaceInvariants) -> SurfaceInvariants:
     """Project from a general point on the surface: degree, K^2, h0 drop by 1,
     chi_top rises by 1; sectional genus and chi(O) are unchanged."""
@@ -207,7 +223,7 @@ def internal_projection(src: SurfaceInvariants) -> SurfaceInvariants:
         raise NotProjectable(
             f"h0(H) = {src.h0_H} < 5: the projected image would be degenerate"
         )
-    return replace(
+    return _rebuilt(
         src,
         degree=src.degree - 1,
         K2=src.K2 - 1,
@@ -227,7 +243,7 @@ def external_projection(src: SurfaceInvariants) -> SurfaceInvariants:
             f"external projection needs a linearly normal surface spanning P^8, "
             f"got h0(H) = {src.h0_H}, linearly_normal = {src.linearly_normal}"
         )
-    return replace(
+    return _rebuilt(
         src,
         linearly_normal=False,
         provenance_label=f"external projection of {src.provenance_label or 'surface'}",
@@ -244,7 +260,7 @@ def nodal_projection(src: SurfaceInvariants, delta: int) -> SurfaceInvariants:
         raise NotProjectable(f"h0(H) = {src.h0_H} < 9: source must span at least P^8")
     if delta < 1:
         raise NotProjectable(f"delta must be >= 1, got {delta}")
-    return replace(
+    return _rebuilt(
         src,
         nodes=delta,
         linearly_normal=False,

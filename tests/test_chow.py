@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -48,7 +47,7 @@ def test_self_intersection_anchors():
 def test_node_correction_is_added_per_node():
     assert NODE_CORRECTION == 2
     nodal = parse_surface_spec("5;6,2 nodes=1")
-    smooth = dataclasses.replace(nodal, nodes=0)
+    smooth = nodal._replace(nodes=0)
     assert self_intersection(CI222, smooth) == 24
     assert self_intersection(CI222, nodal) == 24 + NODE_CORRECTION
 

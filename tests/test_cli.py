@@ -149,6 +149,10 @@ def _bundled_rows() -> dict:
     ("t3-1", "assoc", {"deg": 9, "g": 9.0, "K2": 2}),
     ("t3-1", "assoc", {"deg": "9", "g": 9, "K2": 2}),
     ("t3-1", "assoc_discriminant", 31.5),
+    ("t3-1", "assoc", [9, 9, 2]),
+    ("t3-1", "assoc", {"deg": 9, "K2": 2}),
+    ("t1-01", "matrix", [8, 4]),
+    ("t1-01", "matrix", 8),
 ])
 def test_dataset_takes_only_exact_integers(tmp_path, capsys, row_id, key, value):
     data = _bundled_rows()
@@ -212,6 +216,24 @@ def test_dataset_takes_only_text_in_text_fields(tmp_path, capsys, row_id, key, v
         code, out, err = run(capsys, "--dataset", str(bad), *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: malformed dataset") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key,index,value", [
+    ("unirational_rows", 0, "t1-01"),
+    ("rational_rows", 6, None),
+    ("gap_rows", 1, [2, 95]),
+])
+def test_dataset_refuses_rows_that_are_not_objects(tmp_path, capsys, key, index, value):
+    data = _bundled_rows()
+    data[key][index] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    message = f"malformed dataset {bad}: {key}[{index}] must be an object, got {value!r}"
+    with pytest.raises(DatasetMissing) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == message
+    for argv in (["tables"], ["describe", "--surface", "5;7,0,1"]):
+        assert run(capsys, "--dataset", str(bad), *argv) == (3, "", f"error: {message}\n")
 
 
 def test_missing_dataset_exits_3(capsys):

@@ -75,11 +75,9 @@ def test_negative_count_rejected():
 
 
 def test_divisibility_guard_on_corrupted_record():
-    s = SurfaceInvariants.__new__(SurfaceInvariants)
-    for name, value in [("degree", 9), ("sect_genus", 3), ("K2", 1), ("chi_O", 1),
-                        ("chi_top", 12), ("h0_H", 8), ("nodes", 0),
-                        ("linearly_normal", True), ("provenance_label", "corrupt")]:
-        object.__setattr__(s, name, value)
+    # _make skips the checks of SurfaceInvariants.__new__, as a corrupted
+    # record would
+    s = SurfaceInvariants._make((9, 3, 1, 1, 12, 8, 0, True, "corrupt"))
     with pytest.raises(DivisibilityViolation):
         h0_normal_bundle(s)
 

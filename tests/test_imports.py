@@ -1,7 +1,8 @@
 """The import contract: ``import nlatlas`` loads no submodule, the CLI loads
-atlas, hodge and the codec only in the commands that use them, a serial
-atlas starts no process machinery, and every public name of the package is
-the object of its home module."""
+atlas, hodge and the codec only in the commands that use them and
+``dataclasses`` in none of the commands that skip the atlas, a serial atlas
+starts no process machinery, and every public name of the package is the
+object of its home module."""
 
 import importlib
 import json
@@ -33,6 +34,20 @@ def test_import_cli_leaves_atlas_hodge_and_codec_unloaded(fresh_env):
     assert not loaded_after("import nlatlas.cli", fresh_env) & HEAVY
 
 
+def running(argv: list[str], tmp_path) -> str:
+    """A statement that runs the CLI on ``argv`` quietly; "{diagram}" in
+    ``argv`` names a solvable diagram file."""
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps({
+        "left": {"fourfold": "X222", "center": "5;7,0,1"},
+        "right": {"fourfold": "ci22", "center": "unknown"},
+    }))
+    argv = [a.format(diagram=diagram) for a in argv]
+    return ("import contextlib, io\nfrom nlatlas.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+
+
 @pytest.mark.parametrize("argv,loads", [
     (["invariants", "--surface", "5;7,0,1"], set()),
     (["count", "--table-row", "t1-01"], set()),
@@ -40,16 +55,30 @@ def test_import_cli_leaves_atlas_hodge_and_codec_unloaded(fresh_env):
     (["search", "--gaps"], {"nlatlas.atlas"}),
 ], ids=["invariants", "count", "ledger", "search-gaps"])
 def test_text_output_never_loads_the_codec(fresh_env, tmp_path, argv, loads):
-    diagram = tmp_path / "diagram.json"
-    diagram.write_text(json.dumps({
-        "left": {"fourfold": "X222", "center": "5;7,0,1"},
-        "right": {"fourfold": "ci22", "center": "unknown"},
-    }))
-    argv = [a.format(diagram=diagram) for a in argv]
-    statement = ("import contextlib, io\nfrom nlatlas.cli import main\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    assert main({argv!r}) == 0")
-    assert loaded_after(statement, fresh_env) & HEAVY == loads
+    assert loaded_after(running(argv, tmp_path), fresh_env) & HEAVY == loads
+
+
+# ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize``, about
+# 8 ms of every cold command; only the atlas's AtlasEntry still needs it
+DATACLASS_MODULES = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["describe", "--surface", "5;7,0,1"],
+    ["tables"],
+    ["invariants", "--surface", "5;7,0,1"],
+    ["ledger", "--diagram", "{diagram}"],
+], ids=["import", "describe", "tables", "invariants", "ledger"])
+def test_cli_commands_load_no_dataclasses(fresh_env, tmp_path, argv):
+    statement = "import nlatlas.cli" if argv is None else running(argv, tmp_path)
+    assert not loaded_after(statement, fresh_env) & DATACLASS_MODULES
+
+
+def test_only_the_atlas_names_dataclass():
+    named = {path.name for path in Path(nl.__file__).parent.glob("*.py")
+             if "dataclass" in path.read_text()}
+    assert named == {"atlas.py"}
 
 
 PROCESS_MODULES = {"multiprocessing", "concurrent.futures"}
