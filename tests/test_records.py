@@ -100,17 +100,6 @@ def test_direct_construction_validates(build):
         build()
 
 
-@pytest.mark.parametrize("build", [
-    lambda: nl.PlaneModel(2.5),
-    lambda: nl.PlaneModel(5, (7.0,)),
-    lambda: nl.CompleteIntersectionType(("2",)),
-    lambda: nl.SearchBounds(max_a=2.5),
-], ids=["plane-degree", "plane-counts", "ci", "bounds"])
-def test_direct_construction_takes_only_integers(build):
-    with pytest.raises(TypeError):
-        build()
-
-
 def test_validation_converts_fields():
     assert nl.PlaneModel(5, [7, 0, 1]).point_counts == (7, 0, 1)
     assert nl.CompleteIntersectionType([2, 2, 2]) == nl.CI222
