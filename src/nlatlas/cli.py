@@ -8,20 +8,13 @@ output is exact integer arithmetic.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-# atlas, hodge and the codec (serialize imports every record module) load
-# only in the commands that use them, which keeps start-up short
-from .chow import (CI222, NODE_CORRECTION, closed_form_coefficients, parse_ci,
-                   self_intersection)
-from .counts import codimension_bound
-from .dataset import load_dataset
+# each command imports the library modules it runs, and json only where it
+# prints JSON: without bytecode every imported module is compiled on every
+# call, so a module a command skips is start-up time saved
 from .errors import DatasetMissing, NLAtlasError, ParseError
-from .lattice import discriminant, fourfold_lattice, mod16_class
-from .report import describe, reproduce_tables, table_csv, table_markdown
-from .surfaces import _parse_int_list, parse_surface_spec
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -38,6 +31,7 @@ def _given(flags: dict) -> list[str]:
 
 def _surface_from_args(args, row_spec: str | None = None) -> object:
     """Parse the one surface named by --table-row, --surface or --abs."""
+    from .surfaces import parse_surface_spec
     named = {"--table-row": row_spec, "--surface": args.surface,
              "--abs": "abs:" + args.abs if getattr(args, "abs", None) else None}
     given = _given(named)
@@ -55,6 +49,7 @@ def _emit(args, payload, text: str):
     """Print ``text``, or for ``--format json`` the JSON of ``payload()``;
     the payload is built only then, so text output never loads the codec."""
     if args.format == "json":
+        import json
         print(json.dumps(payload(), indent=2))
     else:
         print(text)
@@ -73,6 +68,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from .chow import parse_ci
+    from .lattice import discriminant, fourfold_lattice, mod16_class
     s = _surface_from_args(args)
     ci = parse_ci(args.ci)
     lat = fourfold_lattice(ci, s)
@@ -87,6 +84,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_selfint(args) -> int:
+    from .chow import NODE_CORRECTION, closed_form_coefficients, parse_ci, self_intersection
     s = _surface_from_args(args)
     ci = parse_ci(args.ci)
     value = self_intersection(ci, s)
@@ -100,6 +98,8 @@ def _cmd_selfint(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counts import codimension_bound
+    from .dataset import load_dataset
     _given({"--table-row": args.table_row, "--h0nsx": args.h0nsx is not None})
     dataset = load_dataset(args.dataset)
     row = dataset.row(args.table_row) if args.table_row else None
@@ -117,6 +117,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
+    import json
     from .hodge import classify_solved, diagram_from_dict, solve_diagram
     with open(args.diagram) as fh:
         data = json.load(fh)
@@ -152,6 +153,7 @@ def _cmd_search(args) -> int:
     if args.det is not None:
         entries = [e for e in entries if e.discriminant == args.det]
     if args.format == "json":
+        import json
         print(json.dumps([_encode(e) for e in entries], indent=2))
     elif args.format == "csv":
         print("surface,m11,m12,m22,discriminant,codim_lo,codim_hi,h0_IS2,h0_N")
@@ -179,6 +181,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .dataset import load_dataset
+    from .report import reproduce_tables, table_csv, table_markdown
+    from .surfaces import _parse_int_list
     dataset = load_dataset(args.dataset)
     reports = []
     for w, at in _parse_int_list(args.which):
@@ -188,6 +193,7 @@ def _cmd_tables(args) -> int:
             raise ParseError(str(exc), args.which, at) from None
     for rep in reports:
         if args.format == "json":
+            import json
             print(json.dumps({
                 "table": rep.which, "ok": rep.ok,
                 "mismatches": [{"row": c.row.id, "diffs": {
@@ -210,6 +216,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_describe(args) -> int:
+    from .chow import CI222, parse_ci
+    from .dataset import load_dataset
+    from .report import describe
     dataset = load_dataset(args.dataset)
     ci = parse_ci(args.ci) if args.ci else CI222
     print(describe(args.surface, ci, dataset))

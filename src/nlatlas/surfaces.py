@@ -17,10 +17,12 @@ forced by the Noether formula K^2 = 12 chi(O) - chi_top.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall
-from .picard import DivisorClass
+
+if TYPE_CHECKING:
+    from .picard import DivisorClass
 
 # ambient projective space is P^7 throughout; a surface with h0_H > 8 can only
 # be brought there by a projection, so its span is clamped at P^7 for display
@@ -119,6 +121,8 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
 
 def expand(model: PlaneModel) -> DivisorClass:
     """The class H = a*L - sum m_j E_j, with n_i copies of multiplicity i."""
+    # picard loads here, not with the module: expand runs only to word NotNef
+    from .picard import DivisorClass
     return DivisorClass(model.a, [i for i, n in enumerate(model.point_counts, 1) for _ in range(n)])
 
 

@@ -1,8 +1,8 @@
-"""The import contract: ``import nlatlas`` loads no submodule, the CLI loads
-atlas, hodge and the codec only in the commands that use them and
-``dataclasses`` in none of the commands that skip the atlas, a serial atlas
-starts no process machinery, and every public name of the package is the
-object of its home module."""
+"""The import contract: ``import nlatlas`` loads no submodule, ``import
+nlatlas.cli`` loads only ``errors``, each command loads exactly the modules it
+runs, atlas (and ``dataclasses``) only where it enumerates or codes an atlas
+record, a serial atlas starts no process machinery, and every public name of
+the package is the object of its home module."""
 
 import importlib
 import json
@@ -34,6 +34,24 @@ def test_import_cli_leaves_atlas_hodge_and_codec_unloaded(fresh_env):
     assert not loaded_after("import nlatlas.cli", fresh_env) & HEAVY
 
 
+def nlatlas_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "nlatlas" or m.startswith("nlatlas.")}
+
+
+def test_import_cli_loads_only_errors(fresh_env):
+    assert nlatlas_modules(loaded_after("import nlatlas.cli", fresh_env)) == {
+        "nlatlas", "nlatlas.errors", "nlatlas.cli"}
+
+
+def test_benchmark_imports_load_every_traced_module(fresh_env):
+    # bench/spans.py looks each traced module up in sys.modules after the
+    # import line of bench/workloads.py; the codec is what loads these four
+    statement = ("from nlatlas import atlas, chow, cli, counts, errors, lattice, "
+                 "serialize, surfaces")
+    assert {"nlatlas.dataset", "nlatlas.report", "nlatlas.hodge",
+            "nlatlas.picard"} <= loaded_after(statement, fresh_env)
+
+
 def running(argv: list[str], tmp_path) -> str:
     """A statement that runs the CLI on ``argv`` quietly; "{diagram}" in
     ``argv`` names a solvable diagram file."""
@@ -56,6 +74,44 @@ def running(argv: list[str], tmp_path) -> str:
 ], ids=["invariants", "count", "ledger", "search-gaps"])
 def test_text_output_never_loads_the_codec(fresh_env, tmp_path, argv, loads):
     assert loaded_after(running(argv, tmp_path), fresh_env) & HEAVY == loads
+
+
+def _modules(names: str) -> set[str]:
+    return {"nlatlas", *(f"nlatlas.{name}" for name in f"cli errors {names}".split())}
+
+
+# what the JSON form adds: the codec, which loads every record module but the
+# atlas's, and dataset and report for the benchmark's tracer
+CODEC = "serialize chow counts dataset hodge lattice picard report surfaces"
+# (command, argv, modules of its text form, modules of its JSON form), for
+# every command of the benchmark's cli-session; search loads picard to word
+# the NotNef of a candidate it rejects
+COMMANDS = [
+    ("describe", ["describe", "--surface", "5;7,0,1"],
+     "chow counts dataset lattice report surfaces",
+     "chow counts dataset lattice report surfaces"),
+    ("tables", ["tables"], "chow counts dataset lattice report surfaces",
+     "chow counts dataset lattice report surfaces"),
+    ("search", ["search", "--gaps"], "atlas chow counts lattice picard surfaces",
+     "atlas " + CODEC),
+    ("ledger", ["ledger", "--diagram", "{diagram}"], "hodge surfaces", CODEC),
+    ("invariants", ["invariants", "--surface", "5;7,0,1"], "surfaces", CODEC),
+    ("lattice", ["lattice", "--surface", "5;7,0,1"], "chow lattice surfaces", CODEC),
+    ("selfint", ["selfint", "--ci", "3", "--surface", "5;7,0,1"], "chow surfaces",
+     "chow surfaces"),
+    ("count", ["count", "--table-row", "t1-01"], "counts dataset surfaces", CODEC),
+]
+
+
+@pytest.mark.parametrize("argv,names", [
+    pytest.param(["--format", fmt, *argv], names, id=f"{fmt}-{command}")
+    for command, argv, *forms in COMMANDS for fmt, names in zip(("text", "json"), forms)])
+def test_each_command_loads_exactly_its_modules(fresh_env, tmp_path, argv, names):
+    loaded = loaded_after(running(argv, tmp_path), fresh_env)
+    assert nlatlas_modules(loaded) == _modules(names)
+    # only atlas's AtlasEntry still needs dataclasses; JSON of a record
+    # that is not an atlas record loads neither
+    assert ("dataclasses" in loaded) == ("nlatlas.atlas" in loaded)
 
 
 # ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize``, about

@@ -16,7 +16,7 @@ import nlatlas as nl
 from nlatlas.chow import ONE, H, TruncatedClass
 from nlatlas.hodge import classify_solved, diagram_from_dict, solve_diagram
 from nlatlas.lattice import mod16_class
-from nlatlas.serialize import KINDS, decode, encode
+from nlatlas.serialize import ATLAS_KINDS, KINDS, decode, encode
 from nlatlas.surfaces import SurfaceInvariants
 
 
@@ -65,7 +65,11 @@ def test_pickle_round_trip(value):
     assert back == value
 
 
-@pytest.mark.parametrize("value", [v for v in RECORDS if type(v) in KINDS.values()], ids=_name)
+def _coded(value) -> bool:
+    return type(value) in KINDS.values() or _name(value) in ATLAS_KINDS
+
+
+@pytest.mark.parametrize("value", [v for v in RECORDS if _coded(v)], ids=_name)
 def test_codec_round_trip(value):
     back = decode(json.loads(json.dumps(encode(value))))
     assert type(back) is type(value)
