@@ -129,9 +129,11 @@ def _cmd_ledger(args) -> int:
             f"chi_top = {inv.chi_top}, K^2 = {inv.K2}\n")
     if cls.castelnuovo_type_I:
         text += "minimal Castelnuovo surface of type I (K^2 = 3 p_g - 7)\n"
-    if cls.non_minimal:
+    if cls.minimal_model_K2 is not None:
         text += (f"non-minimal: {cls.blow_downs} blow-down(s) reach the minimal "
                  f"model with K^2 = {cls.minimal_model_K2}\n")
+    elif cls.non_minimal:
+        text += "non-minimal: K^2 < 0 with p_g >= 1; the minimal model is not determined\n"
     _emit(args, lambda: {"unknown_diamond": _encode(solved.unknown),
                          "invariants": inv._asdict(),
                          "classification": cls._asdict()}, text.rstrip())

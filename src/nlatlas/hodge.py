@@ -251,14 +251,25 @@ class Classification(NamedTuple):
 
 
 def classify(pg: int, q: int, K2: int) -> Classification:
-    """Castelnuovo bound K^2 >= 3 p_g - 7 (type I when equality holds) and the
-    non-minimality test K^2 < 2 p_g - 4 for a regular surface of general type.
-    A non-minimal solution is blown down to the Castelnuovo value K^2 = 3p_g - 7."""
+    """Castelnuovo bound K^2 >= 3 p_g - 7 (type I when equality holds) and two
+    non-minimality tests:
+
+    - K^2 < 0 with p_g >= 1.  A surface with p_g >= 1 has Kodaira dimension
+      >= 0, and every minimal surface of non-negative Kodaira dimension has
+      K^2 >= 0, so such a surface is not minimal;
+    - 1 <= K^2 < 2 p_g - 4 for a regular surface (Noether's inequality
+      K^2 >= 2 p_g - 4 for a minimal surface of general type).
+
+    K^2 = 0 is left undecided.  A non-minimal regular solution with p_g >= 3
+    is blown down to the Castelnuovo value K^2 = 3 p_g - 7.  Other non-minimal
+    solutions get no target: for p_g <= 2 that value is negative, which the
+    minimal model cannot have."""
     type_one = (K2 == 3 * pg - 7)
-    non_minimal = (pg >= 2 and q == 0 and K2 >= 1 and K2 < 2 * pg - 4)
+    non_minimal = ((pg >= 1 and K2 < 0)
+                   or (pg >= 2 and q == 0 and 1 <= K2 < 2 * pg - 4))
     blow_downs = 0
     minimal_k2 = None
-    if non_minimal:
+    if non_minimal and q == 0 and pg >= 3:
         minimal_k2 = 3 * pg - 7
         blow_downs = minimal_k2 - K2
     return Classification(

@@ -310,6 +310,32 @@ def test_ledger_command(tmp_path, capsys):
     assert "K^2 = 1" in out and "non-minimal" in out and "K^2 = 2" in out
 
 
+# rows t3-4 and t4-3 solve to K^2 < 0 with p_g = 3 over P4
+@pytest.mark.parametrize("center,K2,blow_downs", [("5;10,1", -9, 11), ("7;1,9", -8, 10)],
+                         ids=["t3-4", "t4-3"])
+def test_ledger_flags_negative_K2(tmp_path, capsys, center, K2, blow_downs):
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps({"left": {"fourfold": "X222", "center": center},
+                                   "right": {"fourfold": "P4", "center": "unknown"}}))
+    code, out, _ = run(capsys, "ledger", "--diagram", str(diagram))
+    assert code == 0 and "p_g = 3, q = 0" in out and f"K^2 = {K2}\n" in out
+    assert (f"non-minimal: {blow_downs} blow-down(s) reach the minimal model "
+            "with K^2 = 2") in out
+
+
+def test_ledger_without_a_minimal_model_count(tmp_path, capsys, monkeypatch):
+    import nlatlas.hodge
+    monkeypatch.setattr(nlatlas.hodge, "classify_solved",
+                        lambda solved: nlatlas.hodge.classify(1, 0, -2))
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps({"left": {"fourfold": "X222", "center": "5;7,0,1"},
+                                   "right": {"fourfold": "ci22", "center": "unknown"}}))
+    code, out, _ = run(capsys, "ledger", "--diagram", str(diagram))
+    assert code == 0
+    assert out.endswith("non-minimal: K^2 < 0 with p_g >= 1; the minimal model is "
+                        "not determined\n")
+
+
 @pytest.mark.parametrize("data", [
     {},
     [],

@@ -168,6 +168,23 @@ def test_classify_cases():
     assert not c.castelnuovo_type_I and not c.non_minimal
 
 
+# K^2 < 0 with p_g >= 1 cannot be minimal; the solved K^2 of the ledger rows
+# t3-4, t4-1 and t4-3 (p_g = 3) blow down to the Castelnuovo value K^2 = 2
+@pytest.mark.parametrize("K2,blow_downs", [(-9, 11), (-1, 3), (-8, 10)])
+def test_classify_negative_K2_is_not_minimal(K2, blow_downs):
+    assert classify(3, 0, K2) == (False, True, blow_downs, 2)
+
+
+@pytest.mark.parametrize("pg,q,K2,want", [
+    (3, 0, 0, (False, False, 0, None)),     # K^2 = 0 stays undecided
+    (1, 0, -2, (False, True, 0, None)),     # non-minimal, no Castelnuovo target
+    (3, 1, -1, (False, True, 0, None)),
+    (0, 0, -1, (False, False, 0, None)),    # p_g = 0: rational surfaces have K^2 < 0
+])
+def test_classify_leaves_what_it_cannot_decide(pg, q, K2, want):
+    assert classify(pg, q, K2) == want
+
+
 def test_diagram_from_dict():
     spec = diagram_from_dict({
         "left": {"fourfold": "X222", "center": "5;7,0,1"},
