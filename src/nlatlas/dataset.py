@@ -77,8 +77,15 @@ def _int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+# the fields a row must give: those of TableRow without a default
+REQUIRED_FIELDS = tuple(f for f in TableRow._fields if f not in TableRow._field_defaults)
+
+
 def _row_from_dict(d: dict) -> TableRow:
     rid = d.get("id")
+    missing = [key for key in REQUIRED_FIELDS if key not in d]
+    if missing:
+        raise ValueError(f"row {rid}: missing field {missing[0]!r}")
 
     def num(key: str) -> int:
         return _int(d[key], f"row {rid}: {key}")
@@ -155,6 +162,9 @@ def _objects(data: dict, key: str) -> list[dict]:
 
 
 def _dataset_from_dict(data: dict, source: str) -> Dataset:
+    if not isinstance(data, dict):
+        raise DatasetMissing(f"malformed dataset {source}: the dataset must be a JSON "
+                             f"object, got {type(data).__name__}")
     try:
         return Dataset(
             version=_int(data["version"], "version"),
@@ -165,7 +175,9 @@ def _dataset_from_dict(data: dict, source: str) -> Dataset:
             rational_rows=tuple(map(_row_from_dict, _objects(data, "rational_rows"))),
             source=source,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise DatasetMissing(f"malformed dataset {source}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise DatasetMissing(f"malformed dataset {source}: {exc}") from exc
 
 

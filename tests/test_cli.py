@@ -236,6 +236,40 @@ def test_dataset_refuses_rows_that_are_not_objects(tmp_path, capsys, key, index,
         assert run(capsys, "--dataset", str(bad), *argv) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda data: data["unirational_rows"][0].pop("codim"),
+                 "row t1-01: missing field 'codim'", id="row-codim"),
+    pytest.param(lambda data: data["rational_rows"][0].pop("matrix"),
+                 "row t3-1: missing field 'matrix'", id="row-matrix"),
+    pytest.param(lambda data: data.pop("version"), "missing field 'version'",
+                 id="version"),
+    pytest.param(lambda data: data["gap_rows"][0].pop("discriminant"),
+                 "missing field 'discriminant'", id="gap-row-discriminant"),
+])
+def test_dataset_names_a_missing_field(tmp_path, capsys, edit, message):
+    data = _bundled_rows()
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    message = f"malformed dataset {bad}: {message}"
+    with pytest.raises(DatasetMissing) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == message
+    assert run(capsys, "--dataset", str(bad), "tables") == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("top,kind", [([1, 2], "list"), ("rows", "str"), (None, "NoneType")])
+def test_dataset_must_be_an_object(tmp_path, capsys, top, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(top))
+    message = f"malformed dataset {bad}: the dataset must be a JSON object, got {kind}"
+    with pytest.raises(DatasetMissing) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == message
+    for argv in (["tables"], ["describe", "--surface", "5;7,0,1"]):
+        assert run(capsys, "--dataset", str(bad), *argv) == (3, "", f"error: {message}\n")
+
+
 def test_missing_dataset_exits_3(capsys):
     code, _, err = run(capsys, "--dataset", "/nonexistent/rows.json", "tables")
     assert code == 3
