@@ -111,8 +111,9 @@ def _atlas_kinds_added() -> bool:
     from . import atlas
     for name, kind in ATLAS_KINDS.items():
         cls = getattr(atlas, name)
-        _ENCODERS[cls] = (kind, _layout(cls))
-        _DECODERS[kind] = (cls, _ENCODERS[cls][1])
+        layout = _layout(cls)
+        _ENCODERS[cls] = (kind, layout)
+        _DECODERS[kind] = (cls, layout)
     return True
 
 

@@ -16,6 +16,7 @@ forced by the Noether formula K^2 = 12 chi(O) - chi_top.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -119,11 +120,19 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
                              provenance_label=label)
 
 
+@functools.cache
+def _divisor_class() -> type[DivisorClass]:
+    # picard loads on first use, not with this module: expand runs only to
+    # word NotNef.  The atlas words one for every such candidate it rejects,
+    # and an import statement in expand would cost it 2 us per rejection
+    from .picard import DivisorClass
+    return DivisorClass
+
+
 def expand(model: PlaneModel) -> DivisorClass:
     """The class H = a*L - sum m_j E_j, with n_i copies of multiplicity i."""
-    # picard loads here, not with the module: expand runs only to word NotNef
-    from .picard import DivisorClass
-    return DivisorClass(model.a, [i for i, n in enumerate(model.point_counts, 1) for _ in range(n)])
+    return _divisor_class()(model.a, [i for i, n in enumerate(model.point_counts, 1)
+                                      for _ in range(n)])
 
 
 def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int, ...], int]:
