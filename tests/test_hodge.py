@@ -179,7 +179,8 @@ def test_classify_negative_K2_is_not_minimal(K2, blow_downs):
     (3, 0, 0, (False, False, 0, None)),     # K^2 = 0 stays undecided
     (1, 0, -2, (False, True, 0, None)),     # non-minimal, no Castelnuovo target
     (3, 1, -1, (False, True, 0, None)),
-    (0, 0, -1, (False, False, 0, None)),    # p_g = 0: rational surfaces have K^2 < 0
+    # p_g = 0: a minimal ruled surface over a curve of genus >= 2 has K^2 < 0
+    (0, 0, -1, (False, False, 0, None)),
 ])
 def test_classify_leaves_what_it_cannot_decide(pg, q, K2, want):
     assert classify(pg, q, K2) == want
