@@ -1,3 +1,6 @@
+import atexit
+import functools
+import gc
 import json
 import os
 import subprocess
@@ -6,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nlatlas import cli
 from nlatlas.cli import main
 from nlatlas.dataset import load_dataset
 from nlatlas.errors import DatasetMissing
@@ -444,6 +448,41 @@ def test_search_into_closed_pipe_exits_cleanly():
         code = proc.wait(timeout=120)
     assert first.startswith(b"bounds: a <= 10")
     assert (code, err) == (0, b"")
+
+
+@pytest.fixture
+def registered(monkeypatch):
+    """What ``main`` hands to ``atexit.register``, registering nothing for
+    real, with the once-per-process guard started afresh."""
+    calls = []
+    monkeypatch.setattr(atexit, "register", calls.append)
+    monkeypatch.setattr(cli, "_freeze_heap_at_exit",
+                        functools.cache(cli._freeze_heap_at_exit.__wrapped__))
+    return calls
+
+
+def test_main_with_argv_registers_no_exit_hook(registered, capsys):
+    # an in-process caller keeps its cyclic garbage collected at exit
+    code, out, _ = run(capsys, "invariants", "--surface", "5;7,0,1")
+    assert code == 0 and "degree 9," in out
+    assert registered == []
+
+
+def test_process_entry_freezes_the_heap_at_exit_once(registered, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["nlatlas", "invariants", "--surface", "5;7,0,1"])
+    assert main() == 0
+    assert main() == 0
+    assert registered == [gc.freeze]
+    assert capsys.readouterr().out.count("degree 9,") == 2
+
+
+def test_importing_the_cli_registers_no_exit_hook(fresh_env):
+    script = ("import atexit, gc\ncalls = []\natexit.register = calls.append\n"
+              "import nlatlas, nlatlas.cli\nnlatlas.load_dataset()\n"
+              "print(gc.freeze in calls)")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_dataset_env_override(tmp_path, monkeypatch, capsys):

@@ -139,11 +139,16 @@ def test_cli_golden(name, fmt, paths, capsys):
     assert _record(code, captured.out, captured.err) == want
 
 
-# commands that import atlas, hodge or the codec when they run, launched
-# through ``from nlatlas.cli import main`` in an interpreter that has loaded
-# nothing else of nlatlas
-@pytest.mark.parametrize("name,fmt", [("ledger", "text"), ("search-det", "text"),
-                                      ("invariants", "json")])
+# the text and JSON forms of every command of the benchmark's cli-session,
+# launched as a process entry, ``sys.exit(main())``, in an interpreter that
+# has loaded nothing else of nlatlas: each imports its modules on demand and
+# freezes the heap at exit, and must still print what ``main(argv)`` prints
+SESSION = ("describe-plane", "tables", "search-det", "search-gaps", "ledger",
+           "invariants", "lattice-surface", "selfint", "count-table-row")
+
+
+@pytest.mark.parametrize("name,fmt", [(name, fmt) for name in SESSION
+                                      for fmt in ("text", "json")])
 def test_cli_golden_in_fresh_interpreter(name, fmt, paths, fresh_env):
     launch = "import sys; from nlatlas.cli import main; sys.exit(main())"
     proc = subprocess.run([sys.executable, "-c", launch, *_argv(name, fmt, paths)],
