@@ -16,7 +16,6 @@ forced by the Noether formula K^2 = 12 chi(O) - chi_top.
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -120,19 +119,11 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
                              provenance_label=label)
 
 
-@functools.cache
-def _divisor_class() -> type[DivisorClass]:
-    # picard loads on first use, not with this module: expand runs only to
-    # word NotNef.  The atlas words one for every such candidate it rejects,
-    # and an import statement in expand would cost it 2 us per rejection
-    from .picard import DivisorClass
-    return DivisorClass
-
-
 def expand(model: PlaneModel) -> DivisorClass:
     """The class H = a*L - sum m_j E_j, with n_i copies of multiplicity i."""
-    return _divisor_class()(model.a, [i for i, n in enumerate(model.point_counts, 1)
-                                      for _ in range(n)])
+    from .picard import DivisorClass
+    return DivisorClass(model.a, [i for i, n in enumerate(model.point_counts, 1)
+                                  for _ in range(n)])
 
 
 def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int, ...], int]:
@@ -176,7 +167,10 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
         return h2, hk, a, c, int(a == m[0] + m[1])
     while True:
         if m[-1] < 0:
-            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = {expand(model)}")
+            # H as str(expand(model)) words it, without loading picard: the
+            # atlas words this for every candidate it rejects as not nef
+            mults = ",".join(str(i) for i, n in enumerate(c, 1) for _ in range(n))
+            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = ({model.a}; {mults})")
         e = m[0] + m[1] + m[2] - a
         if e <= 0:
             break

@@ -315,6 +315,21 @@ def test_atlas_output_is_pinned(bounds, digest):
     assert _digest(enumerate_atlas(bounds)) == digest
 
 
+@pytest.mark.parametrize("bounds", [p.values[0] for p in ATLAS_DIGESTS],
+                         ids=[p.id for p in ATLAS_DIGESTS])
+def test_not_nef_message_words_h_as_expand(bounds):
+    # the reduction words H from the input counts, without building the class
+    rejected = 0
+    for a, counts in _candidate_grid(bounds):
+        model = PlaneModel(a, counts)
+        try:
+            invariants(model)
+        except NotNef as exc:
+            assert str(exc).partition(" and H = ")[2] == str(expand(model)), model
+            rejected += 1
+    assert rejected >= 10
+
+
 def test_count_numbers_match_the_record():
     # the record takes its H-numbers from the counts, so the counts are also
     # checked against pairings and Riemann-Roch on the expanded classes

@@ -81,15 +81,14 @@ def _modules(names: str) -> set[str]:
 # atlas's, and dataset and report for the benchmark's tracer
 CODEC = "serialize chow counts dataset hodge lattice picard report surfaces"
 # (command, argv, modules of its text form, modules of its JSON form), for
-# every command of the benchmark's cli-session; search loads picard to word
-# the NotNef of a candidate it rejects
+# every command of the benchmark's cli-session
 COMMANDS = [
     ("describe", ["describe", "--surface", "5;7,0,1"],
      "chow counts dataset lattice report surfaces",
      "chow counts dataset lattice report surfaces"),
     ("tables", ["tables"], "chow counts dataset lattice report surfaces",
      "chow counts dataset lattice report surfaces"),
-    ("search", ["search", "--gaps"], "atlas chow counts lattice picard surfaces",
+    ("search", ["search", "--gaps"], "atlas chow counts lattice surfaces",
      "atlas " + CODEC),
     ("ledger", ["ledger", "--diagram", "{diagram}"], "hodge surfaces", CODEC),
     ("invariants", ["invariants", "--surface", "5;7,0,1"], "surfaces", CODEC),
