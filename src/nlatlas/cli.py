@@ -75,10 +75,8 @@ def _cmd_lattice(args) -> int:
     ci = parse_ci(args.ci)
     lat = fourfold_lattice(ci, s)
     disc = discriminant(lat)
-    mod = mod16_class(disc)
-    text = (f"matrix {lat}\ndiscriminant {disc} "
-            f"(residue {mod.residue} mod 16, "
-            + ("admissible" if mod.admissible else "inadmissible") + ")")
+    mod = mod16_class(disc, ci)
+    text = f"matrix {lat}\ndiscriminant {disc} ({mod})"
     _emit(args, lambda: {"lattice": _encode(lat), "discriminant": disc,
                          "mod16": mod._asdict()}, text)
     return EXIT_OK

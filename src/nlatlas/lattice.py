@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .chow import CompleteIntersectionType, self_intersection
+from .chow import CI222, CompleteIntersectionType, self_intersection
 from .surfaces import SurfaceInvariants
 
 
@@ -75,14 +75,22 @@ ADMISSIBLE_RESIDUES = frozenset({0, 7, 12, 15})
 
 class Mod16Class(NamedTuple):
     residue: int
-    admissible: bool
+    admissible: bool | None
+
+    def __str__(self) -> str:
+        if self.admissible is None:
+            return f"residue {self.residue} mod 16"
+        return (f"residue {self.residue} mod 16, "
+                + ("admissible" if self.admissible else "inadmissible"))
 
 
-def mod16_class(disc: int) -> Mod16Class:
-    """Residue of a discriminant mod 16, and whether it lies in the set
-    {0, 7, 12, 15} attainable on a (2,2,2)."""
+def mod16_class(disc: int, ci: CompleteIntersectionType = CI222) -> Mod16Class:
+    """Residue of a discriminant mod 16 and, on a (2,2,2), whether it lies in
+    the set {0, 7, 12, 15}.  That set is the residue set of 8*m22 - deg^2,
+    the discriminant on a (2,2,2) only; on any other type ``admissible`` is
+    None, a residue without a verdict."""
     r = disc % 16
-    return Mod16Class(r, r in ADMISSIBLE_RESIDUES)
+    return Mod16Class(r, r in ADMISSIBLE_RESIDUES if ci == CI222 else None)
 
 
 def expected_residue(degree: int) -> int:

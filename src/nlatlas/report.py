@@ -90,13 +90,12 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
     s = parse_surface_spec(surface_spec)
     lat = fourfold_lattice(ci, s)
     disc = discriminant(lat)
-    mod = mod16_class(disc)
+    mod = mod16_class(disc, ci)
     lines = [
         f"Complete intersection of type {ci} in PP^{ci.ambient_dim}",
         f"of discriminant {disc} = det {lat}"
-        + ("" if mod.admissible else "  [NOT an admissible residue]"),
-        f"(residue {mod.residue} mod 16, "
-        + ("admissible" if mod.admissible else "inadmissible") + ")",
+        + ("  [NOT an admissible residue]" if mod.admissible is False else ""),
+        f"({mod})",
         "",
         f"surface: {s.provenance_label or surface_spec}",
         f"  degree {s.degree}, sectional genus {s.sect_genus}, "

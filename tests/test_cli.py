@@ -75,6 +75,23 @@ def test_lattice_command_json(capsys):
     assert payload["mod16"] == {"residue": 15, "admissible": True}
 
 
+@pytest.mark.parametrize("ci,disc,residue", [("3", 6, 6), ("2,2", -1, 15)])
+def test_mod16_verdict_only_on_222(capsys, ci, disc, residue):
+    argv = ["--ci", ci, "--surface", "5;7,0,1"]
+    code, out, _ = run(capsys, "lattice", *argv)
+    assert code == 0
+    assert out.splitlines()[1] == f"discriminant {disc} (residue {residue} mod 16)"
+    code, out, _ = run(capsys, "--format", "json", "lattice", *argv)
+    assert code == 0
+    assert json.loads(out)["mod16"] == {"residue": residue, "admissible": None}
+    code, out, _ = run(capsys, "describe", *argv)
+    assert code == 0
+    second, third = out.splitlines()[1:3]
+    assert second.startswith(f"of discriminant {disc} = det ")
+    assert "admissible" not in second
+    assert third == f"(residue {residue} mod 16)"
+
+
 def test_invariants_command(capsys):
     code, out, _ = run(capsys, "invariants", "--surface", "3;5,0,0")
     assert code == 0

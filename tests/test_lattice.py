@@ -39,6 +39,18 @@ def test_mod16_examples():
     assert mod16_class(31) == (15, True)
     assert mod16_class(23) == (7, True)
     assert mod16_class(30) == (14, False)
+    assert mod16_class(30, CI222) == (14, False)
+    assert str(mod16_class(30)) == "residue 14 mod 16, inadmissible"
+    assert str(mod16_class(31)) == "residue 15 mod 16, admissible"
+
+
+def test_mod16_gives_no_verdict_off_222():
+    # {0, 7, 12, 15} is the residue set of 8*m22 - deg^2, a (2,2,2) fact
+    for degrees in ((3,), (2, 2), (2, 2, 2, 2)):
+        ci = CompleteIntersectionType(degrees)
+        assert mod16_class(6, ci) == (6, None)
+        assert mod16_class(31, ci) == (15, None)
+        assert str(mod16_class(6, ci)) == "residue 6 mod 16"
 
 
 def test_surface_picard_matrix_examples():
