@@ -86,9 +86,9 @@ class Mod16Class(NamedTuple):
 
 def mod16_class(disc: int, ci: CompleteIntersectionType = CI222) -> Mod16Class:
     """Residue of a discriminant mod 16 and, on a (2,2,2), whether it lies in
-    the set {0, 7, 12, 15}.  That set is the residue set of 8*m22 - deg^2,
-    the discriminant on a (2,2,2) only; on any other type ``admissible`` is
-    None, a residue without a verdict."""
+    {0, 7, 12, 15}.  There the discriminant is 8*m22 - deg^2, and that set
+    is its set of residues; on any other type ``admissible`` is None, a
+    residue without a verdict."""
     r = disc % 16
     return Mod16Class(r, r in ADMISSIBLE_RESIDUES if ci == CI222 else None)
 
