@@ -137,22 +137,37 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...],
 
 
 def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
-    """Every (a, counts) in the bounds that passes the count conditions.
+    """Every Cremona-standard (a, counts) in the bounds that passes the
+    count conditions.
 
-    n_maxmult, ..., n_2 are chosen first, within the H^2 >= 1 budget.  With
-    them fixed, each simple point lowers the degree and h0(H) by one, raises
-    h0(I(2)) by three and leaves the genus alone, so the n_1 that pass form
-    one interval, plus the degree-1 model, whose h0(H) may lie below 4.
+    n_maxmult, ..., n_2 are chosen first, within the H^2 >= 1 budget and
+    with the largest three multiplicities m1 + m2 + m3 <= a (standard).
+    With them fixed, each simple point lowers the degree and h0(H) by one,
+    raises h0(I(2)) by three and leaves the genus alone, so the n_1 that
+    pass form one interval, plus the plane's degree-1 model.
+
+    Only standard models are listed: a model with m1 + m2 + m3 > a
+    Cremona-reduces to one with smaller a, no more points and no higher
+    multiplicity, so inside the bounds too, with the same H^2 and H.K, so
+    passing the same count conditions.  Each surface is thus listed once
+    per standard model, and none reaches the reduction loop.
     """
     need = max(bounds.min_h0_IS2, 3)
     grid = []
 
-    def fill(a: int, high: tuple[int, ...], points: int, budget: int):
+    def fill(a: int, high: tuple[int, ...], points: int, budget: int, top: int, k: int):
+        # top: the sum of the k = min(3, points chosen) largest multiplicities
         i = bounds.max_mult - len(high)
         if i > 1:
             for n in range(min(points, budget // (i * i)) + 1):
-                fill(a, (n,) + high, points - n, budget - n * i * i)
+                t = min(n, 3 - k)
+                if top + t * i > a:     # grows with n: the rest fail too
+                    break
+                fill(a, (n,) + high, points - n, budget - n * i * i, top + t * i, k + t)
             return
+        if a - top < 3 - k:
+            # simple points fill the free places of the top three
+            points = min(points, a - top)
         deg, genus, h0, h0_is2 = _count_numbers(a, (0,) + high)
         if genus < 0 and bounds.require_positive_genus_bound:
             return
@@ -166,7 +181,7 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
             grid.append((a, (deg - 1,) + high))
 
     for a in range(1, bounds.max_a + 1):
-        fill(a, (), bounds.max_points, a * a - 1)
+        fill(a, (), bounds.max_points, a * a - 1, 0, 0)
     return grid
 
 

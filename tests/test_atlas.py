@@ -20,7 +20,8 @@ from nlatlas.errors import NegativeCount, NotNef, ParseError, SpanTooSmall
 from nlatlas.lattice import mod16_class
 from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
 from nlatlas.serialize import encode
-from nlatlas.surfaces import PlaneModel, expand, invariants, parse_surface_spec
+from nlatlas.surfaces import (PlaneModel, expand, invariants, normalize_contractions,
+                              parse_surface_spec)
 
 TABLE_VALUES = {16, 28, 31, 32, 39, 44, 47, 48, 55, 60, 63, 64, 71, 76, 79, 80,
                 87, 92, 96, 103}
@@ -116,16 +117,13 @@ def test_atlas_entries_admissible_and_nonnegative(default_atlas):
         assert 3 <= e.surface.h0_H <= 8
 
 
-def test_cremona_equivalent_models_share_buckets(default_atlas):
-    # the det-31 bucket collects every in-window plane model whose image is a
-    # plane, e.g. the quadratic Cremona system S(2;3), the quintic S(5;0,6)
-    # and S(6;4,1,3), which takes three quadratic transformations to reduce
-    plane_like = {e.model.spec_string() for e in default_atlas
-                  if e.discriminant == 31 and e.surface.degree == 1}
-    assert {"1;0,0,0", "2;3,0,0", "5;0,6,0", "6;4,1,3"} <= plane_like
-    for e in default_atlas:
-        if e.discriminant == 31 and e.surface.degree == 1:
-            assert (e.surface.K2, e.surface.chi_top, e.surface.h0_H) == (9, 3, 3)
+def test_det_31_holds_one_model_per_surface(default_atlas):
+    # the plane is the only surface of degree 1: its Cremona-equivalent models
+    # S(2;3), S(5;0,6) and S(6;4,1,3) are not standard, so they are not listed
+    plane_like = [e for e in default_atlas if e.discriminant == 31 and e.surface.degree == 1]
+    assert [e.model for e in plane_like] == [PlaneModel(1, (0, 0, 0))]
+    assert (plane_like[0].surface.K2, plane_like[0].surface.chi_top,
+            plane_like[0].surface.h0_H) == (9, 3, 3)
 
 
 def test_atlas_codim_window_ordering(default_atlas):
@@ -246,13 +244,28 @@ def test_pool_reports_a_worker_that_dies_and_leaves_no_child(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _box(bounds):
+    """Every (a, counts) of the search box, with counts of the grid's length,
+    listed without ``_candidate_grid``."""
+    return [(a, counts) for a in range(1, bounds.max_a + 1)
+            for counts in itertools.product(range(bounds.max_points + 1),
+                                            repeat=bounds.max_mult)
+            if sum(counts) <= bounds.max_points]
+
+
 def _passes_counts(bounds, a, counts):
     """The conditions on (a, counts) that the grid decides, one candidate at
-    a time."""
+    a time, the standard one aside."""
     deg, genus, h0, h0_is2 = _count_numbers(a, counts)
     return (deg >= 1 and h0 <= 8 and (h0 >= 4 or deg == 1)
             and (genus >= 0 or not bounds.require_positive_genus_bound)
             and h0_is2 >= max(bounds.min_h0_IS2, 3))
+
+
+def _standard(a, counts):
+    """a >= m1 + m2 + m3, read off the sorted multiplicities."""
+    mults = sorted((i for i, n in enumerate(counts, 1) for _ in range(n)), reverse=True)
+    return a >= sum(mults[:3])
 
 
 @pytest.mark.parametrize("bounds", [
@@ -261,37 +274,45 @@ def _passes_counts(bounds, a, counts):
     SearchBounds(max_a=7, max_points=6, max_mult=2),
     SearchBounds(max_a=6, max_points=8, min_h0_IS2=3, require_positive_genus_bound=False),
     SearchBounds(max_a=6, max_points=8, min_h0_IS2=12),
-    # holds the degree-1 pencil S(7;1,5,3), h0(H) = 2, besides the plane:
+    # holds the degree-1 pencil S(3;8), h0(H) = 2, besides the plane:
     # degree 1 passes below h0(H) = 4, off the n_1 interval of the rest
     SearchBounds(max_a=7, max_points=9),
     # drops the plane (h0(I(2)) = 30) but keeps that pencil (32)
     SearchBounds(max_a=7, max_points=9, min_h0_IS2=31),
     # S(9;2,15) has h0(I(2)) = 2, under the floor of 3 quadrics
     SearchBounds(max_a=9, max_points=17, max_mult=2, min_h0_IS2=1),
+    # the n_1 cap: S(4;2,0,1) passes the counts, but 3 + 1 + 1 > 4
+    SearchBounds(max_a=4, max_points=6),
 ])
 def test_pruned_grid_drops_only_rejects(bounds):
-    full = [(a, counts) for a in range(1, bounds.max_a + 1)
-            for counts in itertools.product(range(bounds.max_points + 1),
-                                            repeat=bounds.max_mult)
-            if sum(counts) <= bounds.max_points]
-    kept = [(a, counts) for a, counts in full if _passes_counts(bounds, a, counts)]
+    kept = [(a, counts) for a, counts in _box(bounds)
+            if _passes_counts(bounds, a, counts) and _standard(a, counts)]
     assert sorted(_candidate_grid(bounds)) == kept
     shared = {}
     entries = [e for e in (_evaluate(bounds, a, c, shared) for a, c in kept) if e is not None]
     assert enumerate_atlas(bounds) == sorted(entries, key=lambda e: e.sort_key)
 
 
+def test_grid_caps_simple_points_at_the_standard_bound():
+    grid = _candidate_grid(SearchBounds(max_a=4, max_points=6))
+    # one triple point leaves room for one simple point in the top three
+    assert (4, (1, 0, 1)) in grid and (4, (2, 0, 1)) not in grid
+    assert _passes_counts(SearchBounds(), 4, (2, 0, 1))
+    # the degree-1 point obeys the cap: S(2;3) is the plane after one step
+    assert (1, (0, 0, 0)) in grid and (2, (3, 0, 0)) not in grid
+
+
 # sha256 of the atlas entries' field tuples, one repr per line, on three
 # grids; a deliberate change of atlas output records its new digests here
 ATLAS_DIGESTS = [
     pytest.param(SearchBounds(max_a=8, max_points=13, max_mult=3),
-                 "5c8dd19b657a1825e98ae09ef7ab6ccba6585aa38349396ab8cc143f1fa9b2c0",
+                 "1e896ed1f9533281b04c6464ef1ade48b2442b0217e72f8af37b83611d82ae47",
                  id="default"),
     pytest.param(SearchBounds(max_a=12, max_points=16, max_mult=3),
-                 "b0ffe32cbf243a00cf47531e7ff2298ec75981df729d3b2e2629887bd396d5a0",
+                 "0cb6037a7409af672ffe49d91d01568de005e9d5f192f7f87ae918ce9409dba2",
                  id="a12p16"),
     pytest.param(SearchBounds(max_a=10, max_points=16, max_mult=4),
-                 "a4e5b2cb5a23680b07c7027a0e1e8a01c84f9d9a50874f7a54cbc39b30bcccef",
+                 "1f7ad492f106d1e3398eac2ce5b2a8dea004305066cbf8c41ac551eeab3780eb",
                  id="a10p16m4"),
 ]
 
@@ -315,19 +336,70 @@ def test_atlas_output_is_pinned(bounds, digest):
     assert _digest(enumerate_atlas(bounds)) == digest
 
 
-@pytest.mark.parametrize("bounds", [p.values[0] for p in ATLAS_DIGESTS],
-                         ids=[p.id for p in ATLAS_DIGESTS])
+GRID_BOUNDS = pytest.mark.parametrize("bounds", [p.values[0] for p in ATLAS_DIGESTS],
+                                      ids=[p.id for p in ATLAS_DIGESTS])
+
+
+@GRID_BOUNDS
 def test_not_nef_message_words_h_as_expand(bounds):
-    # the reduction words H from the input counts, without building the class
-    rejected = 0
-    for a, counts in _candidate_grid(bounds):
+    # the reduction words H from the input counts, without building the
+    # class; no grid candidate is rejected so (they are standard), so the
+    # models come from the whole box: every one of degree >= 1, the 10, 10
+    # and 65 that passed the count conditions among them
+    rejected = passing = 0
+    for a, counts in _box(bounds):
+        if _count_numbers(a, counts)[0] < 1:
+            continue
         model = PlaneModel(a, counts)
         try:
             invariants(model)
         except NotNef as exc:
             assert str(exc).partition(" and H = ")[2] == str(expand(model)), model
+            assert not _standard(a, counts), model
             rejected += 1
-    assert rejected >= 10
+            passing += _passes_counts(bounds, a, counts)
+        except SpanTooSmall:
+            pass
+    assert (rejected, passing) == {"default": (19, 10), "a12p16": (19, 10),
+                                   "a10p16m4": (132, 65)}[_grid_name(bounds)]
+
+
+def _grid_name(bounds):
+    return next(p.id for p in ATLAS_DIGESTS if p.values[0] == bounds)
+
+
+@GRID_BOUNDS
+def test_standard_models_lose_no_surface(bounds):
+    """The atlas of every model of the box that passes the count conditions,
+    standard or not, evaluated one at a time: the standard model of each of
+    its entries is an entry with the same numbers, and the same
+    discriminants are attained."""
+    old = []
+    for a, counts in _box(bounds):
+        if _passes_counts(bounds, a, counts):
+            try:
+                entry = _evaluate(bounds, a, counts, {})
+            except NotNef:
+                continue
+            if entry is not None:
+                old.append(entry)
+    new = {(e.model.a, e.model.point_counts): e for e in enumerate_atlas(bounds)}
+    assert (len(old), len(new)) == {"default": (239, 79), "a12p16": (421, 230),
+                                    "a10p16m4": (1118, 299)}[_grid_name(bounds)]
+    numbers = lambda e: (e.surface[:-1], e.lattice, e.discriminant,  # all but the label
+                         e.codim_bound_range, e.h0_IS2, e.h0_N)
+    for e in old:
+        _, _, a, counts, _ = normalize_contractions(e.model)
+        std = new[(a, counts + (0,) * (bounds.max_mult - len(counts)))]
+        assert numbers(std) == numbers(e), (e.model, std.model)
+    assert {e.discriminant for e in old} == {e.discriminant for e in new.values()}
+    if bounds == SearchBounds():
+        # the quadratic Cremona system, a quintic and a three-step reduction
+        # all give the plane
+        reduced = {e.model.spec_string(): normalize_contractions(e.model)[2:4]
+                   for e in old if e.discriminant == 31 and e.surface.degree == 1}
+        for spec in ("1;0,0,0", "2;3,0,0", "5;0,6,0", "6;4,1,3"):
+            assert reduced[spec] == (1, ()), spec
 
 
 def test_count_numbers_match_the_record():
@@ -362,9 +434,10 @@ def test_atlas_work_counts(monkeypatch):
     """Work counted instead of timed, so that a busy host cannot fail it: one
     default atlas evaluates the closed form once per multidegree, builds no
     ``ParameterCount`` and exactly one ``PlaneModel`` per candidate, so no
-    standard model even for the candidates that are not standard, and runs
+    second model even for the candidates whose counts end in zero, which the
+    reduction drops, and runs
     the degree/genus/h0 loop ``_count_numbers`` at most once per grid leaf
-    (a choice of the counts above n_1), never once per candidate: the
+    (a standard choice of the counts above n_1), never once per candidate: the
     Cremona reduction returns those numbers itself.  It builds
     at most one lattice and one codimension window per distinct (degree,
     genus, K^2) among the nef candidates, and a second call builds them all
@@ -380,14 +453,13 @@ def test_atlas_work_counts(monkeypatch):
             continue
         surfaces_seen.add((s.degree, s.sect_genus, s.K2))
     assert len(surfaces_seen) == 90
-    nonstandard = sum(1 for a, counts in grid
-                      if (counts and not counts[-1])
-                      or a < sum(sorted(expand(PlaneModel(a, counts)).mults)[-3:]))
+    trailing_zero = sum(1 for _, counts in grid if not counts[-1])
     leaves = sum(1 for a in range(1, bounds.max_a + 1)
                  for high in itertools.product(range(bounds.max_points + 1),
                                                repeat=bounds.max_mult - 1)
                  if sum(high) <= bounds.max_points
-                 and sum(i * i * n for i, n in enumerate(high, 2)) < a * a)
+                 and sum(i * i * n for i, n in enumerate(high, 2)) < a * a
+                 and _standard(a, (0,) + high))
     built = {"model": 0, "count": 0, "loop": 0, "window": 0, "chi": 0, "lattice": 0}
 
     def counted_loop(*args):
@@ -424,17 +496,17 @@ def test_atlas_work_counts(monkeypatch):
     counted(PlaneModel, "model")
     counted(ParameterCount, "count")
     _closed_form.cache_clear()
-    assert len(enumerate_atlas(bounds)) == 239
+    assert len(enumerate_atlas(bounds)) == 79
     assert _closed_form.cache_info().misses == 1     # (2,2,2) only
     assert built["count"] == 0
-    assert 0 < nonstandard < len(grid)
+    assert 0 < trailing_zero < len(grid)
     assert built["model"] == len(grid)
     assert 0 < built["loop"] <= leaves < len(grid)
     assert 0 < built["chi"] <= 2 * built["window"]
     assert 0 < built["window"] <= built["lattice"] <= len(surfaces_seen)
     # nothing is kept across calls: the second call does all of it again
     first = dict(built)
-    assert len(enumerate_atlas(bounds)) == 239
+    assert len(enumerate_atlas(bounds)) == 79
     assert (built["lattice"], built["window"]) == (2 * first["lattice"],
                                                   2 * first["window"])
 

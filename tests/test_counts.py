@@ -1,12 +1,13 @@
+import itertools
+
 import pytest
 
-from nlatlas.atlas import SearchBounds, _candidate_grid
 from nlatlas.counts import (chi_NSX_lower, codimension_bound, codimension_window,
                             h0_normal_bundle, h0_quadrics, FLAG_NODAL_FIT,
                             FLAG_VANISHING)
-from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef, SpanTooSmall
-from nlatlas.surfaces import (SurfaceInvariants, abstract_surface, invariants,
-                              parse_surface_spec, PlaneModel)
+from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef
+from nlatlas.surfaces import (SurfaceInvariants, _count_numbers, abstract_surface,
+                              invariants, parse_surface_spec, PlaneModel)
 
 DEL_PEZZO = invariants(PlaneModel(3, (5,)))
 PLANE = invariants(PlaneModel(1))
@@ -110,11 +111,18 @@ def _outcome(f, s):
 
 def test_window_matches_codimension_bound(dataset):
     surfaces = [parse_surface_spec(row.surface) for row in dataset.rows]
-    for a, counts in _candidate_grid(SearchBounds()):
-        try:
-            surfaces.append(invariants(PlaneModel(a, counts)))
-        except (NotNef, SpanTooSmall):
-            pass
+    # every model of the default box that passes the count conditions,
+    # standard or not, so Cremona-equivalent models too
+    for a in range(1, 9):
+        for counts in itertools.product(range(14), repeat=3):
+            deg, genus, h0, h0_is2 = _count_numbers(a, counts)
+            if (sum(counts) > 13 or deg < 1 or h0 > 8 or (h0 < 4 and deg != 1)
+                    or genus < 0 or h0_is2 < 7):
+                continue
+            try:
+                surfaces.append(invariants(PlaneModel(a, counts)))
+            except NotNef:
+                pass
     assert len(surfaces) == 41 + 294
     for s in surfaces:
         assert _outcome(codimension_window, s) == _outcome(_window_from_bounds, s), s
