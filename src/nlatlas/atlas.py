@@ -7,8 +7,8 @@ conditions are decided on (a, counts), while the grid is generated:
 
   * the image has degree H^2 >= 1 and, when the bounds ask for it,
     non-negative sectional genus 1 + (H^2 + H.K)/2,
-  * the system embeds: h0(H) = 1 + (H^2 - H.K)/2 between 4 and 8; models
-    of degree 1, the plane among them (h0 = 3), pass at any h0(H) <= 8,
+  * the system embeds: h0(H) = 1 + (H^2 - H.K)/2 between 4 and 8, or it
+    is the plane, degree 1 with h0(H) = 3,
   * at least min_h0_IS2 (and at least 3) quadrics pass through it,
     h0(I(2)) = 35 - 2 H^2 + H.K,
 
@@ -176,8 +176,9 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
         # n_1 <= points, degree - n_1 >= 1 and h0(H) - n_1 >= 4
         hi = min(points, deg - 1, h0 - 4)
         grid.extend([(a, (n,) + high) for n in range(lo, hi + 1)])
-        # n_1 = deg - 1 gives degree 1, which needs no h0(H) >= 4
-        if hi < deg - 1 <= points and lo <= deg - 1:
+        # n_1 = deg - 1 gives degree 1, which embeds only as the plane,
+        # h0(H) = 3, below the interval; the pencils (h0(H) <= 2) do not
+        if h0 - (deg - 1) == 3 and lo <= deg - 1 <= points:
             grid.append((a, (deg - 1,) + high))
 
     for a in range(1, bounds.max_a + 1):

@@ -253,11 +253,12 @@ def _box(bounds):
             if sum(counts) <= bounds.max_points]
 
 
-def _passes_counts(bounds, a, counts):
+def _passes_counts(bounds, a, counts, pencils=False):
     """The conditions on (a, counts) that the grid decides, one candidate at
-    a time, the standard one aside."""
+    a time, the standard one aside.  With ``pencils``, degree 1 passes at any
+    h0(H), as it did before the grid admitted only the plane."""
     deg, genus, h0, h0_is2 = _count_numbers(a, counts)
-    return (deg >= 1 and h0 <= 8 and (h0 >= 4 or deg == 1)
+    return (deg >= 1 and h0 <= 8 and (h0 >= 4 or (deg == 1 and (h0 == 3 or pencils)))
             and (genus >= 0 or not bounds.require_positive_genus_bound)
             and h0_is2 >= max(bounds.min_h0_IS2, 3))
 
@@ -274,10 +275,10 @@ def _standard(a, counts):
     SearchBounds(max_a=7, max_points=6, max_mult=2),
     SearchBounds(max_a=6, max_points=8, min_h0_IS2=3, require_positive_genus_bound=False),
     SearchBounds(max_a=6, max_points=8, min_h0_IS2=12),
-    # holds the degree-1 pencil S(3;8), h0(H) = 2, besides the plane:
-    # degree 1 passes below h0(H) = 4, off the n_1 interval of the rest
+    # the plane passes below h0(H) = 4, off the n_1 interval of the rest;
+    # the degree-1 pencil S(3;8), h0(H) = 2, passes every other condition
     SearchBounds(max_a=7, max_points=9),
-    # drops the plane (h0(I(2)) = 30) but keeps that pencil (32)
+    # drops the plane (h0(I(2)) = 30) and that pencil (32) alike
     SearchBounds(max_a=7, max_points=9, min_h0_IS2=31),
     # S(9;2,15) has h0(I(2)) = 2, under the floor of 3 quadrics
     SearchBounds(max_a=9, max_points=17, max_mult=2, min_h0_IS2=1),
@@ -357,7 +358,7 @@ def test_not_nef_message_words_h_as_expand(bounds):
             assert str(exc).partition(" and H = ")[2] == str(expand(model)), model
             assert not _standard(a, counts), model
             rejected += 1
-            passing += _passes_counts(bounds, a, counts)
+            passing += _passes_counts(bounds, a, counts, pencils=True)
         except SpanTooSmall:
             pass
     assert (rejected, passing) == {"default": (19, 10), "a12p16": (19, 10),
@@ -402,6 +403,19 @@ def test_standard_models_lose_no_surface(bounds):
             assert reduced[spec] == (1, ()), spec
 
 
+@GRID_BOUNDS
+def test_degree_one_point_admits_only_the_plane(bounds):
+    # standard degree-1 models with h0(H) != 3 are pencils or nets without an
+    # embedding; none gave an entry when the grid admitted them
+    pencils = [(a, counts) for a, counts in _box(bounds)
+               if _standard(a, counts) and _passes_counts(bounds, a, counts, pencils=True)
+               and _count_numbers(a, counts)[0] == 1 and _count_numbers(a, counts)[2] != 3]
+    assert len(pencils) == {"default": 5, "a12p16": 27, "a10p16m4": 31}[_grid_name(bounds)]
+    assert all(_evaluate(bounds, a, counts, {}) is None for a, counts in pencils)
+    grid = _candidate_grid(bounds)
+    assert [c for c in grid if _count_numbers(*c)[0] == 1] == [(1, (0,) * bounds.max_mult)]
+
+
 def test_count_numbers_match_the_record():
     # the record takes its H-numbers from the counts, so the counts are also
     # checked against pairings and Riemann-Roch on the expanded classes
@@ -436,7 +450,7 @@ def test_atlas_work_counts(monkeypatch):
     ``ParameterCount`` and exactly one ``PlaneModel`` per candidate, so no
     second model even for the candidates whose counts end in zero, which the
     reduction drops, and runs
-    the degree/genus/h0 loop ``_count_numbers`` at most once per grid leaf
+    the degree/genus/h0 loop ``_count_numbers`` exactly once per grid leaf
     (a standard choice of the counts above n_1), never once per candidate: the
     Cremona reduction returns those numbers itself.  It builds
     at most one lattice and one codimension window per distinct (degree,
@@ -452,7 +466,7 @@ def test_atlas_work_counts(monkeypatch):
         except NotNef:
             continue
         surfaces_seen.add((s.degree, s.sect_genus, s.K2))
-    assert len(surfaces_seen) == 90
+    assert len(surfaces_seen) == 85
     trailing_zero = sum(1 for _, counts in grid if not counts[-1])
     leaves = sum(1 for a in range(1, bounds.max_a + 1)
                  for high in itertools.product(range(bounds.max_points + 1),
@@ -501,7 +515,7 @@ def test_atlas_work_counts(monkeypatch):
     assert built["count"] == 0
     assert 0 < trailing_zero < len(grid)
     assert built["model"] == len(grid)
-    assert 0 < built["loop"] <= leaves < len(grid)
+    assert built["loop"] == leaves > 0     # the grid's calls, none per candidate
     assert 0 < built["chi"] <= 2 * built["window"]
     assert 0 < built["window"] <= built["lattice"] <= len(surfaces_seen)
     # nothing is kept across calls: the second call does all of it again
