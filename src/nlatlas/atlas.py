@@ -50,7 +50,6 @@ from typing import NamedTuple
 
 from .chow import CI222
 from .counts import codimension_window
-from .errors import NotNef
 from .lattice import RankTwoLattice, discriminant, fourfold_lattice, mod16_class
 from .surfaces import PlaneModel, SurfaceInvariants, _count_numbers, invariants
 
@@ -114,12 +113,9 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...],
     holds the lattice, discriminant and window of each surface seen so far
     in this call (None for the window of a negative discriminant)."""
     model = PlaneModel(a, counts)
-    # the grid holds only models with H^2 >= 1 and h0(H) >= 4 or degree 1, so
-    # a SpanTooSmall or H^2 ValueError here would be a fault; NotNef rejects
-    try:
-        s = invariants(model)
-    except NotNef:
-        return None
+    # the grid holds only standard models with H^2 >= 1 and h0(H) >= 4 or the
+    # plane, so a NotNef, SpanTooSmall or H^2 ValueError here would be a fault
+    s = invariants(model)
     # the numbers of s that the lattice and the window read
     key = (s.degree, s.sect_genus, s.K2, s.chi_O, s.nodes)
     found = shared.get(key)

@@ -294,6 +294,13 @@ def test_pruned_grid_drops_only_rejects(bounds):
     assert enumerate_atlas(bounds) == sorted(entries, key=lambda e: e.sort_key)
 
 
+def test_evaluate_raises_on_a_model_that_is_not_nef():
+    # S(3;0,2) is not standard, so never a grid candidate: a NotNef in
+    # _evaluate is a fault, like a SpanTooSmall
+    with pytest.raises(NotNef):
+        _evaluate(SearchBounds(), 3, (0, 2, 0), {})
+
+
 def test_grid_caps_simple_points_at_the_standard_bound():
     grid = _candidate_grid(SearchBounds(max_a=4, max_points=6))
     # one triple point leaves room for one simple point in the top three
@@ -459,13 +466,8 @@ def test_atlas_work_counts(monkeypatch):
     at most two ``chi_twist`` calls per window."""
     bounds = SearchBounds()
     grid = _candidate_grid(bounds)
-    surfaces_seen = set()
-    for a, counts in grid:
-        try:
-            s = invariants(PlaneModel(a, counts))
-        except NotNef:
-            continue
-        surfaces_seen.add((s.degree, s.sect_genus, s.K2))
+    surfaces_seen = {(s.degree, s.sect_genus, s.K2)
+                     for s in (invariants(PlaneModel(a, counts)) for a, counts in grid)}
     assert len(surfaces_seen) == 85
     trailing_zero = sum(1 for _, counts in grid if not counts[-1])
     leaves = sum(1 for a in range(1, bounds.max_a + 1)
