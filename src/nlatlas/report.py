@@ -13,7 +13,7 @@ from .dataset import Dataset, TableRow
 from .errors import DatasetMissing, NLAtlasError
 from .lattice import (discriminant, fourfold_lattice, mod16_class,
                       surface_matrix)
-from .surfaces import SurfaceInvariants, parse_surface_spec
+from .surfaces import SurfaceInvariants, parse_surface_spec, standard_model
 
 
 class RowCheck(NamedTuple):
@@ -91,6 +91,7 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
     lat = fourfold_lattice(ci, s)
     disc = discriminant(lat)
     mod = mod16_class(disc, ci)
+    standard = standard_model(surface_spec)
     lines = [
         f"Complete intersection of type {ci} in PP^{ci.ambient_dim}",
         f"of discriminant {disc} = det {lat}"
@@ -98,6 +99,7 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
         f"({mod})",
         "",
         f"surface: {s.provenance_label or surface_spec}",
+        *([f"  Cremona-standard model {standard}, the same surface"] if standard else []),
         f"  degree {s.degree}, sectional genus {s.sect_genus}, "
         f"K^2 = {s.K2}, chi(O) = {s.chi_O}, chi_top = {s.chi_top}",
         f"  h0(O(H)) = {s.h0_H}, span PP^{s.span_dim}"

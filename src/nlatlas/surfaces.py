@@ -390,3 +390,15 @@ def parse_surface_spec(text: str) -> SurfaceInvariants:
             f"surface spans P^{s.h0_H - 1}: apply int-proj/ext-proj/nodes= to land in P^7"
         )
     return s
+
+
+def standard_model(text: str) -> PlaneModel | None:
+    """The Cremona-standard model of the plane model that opens the spec
+    ``text``, which must parse, when reducing it lowers a; None for an
+    ``abs:`` spec and for a model that is standard already."""
+    base = text.split()[0]
+    if base.startswith("abs:"):
+        return None
+    model = _parse_plane(text, base, text.index(base))
+    _, _, a, counts, _ = normalize_contractions(model)
+    return PlaneModel(a, counts) if a < model.a else None

@@ -563,6 +563,22 @@ def test_describe_without_dataset_row_shows_window():
     assert "discriminant 64" in text
 
 
+@pytest.mark.parametrize("spec,standard", [
+    ("5;2,4", "S(4;5,1)"),
+    ("6;4,1,3", "S(1;)"),       # three quadratic transformations to the plane
+    (" 2;3 ", "S(1;)"),
+    ("5;2,4 int-proj", "S(4;5,1)"),
+    ("3;5,0,0,0", None),        # standard: the reduction only drops its zeros
+    ("5;7,0,1", None),
+    ("abs:deg=13,g=8,K2=-1,chiO=2", None),
+])
+def test_describe_names_the_standard_model(spec, standard):
+    named = [line for line in describe(spec, nl.CI222, None).splitlines()
+             if "standard" in line]
+    assert named == ([f"  Cremona-standard model {standard}, the same surface"]
+                     if standard else [])
+
+
 @pytest.mark.parametrize("spec,row_id", [
     ("3;5,0,0", "t1-01"),
     (" 3;5,0,0", "t1-01"),

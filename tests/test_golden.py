@@ -48,6 +48,8 @@ COMMANDS = {
     "describe-row-leading-zero": ["describe", "--surface", "03;5,0,0"],
     # ... while a trailing zero count gives another label and the window
     "describe-row-trailing-zero": ["describe", "--surface", "3;5,0,0,0"],
+    # not standard: the report names S(4;5,1), the atlas entry of its surface
+    "describe-nonstandard": ["describe", "--surface", "5;2,4"],
     "invariants": ["invariants", "--surface", "5;7,0,1"],
     "lattice-surface": ["lattice", "--surface", "5;7,0,1"],
     "lattice-abs": ["lattice", "--abs", "deg=13,g=12,K2=2,chiO=4"],
