@@ -282,7 +282,8 @@ def _standard(a, counts):
     SearchBounds(max_a=7, max_points=9, min_h0_IS2=31),
     # S(9;2,15) has h0(I(2)) = 2, under the floor of 3 quadrics
     SearchBounds(max_a=9, max_points=17, max_mult=2, min_h0_IS2=1),
-    # the n_1 cap: S(4;2,0,1) passes the counts, but 3 + 1 + 1 > 4
+    # the n_1 cap: S(4;2,0,1) passes the counts, but 3 + 1 + 1 > 4; at the
+    # degree-1 point, S(2;3) is the plane but 1 + 1 + 1 > 2
     SearchBounds(max_a=4, max_points=6),
 ])
 def test_pruned_grid_drops_only_rejects(bounds):
@@ -299,15 +300,6 @@ def test_evaluate_raises_on_a_model_that_is_not_nef():
     # _evaluate is a fault, like a SpanTooSmall
     with pytest.raises(NotNef):
         _evaluate(SearchBounds(), 3, (0, 2, 0), {})
-
-
-def test_grid_caps_simple_points_at_the_standard_bound():
-    grid = _candidate_grid(SearchBounds(max_a=4, max_points=6))
-    # one triple point leaves room for one simple point in the top three
-    assert (4, (1, 0, 1)) in grid and (4, (2, 0, 1)) not in grid
-    assert _passes_counts(SearchBounds(), 4, (2, 0, 1))
-    # the degree-1 point obeys the cap: S(2;3) is the plane after one step
-    assert (1, (0, 0, 0)) in grid and (2, (3, 0, 0)) not in grid
 
 
 # sha256 of the atlas entries' field tuples, one repr per line, on three
