@@ -448,10 +448,10 @@ def test_atlas_work_counts(monkeypatch):
     default atlas evaluates the closed form once per multidegree, builds no
     ``ParameterCount`` and exactly one ``PlaneModel`` per candidate, so no
     second model even for the candidates whose counts end in zero, which the
-    reduction drops, and runs
-    the degree/genus/h0 loop ``_count_numbers`` exactly once per grid leaf
-    (a standard choice of the counts above n_1), never once per candidate: the
-    Cremona reduction returns those numbers itself.  It builds
+    reduction drops, and runs the degree/genus/h0 loop ``_count_numbers``
+    exactly once per grid leaf (a standard choice of the counts above n_1),
+    never once per candidate: the Cremona reduction returns those numbers
+    itself.  It builds
     at most one lattice and one codimension window per distinct (degree,
     genus, K^2) among the nef candidates, and a second call builds them all
     again.  Each codimension window takes chi(O_S(2H)) and chi(O_S(H)) once:
