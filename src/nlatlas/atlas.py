@@ -39,12 +39,13 @@ call, a dict from them to what it computed, so such entries share one
 serve 683 candidates, and a serial pass over them ran at 5.85M
 candidates/s with the dict and 5.50M without it (medians of 8 alternating
 pairs of 10-second benchmark runs, Python 3.11, 2 shared cores).  Nothing
-is kept between calls, and each worker keeps its own dict.
+is kept between calls.
 
-The output is a pure function of the bounds: entries are sorted by
-(discriminant, a, point counts), so runs with any worker count agree byte
-for byte.  Gap claims are always reported together with the bounds that
-produced them; nothing is asserted beyond the enumeration window.
+The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
+the grid in one serial pass and sorts the entries by (discriminant, a,
+point counts), so every run agrees byte for byte.  Gap claims are always
+reported together with the bounds that produced them; nothing is asserted
+beyond the enumeration window.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ class SearchBounds(_SearchBoundsFields):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
             limits.append(value)
+        # the string "false" would switch the filter on
+        if not isinstance(require_positive_genus_bound, bool):
+            raise TypeError("require_positive_genus_bound must be a bool, got "
+                            f"{require_positive_genus_bound!r}")
         return tuple.__new__(cls, (*limits, require_positive_genus_bound))
 
     def describe(self) -> str:
@@ -193,70 +198,13 @@ def _evaluate_chunk(bounds: SearchBounds,
     return out
 
 
-def _send_share(conn, bounds: SearchBounds,
-                share: list[tuple[int, tuple[int, ...]]]) -> None:
-    """Body of a forked worker: evaluate ``share`` and send back the entries,
-    or the exception it raised with its traceback text, as ``(ok, value)``."""
-    try:
-        result = (True, _evaluate_chunk(bounds, share))
-    except Exception as exc:
-        import traceback
-        result = (False, (exc, traceback.format_exc()))
-    conn.send(result)
-
-
-def _evaluate_strided(bounds: SearchBounds, grid: list[tuple[int, tuple[int, ...]]],
-                      n: int) -> list[AtlasEntry]:
-    """Evaluate ``grid[0::n]`` here and each ``grid[j::n]``, 0 < j < n, in a
-    forked process.  A candidate's cost grows with a, and strides spread the
-    costly ones evenly.  No worker outlives the call."""
-    # imported here so that serial runs and the CLI do not pay for it;
-    # fork, because workers inherit the grid and any wrappers of this module
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    procs, pipes = [], []
-    try:
-        for j in range(1, n):
-            recv, send = ctx.Pipe(duplex=False)
-            pipes.append(recv)
-            p = ctx.Process(target=_send_share, args=(send, bounds, grid[j::n]))
-            p.start()
-            procs.append(p)
-            send.close()
-        entries = _evaluate_chunk(bounds, grid[0::n])
-        # read every pipe before joining: a worker blocks until its result is read
-        for recv in pipes:
-            try:
-                ok, part = recv.recv()
-            except EOFError:
-                raise ChildProcessError("an atlas worker exited before sending its share") from None
-            if not ok:
-                exc, text = part
-                raise exc from ChildProcessError(f"in an atlas worker:\n{text}")
-            entries.extend(part)
-    except BaseException:
-        for p in procs:
-            p.terminate()
-        raise
-    finally:
-        for p in procs:
-            p.join()
-        for recv in pipes:
-            recv.close()
-    return entries
-
-
 def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> list[AtlasEntry]:
-    """Build the atlas; identical output for every worker count, which is
-    capped at the number of candidates (see ``_evaluate_strided``)."""
+    """Build the atlas, sorted by ``AtlasEntry.sort_key``.  ``workers`` is
+    accepted and does not change how the grid is evaluated: every call is
+    one serial pass.  ROADMAP item 5 removes it together with the benchmark's
+    ``atlas-pool`` workload, which passes ``workers=2``."""
     bounds = bounds or SearchBounds()
-    grid = _candidate_grid(bounds)
-    workers = min(workers, len(grid))
-    if workers <= 1:
-        entries = _evaluate_chunk(bounds, grid)
-    else:
-        entries = _evaluate_strided(bounds, grid, workers)
+    entries = _evaluate_chunk(bounds, _candidate_grid(bounds))
     entries.sort(key=lambda e: e.sort_key)
     return entries
 

@@ -64,6 +64,7 @@ class ParseError(NLAtlasError):
         super().__init__(f"{message} (at position {position} in {text!r})")
 
     def __reduce__(self):
-        # pickle would pass back the one formatted argument; the atlas pool
-        # sends a worker's exception to the caller by pickle
+        # pickle would pass back the one formatted argument, and unpickling
+        # would fail with "missing 'text' and 'position'"; a caller's own
+        # process pool sends a worker's exception back by pickle
         return type(self), (self.message, self.text, self.position), self.__dict__

@@ -17,6 +17,7 @@ formula, K^2.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .errors import (DimensionMismatch, Inconsistent, Underdetermined,
@@ -39,7 +40,9 @@ class HodgeDiamond(_HodgeDiamondFields):
     def __new__(cls, dim: int, entries):
         if dim not in (0, 1, 2, 4):
             raise ValueError(f"dimension must be 0, 1, 2 or 4, got {dim}")
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        # operator.index rejects floats and strings, which int() would truncate
+        # or parse
+        rows = tuple(tuple(map(operator.index, row)) for row in entries)
         n = dim + 1
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"need a {n}x{n} table for dimension {dim}")

@@ -1,8 +1,8 @@
 """The import contract: ``import nlatlas`` loads no submodule, ``import
 nlatlas.cli`` loads only ``errors``, each command loads exactly the modules it
 runs, atlas (and ``dataclasses``) only where it enumerates or codes an atlas
-record, a serial atlas starts no process machinery, and every public name of
-the package is the object of its home module."""
+record, an atlas of any worker count loads no process machinery, and every
+public name of the package is the object of its home module."""
 
 import importlib
 import json
@@ -138,17 +138,21 @@ PROCESS_MODULES = {"multiprocessing", "concurrent.futures"}
 
 @pytest.mark.parametrize("statement", [
     "import nlatlas\nnlatlas.enumerate_atlas()",
+    "import nlatlas\nnlatlas.enumerate_atlas(workers=2)",
     "import contextlib, io\nfrom nlatlas.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    assert main(['search', '--gaps']) == 0",
-], ids=["enumerate_atlas", "search-gaps"])
+], ids=["enumerate_atlas", "workers-2", "search-gaps"])
 def test_serial_atlas_loads_no_process_machinery(fresh_env, statement):
     assert not loaded_after(statement, fresh_env) & PROCESS_MODULES
 
 
 def test_no_module_imports_concurrent_futures():
+    # nor multiprocessing: every worker count runs the one serial pass
     for path in Path(nl.__file__).parent.glob("*.py"):
-        assert "concurrent.futures" not in path.read_text(), path.name
+        text = path.read_text()
+        assert "concurrent.futures" not in text, path.name
+        assert "multiprocessing" not in text, path.name
 
 
 def test_public_names_are_their_home_objects():

@@ -1,5 +1,5 @@
-"""Behaviour of the record types: every one survives pickle (the atlas pool
-ships records that way) and refuses attribute assignment; the codec kinds
+"""Behaviour of the record types: every one survives pickle (so a caller's own
+process pool can ship it) and refuses attribute assignment; the codec kinds
 round-trip; and the checks of the validated records run however a record is
 built: directly, by ``serialize.decode`` and as a projection's result."""
 
@@ -101,6 +101,17 @@ def test_attributes_cannot_be_set(value):
         "ci-degree", "divisor", "diamond-dim", "diamond-symmetry", "bounds"])
 def test_direct_construction_validates(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nl.HodgeDiamond(2, ((1, 0, 2.7), (0, True, 0), (2.2, 0, 1))),
+    lambda: nl.HodgeDiamond(0, [["1"]]),
+    lambda: nl.SearchBounds(require_positive_genus_bound=1),
+], ids=["diamond-float", "diamond-str", "bounds-genus-int"])
+def test_direct_construction_refuses_inexact_types(build):
+    # int() would truncate 2.7 and parse "1"; the genus filter takes a bool
+    with pytest.raises(TypeError):
         build()
 
 
