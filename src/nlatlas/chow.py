@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import NamedTuple
 
@@ -50,13 +51,29 @@ class CompleteIntersectionType(_CompleteIntersectionTypeFields):
 
     @property
     def fourfold_degree(self) -> int:
-        p = 1
-        for a in self.degrees:
-            p *= a
-        return p
+        return _constants(self.degrees).fourfold_degree
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(a) for a in self.degrees) + ")"
+        return _constants(self.degrees).text
+
+
+class _Constants(NamedTuple):
+    fourfold_degree: int
+    text: str
+    closed_form: tuple[int, int]
+
+
+@functools.cache
+def _constants(degrees: tuple[int, ...]) -> _Constants:
+    """The numbers of a multidegree that every request reads, computed once
+    per multidegree: the degree a_1 * ... * a_r of the fourfold, its text
+    "(a_1,...,a_r)" and the closed-form (cH2, cHK) pair."""
+    r = len(degrees)
+    s = sum(degrees)
+    s2 = sum(a * b for a, b in itertools.combinations(degrees, 2))
+    ch2 = (r + 4) * (r + 5) // 2 - (r + 5) * s + s * s - s2
+    return _Constants(math.prod(degrees), "(" + ",".join(map(str, degrees)) + ")",
+                      (ch2, r + 5 - s))
 
 
 CI222 = CompleteIntersectionType((2, 2, 2))
@@ -128,18 +145,7 @@ def _power(base: TruncatedClass, n: int) -> TruncatedClass:
 
 def closed_form_coefficients(ci: CompleteIntersectionType) -> tuple[int, int]:
     """The (cH2, cHK) pair straight from the closed formula."""
-    return _closed_form(ci.degrees)
-
-
-@functools.cache
-def _closed_form(degrees: tuple[int, ...]) -> tuple[int, int]:
-    """The closed formula, evaluated once per multidegree."""
-    r = len(degrees)
-    s = sum(degrees)
-    s2 = sum(a * b for a, b in itertools.combinations(degrees, 2))
-    ch2 = (r + 4) * (r + 5) // 2 - (r + 5) * s + s * s - s2
-    chk = r + 5 - s
-    return ch2, chk
+    return _constants(ci.degrees).closed_form
 
 
 def chern_engine_coefficients(ci: CompleteIntersectionType) -> tuple[int, int]:
@@ -173,7 +179,7 @@ NODE_CORRECTION = 2
 def self_intersection(ci: CompleteIntersectionType, s: SurfaceInvariants) -> int:
     """(S)^2_X for the cycle class of s inside a fourfold of type ci, with
     ``NODE_CORRECTION`` per node."""
-    ch2, chk = _closed_form(ci.degrees)
+    ch2, chk = _constants(ci.degrees).closed_form
     return ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top + NODE_CORRECTION * s.nodes
 
 

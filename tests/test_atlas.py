@@ -9,7 +9,7 @@ import pytest
 from nlatlas import atlas, surfaces
 from nlatlas.atlas import (SearchBounds, _candidate_grid, _count_numbers,
                            _evaluate, enumerate_atlas, gap_report)
-from nlatlas.chow import _closed_form
+from nlatlas.chow import _constants
 from nlatlas.counts import (H0_QUADRICS_P7, ParameterCount, codimension_window,
                             h0_quadrics)
 from nlatlas.errors import NegativeCount, NotNef, ParseError, SpanTooSmall
@@ -429,9 +429,9 @@ def test_atlas_work_counts(monkeypatch):
 
     counted(PlaneModel, "model")
     counted(ParameterCount, "count")
-    _closed_form.cache_clear()
+    _constants.cache_clear()
     assert len(enumerate_atlas(bounds)) == 79
-    assert _closed_form.cache_info().misses == 1     # (2,2,2) only
+    assert _constants.cache_info().misses == 1     # (2,2,2) only
     assert built["count"] == 0
     assert 0 < trailing_zero < len(grid)
     assert built["model"] == len(grid)
