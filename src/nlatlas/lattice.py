@@ -89,8 +89,12 @@ def mod16_class(disc: int, ci: CompleteIntersectionType = CI222) -> Mod16Class:
     {0, 7, 12, 15}.  There the discriminant is 8*m22 - deg^2, and that set
     is its set of residues; on any other type ``admissible`` is None, a
     residue without a verdict."""
-    r = disc % 16
-    return Mod16Class(r, r in ADMISSIBLE_RESIDUES if ci == CI222 else None)
+    return (_MOD16_222 if ci == CI222 else _MOD16_NO_VERDICT)[disc % 16]
+
+
+# the 32 classes mod16_class returns: with the (2,2,2) verdict and without one
+_MOD16_222 = tuple(Mod16Class(r, r in ADMISSIBLE_RESIDUES) for r in range(16))
+_MOD16_NO_VERDICT = tuple(Mod16Class(r, None) for r in range(16))
 
 
 def expected_residue(degree: int) -> int:
