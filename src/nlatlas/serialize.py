@@ -12,6 +12,7 @@ integers end to end.
 from __future__ import annotations
 
 import enum
+import operator
 import typing
 from typing import Any
 
@@ -45,15 +46,20 @@ WIRE_NAMES = {(DivisorClass, "plane_degree"): "d"}
 SCALARS = (int, str, bool)
 
 
-def _to_wire(value: Any) -> Any:
-    # a record is a tuple too, so it is looked up first
-    if type(value) in _ENCODERS:
-        return encode(value)
-    if isinstance(value, tuple):
-        return [_to_wire(v) for v in value]
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value
+def _writer(hint: Any) -> Any:
+    """Turn a field of type ``hint`` into its wire value; None for a scalar,
+    which goes on the wire as it is."""
+    if hint in SCALARS:
+        return None
+    if isinstance(hint, enum.EnumMeta):
+        return operator.attrgetter("value")
+    if typing.get_origin(hint) is tuple:
+        item = _writer(typing.get_args(hint)[0])
+        if item is None:
+            return list
+        return lambda value: [item(v) for v in value]
+    # encode is looked up at each call: it is defined below
+    return lambda value: encode(value)
 
 
 def _reader(hint: Any) -> Any:
@@ -94,8 +100,7 @@ def _layout(cls: type) -> tuple[tuple[str, str, Any, Any], ...]:
     """(attribute, wire name, to wire, from wire) for each field; None as the
     encoder keeps the value, which spares scalar fields, most of every
     record, a call per field."""
-    return tuple((name, WIRE_NAMES.get((cls, name), name),
-                  None if hint in SCALARS else _to_wire, _reader(hint))
+    return tuple((name, WIRE_NAMES.get((cls, name), name), _writer(hint), _reader(hint))
                  for name, hint in typing.get_type_hints(cls).items())
 
 
