@@ -316,18 +316,23 @@ def _parse_plane(text: str, base: str, start: int) -> PlaneModel:
     a = _parse_int(text, head, start)
     if a < 1:
         raise ParseError(f"plane-curve degree must be >= 1, got {a}", text, start)
-    counts: list[int] = []
-    if tail:
-        offset = start + len(head) + 1
-        for token in tail.split(","):
-            if token == "":
-                raise ParseError("empty point count", text, offset)
-            n = _parse_int(text, token, offset)
-            if n < 0:
-                raise ParseError(f"point counts must be >= 0, got {n}", text, offset)
-            counts.append(n)
-            offset += len(token) + 1
-    return PlaneModel(a, counts)
+    counts = tail.split(",") if tail else []
+    # one test for a well-formed list: ASCII digits between single commas
+    if tail and not (tail.isascii() and tail.replace(",", "").isdigit() and "" not in counts):
+        _check_counts(text, counts, start + len(head) + 1)
+    return PlaneModel(a, map(int, counts))
+
+
+def _check_counts(text: str, counts: list[str], offset: int) -> None:
+    """Raise the ``ParseError`` of the first bad count, at its position; a
+    list of signed zeros and digits ("-0") has none."""
+    for token in counts:
+        if token == "":
+            raise ParseError("empty point count", text, offset)
+        n = _parse_int(text, token, offset)
+        if n < 0:
+            raise ParseError(f"point counts must be >= 0, got {n}", text, offset)
+        offset += len(token) + 1
 
 
 def _parse_abstract(text: str, base: str, start: int) -> SurfaceInvariants:
