@@ -111,10 +111,15 @@ class SurfaceInvariants(_SurfaceInvariantsFields):
 
 def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
                      label: str = "") -> SurfaceInvariants:
-    """Build a record from (deg, g, K^2, chi(O)); chi_top and h0_H derived."""
+    """Build a record from (deg, g, K^2, chi(O)); chi_top and h0_H derived.
+    Like ``invariants``, it refuses a surface of degree > 1 with h0(H) < 4,
+    which cannot span the P^3 an embedded surface needs."""
     chi_top = 12 * chi_O - K2
     HK = 2 * sect_genus - 2 - degree
     h0 = chi_O + (degree - HK) // 2
+    if h0 < 4 and degree != 1:
+        raise SpanTooSmall(f"{label or 'surface'} gives h0(H) = {h0}: "
+                           f"a surface of degree {degree} spans at least P^3")
     return SurfaceInvariants(degree, sect_genus, K2, chi_O, chi_top, h0,
                              provenance_label=label)
 

@@ -44,6 +44,13 @@ def test_describe_malformed_spec_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["invariants", "describe"])
+def test_abstract_record_spanning_less_than_p3_exits_3(capsys, command):
+    code, out, err = run(capsys, command, "--surface", "abs:deg=9,g=9,K2=1,chiO=1")
+    assert code == 3 and out == ""
+    assert "h0(H) = 2" in err
+
+
 @pytest.mark.parametrize("spec,position", [("5;7,-1,1", 4), ("0;1", 0)])
 def test_describe_out_of_range_spec_reports_position(capsys, spec, position):
     code, _, err = run(capsys, "describe", "--surface", spec)

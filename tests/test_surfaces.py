@@ -239,6 +239,17 @@ def test_parse_accepts_leading_zeros_and_negative_abs_fields():
     assert (s.degree, s.K2) == (13, -1)
 
 
+@pytest.mark.parametrize("spec", [
+    "abs:deg=9,g=9,K2=1,chiO=1", "abs:deg=4,g=3,K2=0,chiO=1", "abs:deg=2,g=3,K2=0,chiO=1",
+])
+def test_abstract_record_spanning_less_than_p3_rejected(spec):
+    # the h0(H) < 4 rule of invariants: h0 = 2, 3 and 1 here
+    with pytest.raises(SpanTooSmall):
+        parse_surface_spec(spec)
+    # a degree-1 record spans the plane, as the plane model 1; does
+    assert parse_surface_spec("abs:deg=1,g=0,K2=9,chiO=1").h0_H == 3
+
+
 def test_unprojected_large_span_rejected():
     # S(5;7,0,0) spans P^13; without a projection modifier it cannot sit in P^7
     with pytest.raises(SpanTooSmall):
