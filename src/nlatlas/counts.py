@@ -17,6 +17,7 @@ row and flagged as such in the output.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .errors import DivisibilityViolation, NegativeCount
@@ -109,6 +110,8 @@ def count_flags(s: SurfaceInvariants) -> tuple[str, ...]:
 
 def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
     """Assemble the codimension bound; h0(N_{S/X}) is caller-supplied data."""
+    # operator.index refuses a float, which would make every field inexact
+    h0_NSX = operator.index(h0_NSX)
     if h0_NSX < 0:
         raise NegativeCount(f"h0(N_S/X) must be >= 0, got {h0_NSX}")
     h0_is2, h0_n, _ = _numbers(s)

@@ -114,6 +114,9 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
     """Build a record from (deg, g, K^2, chi(O)); chi_top and h0_H derived.
     Like ``invariants``, it refuses a surface of degree > 1 with h0(H) < 4,
     which cannot span the P^3 an embedded surface needs."""
+    # operator.index rejects floats and strings, as PlaneModel does; the
+    # record's own constructor, which the atlas runs per candidate, does not
+    degree, sect_genus, K2, chi_O = map(operator.index, (degree, sect_genus, K2, chi_O))
     chi_top = 12 * chi_O - K2
     HK = 2 * sect_genus - 2 - degree
     h0 = chi_O + (degree - HK) // 2
