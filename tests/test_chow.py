@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -29,10 +31,15 @@ def test_engine_matches_closed_form_examples(degrees):
 
 
 def test_engine_matches_closed_form_exhaustive():
+    # the per-multidegree table also holds the degree and the text: both are
+    # checked against a direct computation
     for r in range(1, 5):
         for degrees in itertools.product(range(2, 6), repeat=r):
             ci = CompleteIntersectionType(degrees)
             assert chern_engine_coefficients(ci) == closed_form_coefficients(ci), degrees
+            assert ci.fourfold_degree == functools.reduce(operator.mul, degrees), degrees
+            assert str(ci) == "(" + repr(list(degrees))[1:-1].replace(" ", "") + ")"
+            assert parse_ci(str(ci)[1:-1]) == ci
 
 
 def test_self_intersection_anchors():

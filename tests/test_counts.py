@@ -1,10 +1,14 @@
 import itertools
+import random
 
 import pytest
 
+from nlatlas.chow import CI222, CompleteIntersectionType, _constants
 from nlatlas.counts import (chi_NSX_lower, codimension_bound, codimension_window,
                             h0_normal_bundle, h0_quadrics, FLAG_NODAL_FIT,
-                            FLAG_VANISHING)
+                            FLAG_VANISHING, ParameterCount)
+from nlatlas.lattice import (Mod16Class, RankTwoLattice, discriminant, fourfold_lattice,
+                             mod16_class)
 from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef
 from nlatlas.surfaces import (SurfaceInvariants, _count_numbers, abstract_surface,
                               invariants, parse_surface_spec, PlaneModel)
@@ -67,6 +71,26 @@ def test_flags():
     assert FLAG_NODAL_FIT in codimension_bound(nodal, 0).flags
 
 
+def test_counts_read_chi_2h_as_chi_twist_does():
+    # the counts take chi(O_S(2H)) = 2 chi(O_S(H)) - chi(O_S) + H^2 from one
+    # chi_twist call; h0_quadrics and this test take chi_twist(2) itself
+    rng = random.Random(22)
+    checked = 0
+    for _ in range(3000):
+        k2, chi = rng.randint(-20, 9), rng.randint(-2, 8)
+        s = SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi, 12 * chi - k2,
+                              4, rng.randint(0, 3))
+        assert chi_NSX_lower(s) == h0_normal_bundle(s) - 3 * s.chi_twist(2), s
+        try:
+            h0_is2 = h0_quadrics(s)
+        except NegativeCount:
+            continue
+        if h0_is2 >= 3:
+            assert codimension_bound(s, 0).h0_IS2 == h0_is2 == codimension_window(s)[0], s
+            checked += 1
+    assert checked > 1000
+
+
 def test_negative_count_rejected():
     big = abstract_surface(30, 3, 9, 1)
     with pytest.raises(NegativeCount):
@@ -126,3 +150,62 @@ def test_window_matches_codimension_bound(dataset):
     assert len(surfaces) == 41 + 294
     for s in surfaces:
         assert _outcome(codimension_window, s) == _outcome(_window_from_bounds, s), s
+
+
+CI_TYPES = (CI222, CompleteIntersectionType((3,)), CompleteIntersectionType((2, 2)))
+
+
+@pytest.mark.parametrize("spec,surfaces_built,models_built", [
+    ("5;7,0,1", 1, 1),
+    # the projection rebuilds the record through its checked constructor
+    ("abs:deg=14,g=8,K2=0,chiO=2 int-proj", 2, 0),
+])
+def test_spec_request_work_counts(monkeypatch, spec, surfaces_built, models_built):
+    """Work counted instead of timed, as in the atlas work-count test, for one
+    request of the spec path: one parse, the lattice, discriminant, mod-16
+    class and text of three multidegrees, and the three counts calls of a
+    codimension window.  The request reads the per-multidegree table three
+    times per multidegree and builds it only when it is new; each counts call
+    takes ``chi_twist`` once; and it builds one lattice per multidegree, one
+    ``ParameterCount`` per ``codimension_bound`` and no ``Mod16Class``."""
+    built = {"chi": 0}
+    chi_twist = SurfaceInvariants.chi_twist
+
+    def counted_chi(self, m):
+        built["chi"] += 1
+        return chi_twist(self, m)
+    monkeypatch.setattr(SurfaceInvariants, "chi_twist", counted_chi)
+
+    def counted(cls):
+        built[cls.__name__] = 0
+        original = cls.__new__
+
+        def wrapper(*args, **kwargs):
+            built[cls.__name__] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, "__new__", wrapper)
+
+    for cls in (PlaneModel, SurfaceInvariants, CompleteIntersectionType, RankTwoLattice,
+                Mod16Class, ParameterCount):
+        counted(cls)
+
+    def request():
+        s = parse_surface_spec(spec)
+        for ci in CI_TYPES:
+            lat = fourfold_lattice(ci, s)
+            mod16_class(discriminant(lat), ci)
+            str(ci)
+        codimension_bound(s, 0)
+        codimension_bound(s, max(chi_NSX_lower(s), 0))
+
+    _constants.cache_clear()
+    request()
+    assert (_constants.cache_info().misses, _constants.cache_info().hits) == (3, 6)
+    once = {"chi": 3, "PlaneModel": models_built, "SurfaceInvariants": surfaces_built,
+            "CompleteIntersectionType": 0, "RankTwoLattice": 3, "Mod16Class": 0,
+            "ParameterCount": 2}
+    assert built == once
+    # a second request builds no table and repeats the rest
+    request()
+    assert (_constants.cache_info().misses, _constants.cache_info().hits) == (3, 15)
+    assert built == {name: 2 * n for name, n in once.items()}

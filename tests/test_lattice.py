@@ -1,7 +1,7 @@
 import random
 
 from nlatlas.chow import CI222, CompleteIntersectionType, formula_222
-from nlatlas.lattice import (RankTwoLattice, Side, discriminant,
+from nlatlas.lattice import (Mod16Class, RankTwoLattice, Side, discriminant,
                              expected_residue, fourfold_lattice, mod16_class,
                              surface_matrix, surface_picard_matrix)
 from nlatlas.surfaces import abstract_surface, invariants, PlaneModel
@@ -51,6 +51,19 @@ def test_mod16_gives_no_verdict_off_222():
         assert mod16_class(6, ci) == (6, None)
         assert mod16_class(31, ci) == (15, None)
         assert str(mod16_class(6, ci)) == "residue 6 mod 16"
+
+
+def test_mod16_class_matches_a_fresh_record():
+    # mod16_class returns prebuilt records; each must equal the one built
+    # from the residue and the verdict, and print like it
+    for degrees in ((2, 2, 2), (3,), (2, 2)):
+        ci = CompleteIntersectionType(degrees)
+        for d in range(-64, 201):
+            fresh = Mod16Class(d % 16, d % 16 in {0, 7, 12, 15} if degrees == (2, 2, 2)
+                               else None)
+            got = mod16_class(d, ci)
+            assert got == fresh and type(got) is Mod16Class, (degrees, d)
+            assert str(got) == str(fresh)
 
 
 def test_surface_picard_matrix_examples():
