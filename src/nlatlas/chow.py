@@ -51,29 +51,23 @@ class CompleteIntersectionType(_CompleteIntersectionTypeFields):
 
     @property
     def fourfold_degree(self) -> int:
-        return _constants(self.degrees).fourfold_degree
+        return _constants(self.degrees)[0]
 
     def __str__(self) -> str:
-        return _constants(self.degrees).text
-
-
-class _Constants(NamedTuple):
-    fourfold_degree: int
-    text: str
-    closed_form: tuple[int, int]
+        return _constants(self.degrees)[1]
 
 
 @functools.cache
-def _constants(degrees: tuple[int, ...]) -> _Constants:
+def _constants(degrees: tuple[int, ...]) -> tuple[int, str, tuple[int, int]]:
     """The numbers of a multidegree that every request reads, computed once
     per multidegree: the degree a_1 * ... * a_r of the fourfold, its text
-    "(a_1,...,a_r)" and the closed-form (cH2, cHK) pair."""
+    "(a_1,...,a_r)" and the closed-form (cH2, cHK) pair.  A plain tuple: a
+    named-tuple class would cost each CLI start about 0.1 ms to build."""
     r = len(degrees)
     s = sum(degrees)
     s2 = sum(a * b for a, b in itertools.combinations(degrees, 2))
     ch2 = (r + 4) * (r + 5) // 2 - (r + 5) * s + s * s - s2
-    return _Constants(math.prod(degrees), "(" + ",".join(map(str, degrees)) + ")",
-                      (ch2, r + 5 - s))
+    return math.prod(degrees), "(" + ",".join(map(str, degrees)) + ")", (ch2, r + 5 - s)
 
 
 CI222 = CompleteIntersectionType((2, 2, 2))
@@ -145,7 +139,7 @@ def _power(base: TruncatedClass, n: int) -> TruncatedClass:
 
 def closed_form_coefficients(ci: CompleteIntersectionType) -> tuple[int, int]:
     """The (cH2, cHK) pair straight from the closed formula."""
-    return _constants(ci.degrees).closed_form
+    return _constants(ci.degrees)[2]
 
 
 def chern_engine_coefficients(ci: CompleteIntersectionType) -> tuple[int, int]:
@@ -179,7 +173,7 @@ NODE_CORRECTION = 2
 def self_intersection(ci: CompleteIntersectionType, s: SurfaceInvariants) -> int:
     """(S)^2_X for the cycle class of s inside a fourfold of type ci, with
     ``NODE_CORRECTION`` per node."""
-    ch2, chk = _constants(ci.degrees).closed_form
+    ch2, chk = _constants(ci.degrees)[2]
     return ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top + NODE_CORRECTION * s.nodes
 
 
