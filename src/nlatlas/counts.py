@@ -51,13 +51,10 @@ def _negative_quadrics(s: SurfaceInvariants, n: int) -> NegativeCount:
 
 
 def _numbers(s: SurfaceInvariants) -> tuple[int, int, int]:
-    """(h0(I_S(2)), h0(N_{S/P7}), chi(O_S(2H))), h0(I_S(2)) not yet checked.
-
-    One ``chi_twist`` call gives H.K and chi(O_S(H)), and Riemann-Roch gives
-    chi(O_S(2H)) = 2 chi(O_S(H)) - chi(O_S) + H^2 from it, so each is
-    computed once.  h0(N_{S/P7}) is 8 chi(O_S(H)) - chi(O_S) - chi(T_S),
-    with chi(T_S) = (7K^2 - 5chi_top)/6, from the Euler and normal-bundle
-    sequences; nodal images lose 3 per node (fitted rule)."""
+    """(h0(I_S(2)), h0(N_{S/P7}), chi(O_S(2H))) of s, h0(I_S(2)) not yet
+    checked.  One ``chi_twist`` call gives H.K and chi(O_S(H)), and
+    Riemann-Roch gives chi(O_S(2H)) = 2 chi(O_S(H)) - chi(O_S) + H^2 from
+    it, so each is computed once."""
     chi_h = s.chi_twist(1)
     chi_2h = 2 * chi_h - s.chi_O + s.degree
     t = 7 * s.K2 - 5 * s.chi_top

@@ -332,8 +332,9 @@ def _parse_plane(text: str, base: str, start: int) -> PlaneModel:
 
 
 def _check_counts(text: str, counts: list[str], offset: int) -> None:
-    """Raise the ``ParseError`` of the first bad count, at its position; a
-    list of signed zeros and digits ("-0") has none."""
+    """Raise the ``ParseError`` of the first bad count, at its position.  A
+    list that failed the test of ``_parse_plane`` has one unless a count is
+    spelled "-0", which reads as 0."""
     for token in counts:
         if token == "":
             raise ParseError("empty point count", text, offset)

@@ -7,9 +7,9 @@ from nlatlas.chow import CI222, CompleteIntersectionType, _constants
 from nlatlas.counts import (chi_NSX_lower, codimension_bound, codimension_window,
                             h0_normal_bundle, h0_quadrics, FLAG_NODAL_FIT,
                             FLAG_VANISHING, ParameterCount)
+from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef
 from nlatlas.lattice import (Mod16Class, RankTwoLattice, discriminant, fourfold_lattice,
                              mod16_class)
-from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef
 from nlatlas.surfaces import (SurfaceInvariants, _count_numbers, abstract_surface,
                               invariants, parse_surface_spec, PlaneModel)
 

@@ -235,6 +235,9 @@ def test_parse_error_positions(bad, position):
 
 def test_parse_accepts_leading_zeros_and_negative_abs_fields():
     assert parse_surface_spec("05;07,0,01") == parse_surface_spec("5;7,0,1")
+    # a count spelled "-0" fails the one test of a count list and passes the
+    # error walk, and reads as 0
+    assert parse_surface_spec("5;7,-0,1") == parse_surface_spec("5;7,0,1")
     s = parse_surface_spec("abs:deg=013,g=8,K2=-01,chiO=2")
     assert (s.degree, s.K2) == (13, -1)
 
