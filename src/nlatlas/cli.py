@@ -7,10 +7,10 @@ output is exact integer arithmetic.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+import types
 
 # each command imports the library modules it runs, and json only where it
 # prints JSON: without bytecode every imported module is compiled on every
@@ -226,69 +226,108 @@ def _cmd_describe(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_ABS = {"help": "abstract invariants 'deg=..,g=..,K2=..,chiO=..'"}
+
+# the CLI's one grammar: flag -> add_argument keywords for the options before
+# the command, and command -> (handler, help, its options); build_parser and
+# _parse_fast both read it
+GLOBAL_OPTIONS = {
+    "--format": {"choices": ("text", "json", "csv", "md"), "default": "text"},
+    "--dataset": {"default": None, "help": "path to a table dataset (default: "
+                  "bundled; NLATLAS_DATASET overrides)"},
+}
+COMMANDS = {
+    "invariants": (_cmd_invariants, "invariant record of a surface spec",
+                   {"--surface": {"required": True}}),
+    "lattice": (_cmd_lattice, "rank-2 lattice and discriminant",
+                {"--ci": {"default": "2,2,2"}, "--surface": {}, "--abs": _ABS}),
+    "selfint": (_cmd_selfint, "self-intersection of the surface class",
+                {"--ci": {"default": "2,2,2"}, "--surface": {}, "--abs": _ABS}),
+    "count": (_cmd_count, "parameter count / codimension bound", {
+        "--surface": {}, "--abs": {}, "--h0nsx": {"type": int, "default": None},
+        "--table-row": {"default": None,
+                        "help": "pull surface and h0(N_S/X) from a dataset row"}}),
+    "ledger": (_cmd_ledger, "solve a two-sided blow-up diagram",
+               {"--diagram": {"required": True, "help": "JSON diagram file"}}),
+    "search": (_cmd_search, "enumerate the discriminant atlas", {
+        "--max-a": {"type": int, "default": 8},
+        "--max-points": {"type": int, "default": 13},
+        "--max-mult": {"type": int, "default": 3},
+        "--min-h0-is2": {"type": int, "default": 7},
+        "--max-codim": {"type": int, "default": 7},
+        "--det": {"type": int, "default": None, "help": "filter to one bucket"},
+        "--gaps": {"action": "store_true", "help": "emit the gap report"},
+        "--up-to": {"type": int, "default": 110}}),
+    "tables": (_cmd_tables, "recompute the bundled tables and diff",
+               {"--which": {"default": "1,2,3,4", "help": "comma list from 1,2,3,4"}}),
+    "describe": (_cmd_describe, "one-screen report for a surface spec",
+                 {"--surface": {"required": True}, "--ci": {"default": None}}),
+}
+
+
+def build_parser():
+    """The argparse parser of the grammar, for help and usage errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="nlatlas",
         description="Exact calculator for surface lattices, self-intersections "
                     "and Noether-Lefschetz discriminants of complete "
                     "intersections of three quadrics in P7.",
     )
-    parser.add_argument("--format", choices=("text", "json", "csv", "md"),
-                        default="text")
-    parser.add_argument("--dataset", default=None,
-                        help="path to a table dataset (default: bundled; "
-                             "NLATLAS_DATASET overrides)")
+    for flag, kw in GLOBAL_OPTIONS.items():
+        parser.add_argument(flag, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="invariant record of a surface spec")
-    p.add_argument("--surface", required=True)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("lattice", help="rank-2 lattice and discriminant")
-    p.add_argument("--ci", default="2,2,2")
-    p.add_argument("--surface")
-    p.add_argument("--abs", help="abstract invariants 'deg=..,g=..,K2=..,chiO=..'")
-    p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("selfint", help="self-intersection of the surface class")
-    p.add_argument("--ci", default="2,2,2")
-    p.add_argument("--surface")
-    p.add_argument("--abs", help="abstract invariants 'deg=..,g=..,K2=..,chiO=..'")
-    p.set_defaults(func=_cmd_selfint)
-
-    p = sub.add_parser("count", help="parameter count / codimension bound")
-    p.add_argument("--surface")
-    p.add_argument("--abs")
-    p.add_argument("--h0nsx", type=int, default=None)
-    p.add_argument("--table-row", default=None,
-                   help="pull surface and h0(N_S/X) from a dataset row")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("ledger", help="solve a two-sided blow-up diagram")
-    p.add_argument("--diagram", required=True, help="JSON diagram file")
-    p.set_defaults(func=_cmd_ledger)
-
-    p = sub.add_parser("search", help="enumerate the discriminant atlas")
-    p.add_argument("--max-a", type=int, default=8)
-    p.add_argument("--max-points", type=int, default=13)
-    p.add_argument("--max-mult", type=int, default=3)
-    p.add_argument("--min-h0-is2", type=int, default=7)
-    p.add_argument("--max-codim", type=int, default=7)
-    p.add_argument("--det", type=int, default=None, help="filter to one bucket")
-    p.add_argument("--gaps", action="store_true", help="emit the gap report")
-    p.add_argument("--up-to", type=int, default=110)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("tables", help="recompute the bundled tables and diff")
-    p.add_argument("--which", default="1,2,3,4", help="comma list from 1,2,3,4")
-    p.set_defaults(func=_cmd_tables)
-
-    p = sub.add_parser("describe", help="one-screen report for a surface spec")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--ci", default=None)
-    p.set_defaults(func=_cmd_describe)
-
+    for name, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func)
     return parser
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _parse_fast(argv: list[str]):
+    """The namespace argparse builds from ``argv`` when it holds only known
+    ``--option value`` pairs and store-true flags around one command name.
+
+    Anything else gives None, and ``main`` leaves it to argparse, its help
+    and its usage messages: ``-h``, an unknown token, an abbreviation,
+    ``--x=v``, a value starting with ``-``, a bad int or choice, a missing
+    required option or a missing command.
+    """
+    args = {_dest(flag): kw.get("default") for flag, kw in GLOBAL_OPTIONS.items()}
+    options, given, tokens = GLOBAL_OPTIONS, set(), iter(argv)
+    for token in tokens:
+        if options is GLOBAL_OPTIONS and token in COMMANDS:
+            func, _, options = COMMANDS[token]
+            args.update({_dest(flag): kw.get("default", False if "action" in kw else None)
+                         for flag, kw in options.items()}, command=token, func=func)
+            continue
+        kw = options.get(token)
+        if kw is None:
+            return None
+        given.add(token)
+        if "action" in kw:
+            args[_dest(token)] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        args[_dest(token)] = value
+    if options is GLOBAL_OPTIONS or any(
+            kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    return types.SimpleNamespace(**args)
 
 
 @functools.cache
@@ -311,12 +350,15 @@ def main(argv=None) -> int:
     # argv; an in-process caller keeps its garbage collected at exit
     if argv is None:
         _freeze_heap_at_exit()
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has printed its usage message; exit 2 means a table
-        # mismatch here, so a usage error is bad input (--help still exits 0)
-        return EXIT_BAD_INPUT if exc.code else EXIT_OK
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse has printed its help or usage message; exit 2 means a
+            # table mismatch here, so a usage error is bad input
+            return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -16,6 +16,7 @@ from nlatlas.errors import DatasetMissing
 from nlatlas.report import describe, reproduce_tables, table_csv, table_markdown
 from nlatlas.serialize import decode, encode
 import nlatlas as nl
+from test_golden import COMMANDS as GOLDEN_COMMANDS, ERRORS as GOLDEN_ERRORS, FORMATS
 
 
 def run(capsys, *argv):
@@ -429,6 +430,69 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and out.startswith("usage: nlatlas")
 
+
+
+# the sixteen commands of one cli-session pass, in the shapes of
+# bench/inputs.py::cli_script
+SESSION = [
+    ["describe", "--surface", "5;6,2 nodes=1"],
+    ["describe", "--surface", "abs:deg=14,g=8,K2=0,chiO=2 int-proj"],
+    ["describe", "--surface", "4;5,1,0"],
+    ["tables"],
+    ["--format", "md", "tables"],
+    ["search", "--det", "47"],
+    ["search", "--gaps"],
+    ["ledger", "--diagram", "out/diagram.json"],
+    *(["--format", fmt, *argv] for fmt in ("text", "json") for argv in (
+        ["invariants", "--surface", "5;10,1"],
+        ["lattice", "--surface", "7;4,8,0"],
+        ["selfint", "--ci", "2,2", "--surface", "2;0,0,0"],
+        ["count", "--table-row", "t1-14"])),
+]
+WELL_FORMED = [["--format", fmt, *argv]
+               for argv in (*GOLDEN_COMMANDS.values(), *GOLDEN_ERRORS.values())
+               for fmt in FORMATS] + SESSION + [
+    ["search", "--max-a", "4", "--max-a", "5"],        # the last one counts
+    ["describe", "--surface", ""],
+    ["describe", "--surface", "tables"],
+    ["--dataset", "tables", "tables"],
+    ["search", "--up-to", " 1_0"],                      # whatever int() reads
+]
+# argparse reads some of these and refuses the rest; the fast path may leave
+# any of them to it, but must not read one differently
+EDGE = [
+    ["search", "--max-p", "10"],
+    ["--form", "json", "tables"],
+    ["--format=json", "tables"],
+    ["count", "--h0nsx", "-1", "--surface", "5;7,0,1"],
+    ["-h"], ["--help"], *([name, "-h"] for name in cli.COMMANDS),
+    ["--", "tables"], ["tables", "--"],
+    ["tables", "--format", "json"],
+    ["search", "--gaps", "x"],
+    ["describe", "--surface", "--ci", "3"],
+    ["lattice", "--surface", "-h"],
+    ["search", "--det"],
+    ["describe"], ["ledger"], ["describe", "--ci", "3"], ["--format", "json"], [],
+    ["--format", "xml", "tables"], ["--format", "tables"],
+    ["search", "--max-a", "x"], ["search", "--max-a", "2.5"],
+    ["bogus"], ["tables", "tables"], ["--surface", "5;7,0,1", "invariants"],
+]
+
+
+def argparse_reading(argv: list[str]) -> dict | None:
+    """argparse's namespace of ``argv`` as a dict, or None where it exits."""
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_fast_parse_reads_argv_as_argparse_does(capsys):
+    for argv in WELL_FORMED + EDGE:
+        fast = cli._parse_fast(argv)
+        assert fast is None or vars(fast) == argparse_reading(argv), argv
+        assert fast is not None or argv not in WELL_FORMED, argv
+    capsys.readouterr()
 
 def test_search_det_filter(capsys):
     code, out, _ = run(capsys, "search", "--max-a", "3", "--det", "16")

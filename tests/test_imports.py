@@ -1,8 +1,9 @@
 """The import contract: ``import nlatlas`` loads no submodule, ``import
 nlatlas.cli`` loads only ``errors``, each command loads exactly the modules it
 runs, atlas (and ``dataclasses``) only where it enumerates or codes an atlas
-record, an atlas of any worker count loads no process machinery, and every
-public name of the package is the object of its home module."""
+record, a well-formed command loads no ``argparse`` (only help and usage
+errors do), an atlas of any worker count loads no process machinery, and
+every public name of the package is the object of its home module."""
 
 import importlib
 import json
@@ -36,8 +37,9 @@ def nlatlas_modules(loaded: set[str]) -> set[str]:
 
 def test_import_cli_leaves_atlas_hodge_and_codec_unloaded(fresh_env):
     # and every other library module: the commands import what they run
-    assert nlatlas_modules(loaded_after("import nlatlas.cli", fresh_env)) == {
-        "nlatlas", "nlatlas.errors", "nlatlas.cli"}
+    loaded = loaded_after("import nlatlas.cli", fresh_env)
+    assert nlatlas_modules(loaded) == {"nlatlas", "nlatlas.errors", "nlatlas.cli"}
+    assert "argparse" not in loaded
 
 
 def test_benchmark_imports_load_every_traced_module(fresh_env):
@@ -73,6 +75,11 @@ def test_text_output_never_loads_the_codec(fresh_env, tmp_path, argv, loads):
     assert loaded_after(running(argv, tmp_path), fresh_env) & HEAVY == loads
 
 
+# argparse imports gettext, and gettext locale: about 3 ms of a cold command,
+# and building the parser as much again; only help and usage errors need it
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def _modules(names: str) -> set[str]:
     return {"nlatlas", *(f"nlatlas.{name}" for name in f"cli errors {names}".split())}
 
@@ -105,10 +112,36 @@ COMMANDS = [
 def test_each_command_loads_exactly_its_modules(fresh_env, tmp_path, argv, names):
     loaded = loaded_after(running(argv, tmp_path), fresh_env)
     assert nlatlas_modules(loaded) == _modules(names)
+    assert not loaded & PARSER_MODULES
     # only atlas's AtlasEntry still needs dataclasses; JSON of a record
     # that is not an atlas record loads neither
     assert ("dataclasses" in loaded) == ("nlatlas.atlas" in loaded)
 
+
+
+def process_entry(argv: list[str], env: dict) -> subprocess.CompletedProcess:
+    """Run ``sys.exit(main())`` with ``argv`` on ``sys.argv``; the modules it
+    loaded follow its own stderr, after a line ``modules:``."""
+    script = ("import sys\nfrom nlatlas.cli import main\ntry:\n    sys.exit(main())\n"
+              "finally:\n    print('modules:', *sys.modules, file=sys.stderr)")
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_process_entry_reads_sys_argv_without_argparse(fresh_env):
+    proc = process_entry(["invariants", "--surface", "5;7,0,1"], fresh_env)
+    err, modules = proc.stderr.split("modules:")
+    assert (proc.returncode, err) == (0, "") and "degree 9," in proc.stdout
+    assert not set(modules.split()) & PARSER_MODULES
+
+
+@pytest.mark.parametrize("argv,code,stream", [
+    (["--help"], 0, "stdout"), (["search", "--max-a", "x"], 3, "stderr")])
+def test_help_and_usage_errors_come_from_argparse(fresh_env, argv, code, stream):
+    proc = process_entry(argv, fresh_env)
+    assert proc.returncode == code
+    assert getattr(proc, stream).startswith("usage: nlatlas")
+    assert "argparse" in proc.stderr.split("modules:")[1].split()
 
 # ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize``, about
 # 8 ms of every cold command; only the atlas's AtlasEntry still needs it
