@@ -244,7 +244,7 @@ COMMANDS = {
     "selfint": (_cmd_selfint, "self-intersection of the surface class",
                 {"--ci": {"default": "2,2,2"}, "--surface": {}, "--abs": _ABS}),
     "count": (_cmd_count, "parameter count / codimension bound", {
-        "--surface": {}, "--abs": {}, "--h0nsx": {"type": int, "default": None},
+        "--surface": {}, "--abs": _ABS, "--h0nsx": {"type": int, "default": None},
         "--table-row": {"default": None,
                         "help": "pull surface and h0(N_S/X) from a dataset row"}}),
     "ledger": (_cmd_ledger, "solve a two-sided blow-up diagram",

@@ -432,6 +432,14 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys):
 
 
 
+
+@pytest.mark.parametrize("command", ["lattice", "selfint", "count"])
+def test_every_abs_option_has_its_help(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    line = next(line for line in out.splitlines() if line.startswith("  --abs ABS"))
+    assert line.split(None, 2)[2] == "abstract invariants 'deg=..,g=..,K2=..,chiO=..'"
+
 # the sixteen commands of one cli-session pass, in the shapes of
 # bench/inputs.py::cli_script
 SESSION = [
