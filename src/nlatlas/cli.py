@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 2 when a table reproduction found a mismatch,
 3 on usage errors, parse errors, bad input or I/O trouble.  All numeric
-output is exact integer arithmetic.
+output is exact integer arithmetic.  A well-formed command line is read
+from the command table without argparse; help and usage errors come from
+the argparse parser built from the same table.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ COMMANDS = {
         "--min-h0-is2": {"type": int, "default": 7},
         "--max-codim": {"type": int, "default": 7},
         "--det": {"type": int, "default": None, "help": "filter to one bucket"},
-        "--gaps": {"action": "store_true", "help": "emit the gap report"},
+        "--gaps": {"action": "store_true", "default": False, "help": "emit the gap report"},
         "--up-to": {"type": int, "default": 110}}),
     "tables": (_cmd_tables, "recompute the bundled tables and diff",
                {"--which": {"default": "1,2,3,4", "help": "comma list from 1,2,3,4"}}),
@@ -299,17 +301,16 @@ def _parse_fast(argv: list[str]):
     required option or a missing command.
     """
     args = {_dest(flag): kw.get("default") for flag, kw in GLOBAL_OPTIONS.items()}
-    options, given, tokens = GLOBAL_OPTIONS, set(), iter(argv)
+    options, tokens = GLOBAL_OPTIONS, iter(argv)
     for token in tokens:
         if options is GLOBAL_OPTIONS and token in COMMANDS:
             func, _, options = COMMANDS[token]
-            args.update({_dest(flag): kw.get("default", False if "action" in kw else None)
-                         for flag, kw in options.items()}, command=token, func=func)
+            args.update({_dest(flag): kw.get("default") for flag, kw in options.items()},
+                        command=token, func=func)
             continue
         kw = options.get(token)
         if kw is None:
             return None
-        given.add(token)
         if "action" in kw:
             args[_dest(token)] = True
             continue
@@ -325,7 +326,7 @@ def _parse_fast(argv: list[str]):
             return None
         args[_dest(token)] = value
     if options is GLOBAL_OPTIONS or any(
-            kw.get("required") and flag not in given for flag, kw in options.items()):
+            kw.get("required") and args[_dest(flag)] is None for flag, kw in options.items()):
         return None
     return types.SimpleNamespace(**args)
 
