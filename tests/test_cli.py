@@ -431,14 +431,13 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys):
     assert code == 0 and out.startswith("usage: nlatlas")
 
 
-
-
 @pytest.mark.parametrize("command", ["lattice", "selfint", "count"])
 def test_every_abs_option_has_its_help(capsys, command):
     code, out, _ = run(capsys, command, "--help")
     assert code == 0
     line = next(line for line in out.splitlines() if line.startswith("  --abs ABS"))
     assert line.split(None, 2)[2] == "abstract invariants 'deg=..,g=..,K2=..,chiO=..'"
+
 
 # the sixteen commands of one cli-session pass, in the shapes of
 # bench/inputs.py::cli_script
@@ -495,12 +494,12 @@ def argparse_reading(argv: list[str]) -> dict | None:
         return None
 
 
-def test_fast_parse_reads_argv_as_argparse_does(capsys):
+def test_fast_parse_reads_argv_as_argparse_does():
     for argv in WELL_FORMED + EDGE:
         fast = cli._parse_fast(argv)
         assert fast is None or vars(fast) == argparse_reading(argv), argv
         assert fast is not None or argv not in WELL_FORMED, argv
-    capsys.readouterr()
+
 
 def test_search_det_filter(capsys):
     code, out, _ = run(capsys, "search", "--max-a", "3", "--det", "16")

@@ -118,7 +118,6 @@ def test_each_command_loads_exactly_its_modules(fresh_env, tmp_path, argv, names
     assert ("dataclasses" in loaded) == ("nlatlas.atlas" in loaded)
 
 
-
 def process_entry(argv: list[str], env: dict) -> subprocess.CompletedProcess:
     """Run ``sys.exit(main())`` with ``argv`` on ``sys.argv``; the modules it
     loaded follow its own stderr, after a line ``modules:``."""
@@ -142,6 +141,7 @@ def test_help_and_usage_errors_come_from_argparse(fresh_env, argv, code, stream)
     assert proc.returncode == code
     assert getattr(proc, stream).startswith("usage: nlatlas")
     assert "argparse" in proc.stderr.split("modules:")[1].split()
+
 
 # ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize``, about
 # 8 ms of every cold command; only the atlas's AtlasEntry still needs it
