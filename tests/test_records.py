@@ -16,7 +16,7 @@ import nlatlas as nl
 from nlatlas.chow import ONE, H, TruncatedClass
 from nlatlas.hodge import classify_solved, diagram_from_dict, solve_diagram
 from nlatlas.lattice import mod16_class
-from nlatlas.serialize import ATLAS_KINDS, KINDS, decode, encode
+from nlatlas.serialize import KINDS, decode, encode
 from nlatlas.surfaces import SurfaceInvariants
 
 
@@ -66,7 +66,7 @@ def test_pickle_round_trip(value):
 
 
 def _coded(value) -> bool:
-    return type(value) in KINDS.values() or _name(value) in ATLAS_KINDS
+    return _name(value) in KINDS.values()
 
 
 @pytest.mark.parametrize("value", [v for v in RECORDS if _coded(v)], ids=_name)

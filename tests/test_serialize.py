@@ -1,19 +1,34 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nlatlas.serialize import decode, encode
+from nlatlas.serialize import KINDS, decode, encode
 
-RECORDS = Path(__file__).resolve().parent / "golden" / "records"
+ROOT = Path(__file__).resolve().parent.parent
+RECORDS = ROOT / "tests" / "golden" / "records"
 ENTRY = json.loads((RECORDS / "atlas_entry.json").read_text())
+
+
+def test_readme_lists_the_kinds_in_the_codec_order():
+    section = (ROOT / "README.md").read_text().split("### JSON records", 1)[1]
+    listed = section[section.index("(") + 1:section.index(")")]
+    assert re.findall(r"`(\w+)`", listed) == list(KINDS)
+
+
+class SurfaceInvariants(tuple):
+    """Named like a record class of the package, and not that class."""
 
 
 def test_encode_rejects_unknown_types():
     with pytest.raises(TypeError, match="^no encoder for object$"):
         encode(object())
+    # the codec finds a class by its name and then checks it is the package's
+    with pytest.raises(TypeError, match="^no encoder for SurfaceInvariants$"):
+        encode(SurfaceInvariants())
 
 
 @pytest.mark.parametrize("data", [{"kind": "nope"}, [1], {}, "kind", {"kind": [1]},
