@@ -196,7 +196,8 @@ class SolvedDiagram(NamedTuple):
 
 def solve_diagram(spec: DiagramSpec) -> SolvedDiagram:
     """Solve h^{p,q}(F1) + h^{p-1,q-1}(C1) = h^{p,q}(F2) + h^{p-1,q-1}(C2)
-    entrywise for the missing surface diamond."""
+    for the missing surface diamond: it is ``blowup`` of the known side minus
+    the other fourfold, shifted back by (1,1)."""
     if not spec.flop_bridge:
         raise Underdetermined(
             "without the flop bridge the two flopped surfaces do not cancel; "
@@ -216,28 +217,25 @@ def solve_diagram(spec: DiagramSpec) -> SolvedDiagram:
         other_f, side = spec.right_fourfold, "right"
     if not isinstance(known_c, HodgeDiamond) or known_c.dim != 2:
         raise DimensionMismatch("the known center must be a surface diamond")
+    if other_f.dim != 4:
+        raise DimensionMismatch(f"the {side} side needs a fourfold, got dimension {other_f.dim}")
 
-    entries = []
+    # Bl_U other_f has the diamond of the known blow-up, and U adds its own
+    # shifted by (1,1): the difference is U inside the border and 0 on it
+    total = blowup(known_f, known_c)
+    diff = [[total.h(p, q) - other_f.h(p, q) for q in range(5)] for p in range(5)]
+    entries = tuple(tuple(row[1:4]) for row in diff[1:4])
     for p in range(3):
-        row = []
         for q in range(3):
-            v = known_f.h(p + 1, q + 1) + known_c.h(p, q) - other_f.h(p + 1, q + 1)
-            if v < 0:
-                raise Inconsistent(
-                    f"solved h^{{{p},{q}}} = {v} < 0: the diagram is not realizable"
-                )
-            row.append(v)
-        entries.append(tuple(row))
-    # entries untouched by either center must already agree
+            if entries[p][q] < 0:
+                raise Inconsistent(f"solved h^{{{p},{q}}} = {entries[p][q]} < 0: "
+                                   "the diagram is not realizable")
     for p in range(5):
         for q in range(5):
-            if p == 0 or q == 0 or p == 4 or q == 4:
-                if known_f.h(p, q) != other_f.h(p, q):
-                    raise Inconsistent(
-                        f"fourfold diamonds disagree at boundary entry ({p},{q})"
-                    )
+            if (p in (0, 4) or q in (0, 4)) and diff[p][q]:
+                raise Inconsistent(f"fourfold diamonds disagree at boundary entry ({p},{q})")
     try:
-        unknown = HodgeDiamond(2, tuple(entries))
+        unknown = HodgeDiamond(2, entries)
     except ValueError as exc:
         raise Inconsistent(f"solved table is not a surface diamond: {exc}") from None
     inv = derive_surface_invariants(unknown)
@@ -310,12 +308,19 @@ def _center_from_spec(obj) -> HodgeDiamond | str:
     raise ValueError(f"cannot interpret diagram center {obj!r}")
 
 
-def _fourfold_from_spec(obj) -> HodgeDiamond:
+def _fourfold_from_spec(obj, side: str) -> HodgeDiamond:
+    """The fourfold of diagram side ``side``: a preset name or an explicit
+    diamond of dimension 4, given as a nested list."""
     if isinstance(obj, str):
-        return preset(obj)
-    if isinstance(obj, (list, tuple)):
-        return _table(obj)
-    raise ValueError(f"cannot interpret fourfold {obj!r}")
+        fourfold = preset(obj)
+    elif isinstance(obj, (list, tuple)):
+        fourfold = _table(obj)
+    else:
+        raise ValueError(f"cannot interpret fourfold {obj!r}")
+    if fourfold.dim != 4:
+        raise DimensionMismatch(f"diagram side {side!r} needs a fourfold, "
+                                f"got a diamond of dimension {fourfold.dim}")
+    return fourfold
 
 
 def diagram_from_dict(data: dict) -> DiagramSpec:
@@ -334,9 +339,9 @@ def diagram_from_dict(data: dict) -> DiagramSpec:
     if not isinstance(bridge, bool):
         raise ValueError(f"diagram field 'flop_bridge' must be true or false, got {bridge!r}")
     return DiagramSpec(
-        left_fourfold=_fourfold_from_spec(left["fourfold"]),
+        left_fourfold=_fourfold_from_spec(left["fourfold"], "left"),
         left_center=_center_from_spec(left["center"]),
-        right_fourfold=_fourfold_from_spec(right["fourfold"]),
+        right_fourfold=_fourfold_from_spec(right["fourfold"], "right"),
         right_center=_center_from_spec(right["center"]),
         flop_bridge=bridge,
     )

@@ -405,10 +405,12 @@ def test_ledger_without_a_minimal_model_count(tmp_path, capsys, monkeypatch):
     {"left": {"fourfold": "X222"}, "right": {"fourfold": "ci22", "center": "unknown"}},
     {"left": {"fourfold": "X222", "center": [1, 2]},
      "right": {"fourfold": "ci22", "center": "unknown"}},
+    {"left": {"fourfold": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "center": "plane"},
+     "right": {"fourfold": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "center": "unknown"}},
     *({"left": {"fourfold": "X222", "center": "5;7,0,1"},
        "right": {"fourfold": "ci22", "center": "unknown"},
        "flop_bridge": bridge} for bridge in ("false", "no", 0, None)),
-], ids=["empty-object", "list", "left-without-center", "flat-table",
+], ids=["empty-object", "list", "left-without-center", "flat-table", "surface-fourfolds",
         "bridge-string-false", "bridge-string-no", "bridge-zero", "bridge-null"])
 def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     diagram = tmp_path / "diagram.json"
@@ -418,6 +420,8 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     if "flop_bridge" in data:
         assert "'flop_bridge'" in err
+    if data and isinstance(data["left"]["fourfold"], list):
+        assert "side 'left' needs a fourfold" in err
 
 
 def test_usage_errors_exit_3_and_help_exits_0(capsys):

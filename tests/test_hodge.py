@@ -152,6 +152,17 @@ def test_solve_guards():
                                   preset("plane")))
 
 
+def test_solve_needs_a_fourfold_on_each_side():
+    # a DiagramSpec built directly skips the check of diagram_from_dict
+    with pytest.raises(DimensionMismatch, match="need a fourfold"):
+        solve_diagram(DiagramSpec(preset("plane"), preset("plane"), preset("X222"), UNKNOWN))
+    with pytest.raises(DimensionMismatch, match="^the right side needs a fourfold"):
+        solve_diagram(DiagramSpec(preset("X222"), preset("plane"), preset("K3"), UNKNOWN))
+    with pytest.raises(DimensionMismatch, match="^diagram side 'right' needs a fourfold"):
+        diagram_from_dict({"left": {"fourfold": "X222", "center": "plane"},
+                           "right": {"fourfold": "K3", "center": "unknown"}})
+
+
 def test_solved_noether_identity():
     s = surface_diamond(parse_surface_spec("3;5,0,0"))
     sol = solve_diagram(DiagramSpec(preset("X222"), s, preset("X222"), UNKNOWN))
