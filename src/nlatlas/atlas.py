@@ -36,10 +36,11 @@ genus, K^2, chi(O) and nodes of the surface, and numerically equal models
 repeat those numbers.  ``_evaluate_chunk`` keeps, for the length of its
 call, a dict from them to what it computed, so such entries share one
 ``RankTwoLattice``.  On the three bench grids 453 lattices and windows
-serve 683 candidates, and a serial pass over them ran at 5.85M
-candidates/s with the dict and 5.50M without it (medians of 8 alternating
-pairs of 10-second benchmark runs, Python 3.11, 2 shared cores).  Nothing
-is kept between calls.
+serve 683 candidates, and a serial pass over them ran at 5.85M box
+members/s with the dict and 5.50M without it (the benchmark's unit: the
+64,558 (a, counts) of the three boxes per pass, not the 683 evaluated;
+medians of 8 alternating pairs of 10-second benchmark runs, Python 3.11,
+2 shared cores).  Nothing is kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
 the grid in one serial pass and sorts the entries by (discriminant, a,
@@ -137,7 +138,9 @@ def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...],
     if window is None:
         return None
     h0_is2, h0_n, _, lo, hi = window
-    if hi < 0 or lo > bounds.max_codim:
+    # no test of hi < 0: a surface of the grid has no nodes, so the clamped
+    # estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
+    if lo > bounds.max_codim:
         return None
     return AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n)
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nlatlas.atlas import SearchBounds, enumerate_atlas
 from nlatlas.chow import CI222, CompleteIntersectionType, _constants
 from nlatlas.counts import (chi_NSX_lower, codimension_bound, codimension_window,
                             h0_normal_bundle, h0_quadrics, FLAG_NODAL_FIT,
@@ -89,6 +90,25 @@ def test_counts_read_chi_2h_as_chi_twist_does():
             assert codimension_bound(s, 0).h0_IS2 == h0_is2 == codimension_window(s)[0], s
             checked += 1
     assert checked > 1000
+
+
+def test_window_top_is_max_of_lo_and_0_without_nodes():
+    # with no nodes lo = 3 chi(O_S(2H)) - h0(N_S/P7), so the clamped estimate
+    # of h0(N_S/X) is max(-lo, 0); the atlas, whose surfaces have no nodes,
+    # therefore never tests hi < 0
+    rng = random.Random(24)
+    checked = 0
+    for _ in range(3000):
+        k2, chi = rng.randint(-20, 9), rng.randint(-2, 8)
+        s = SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi, 12 * chi - k2, 4)
+        try:
+            *_, lo, hi = codimension_window(s)
+        except NegativeCount:
+            continue
+        assert hi == max(lo, 0), s
+        checked += 1
+    assert checked > 1000
+    assert not any(entry.surface.nodes for entry in enumerate_atlas(SearchBounds()))
 
 
 def test_negative_count_rejected():
