@@ -8,7 +8,7 @@ import operator
 import os
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 from .errors import DatasetMissing
 
@@ -77,76 +77,55 @@ def _int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
-# the fields a row must give: those of TableRow without a default
-REQUIRED_FIELDS = tuple(f for f in TableRow._fields if f not in TableRow._field_defaults)
+def _text(value, what: str) -> str:
+    if isinstance(value, str):  # a number or null would fail in ``split`` later
+        return value
+    raise TypeError(f"{what} must be a string, got {value!r}")
+
+
+def _texts(value, what: str) -> tuple[str, ...]:
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return tuple(value)  # checked first: tuple() splits a string into letters
+    raise TypeError(f"{what} must be a list of strings, got {value!r}")
+
+
+def _triple(value, what: str) -> tuple[int, int, int]:
+    if isinstance(value, list) and len(value) == 3:  # else unpacking fails unnamed
+        return tuple(_int(v, what) for v in value)
+    raise TypeError(f"{what} must be a list of three integers, got {value!r}")
+
+
+def _assoc(value, what: str) -> tuple[int, int, int]:
+    if isinstance(value, dict):  # indexing a list would fail without naming the row
+        return tuple(_int(value.get(k), f"{what} {k}") for k in ("deg", "g", "K2"))
+    raise TypeError(f"{what} must be an object, got {value!r}")
+
+
+# the reader of each declared field type of TableRow; ``int | None`` is an int
+_READERS = {int: _int, int | None: _int, str: _text, tuple[str, ...]: _texts,
+            tuple[int, int, int]: _triple, tuple[int, int, int] | None: _assoc}
+
+# (name, reader, whether it may be null) of each field: a row may give null
+# where the type admits None, and leave out a field that has a default
+_FIELDS = tuple((name, _READERS[hint], type(None) in get_args(hint))
+                for name, hint in get_type_hints(TableRow).items())
 
 
 def _row_from_dict(d: dict) -> TableRow:
-    rid = d.get("id")
-    missing = [key for key in REQUIRED_FIELDS if key not in d]
-    if missing:
-        raise ValueError(f"row {rid}: missing field {missing[0]!r}")
-
-    def num(key: str) -> int:
-        return _int(d[key], f"row {rid}: {key}")
-
-    def optional(key: str) -> int | None:
-        return None if d.get(key) is None else num(key)
-
-    def text(key: str) -> str:
-        # exact text: a number or null here would fail in ``split`` later
-        if isinstance(d[key], str):
-            return d[key]
-        raise TypeError(f"row {rid}: {key} must be a string, got {d[key]!r}")
-
-    def optional_text(key: str) -> str:
-        return text(key) if key in d else ""
-
-    def assoc() -> tuple[int, int, int] | None:
-        # indexing a list here would fail without naming the row
-        value = d.get("assoc")
-        if not value:
-            return None
-        if not isinstance(value, dict):
-            raise TypeError(f"row {rid}: assoc must be an object, got {value!r}")
-        return tuple(_int(value.get(k), f"row {rid}: assoc {k}") for k in ("deg", "g", "K2"))
-
-    # a JSON string is iterable too, and tuple() would split it into letters
-    flags = d.get("flags", [])
-    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
-        raise TypeError(f"row {rid}: flags must be a list of strings, got {flags!r}")
-
-    # unpacking would fail on a wrong length without naming the row
-    matrix = d["matrix"]
-    if not (isinstance(matrix, list) and len(matrix) == 3):
-        raise TypeError(f"row {rid}: matrix must be a list of three integers, got {matrix!r}")
-    m11, m12, m22 = matrix = tuple(_int(x, f"row {rid}: matrix") for x in matrix)
-    disc = num("discriminant")
-    if m11 * m22 - m12 * m12 != disc:
+    rid, values, defaults = d.get("id"), [], TableRow._field_defaults
+    for name, reader, nullable in _FIELDS:
+        if name not in d and name not in defaults:
+            raise ValueError(f"row {rid}: missing field {name!r}")
+        value = d.get(name, defaults.get(name))
+        read = name in d and not (value is None and nullable)
+        values.append(reader(value, f"row {rid}: {name}") if read else value)
+    row = TableRow._make(values)
+    m11, m12, m22 = row.matrix
+    if m11 * m22 - m12 * m12 != row.discriminant:
         raise ValueError(f"row {rid}: matrix and discriminant disagree")
-    h0_is2, h0_n, h0_nsx = num("h0_IS2"), num("h0_N"), num("h0_NSX")
-    if min(h0_is2, h0_n, h0_nsx) < 0:
+    if min(row.h0_IS2, row.h0_N, row.h0_NSX) < 0:
         raise ValueError(f"row {rid}: negative count")
-    return TableRow(
-        id=text("id"),
-        table=num("table"),
-        surface=text("surface"),
-        matrix=matrix,
-        discriminant=disc,
-        codim=num("codim"),
-        h0_IS2=h0_is2,
-        h0_N=h0_n,
-        h0_NSX=h0_nsx,
-        flags=tuple(flags),
-        surface_desc=optional_text("surface_desc"),
-        congruence_degree=optional("congruence_degree"),
-        congruence_secancy=optional("congruence_secancy"),
-        fourfold=optional_text("fourfold"),
-        fourfold_index=optional("fourfold_index"),
-        u_desc=optional_text("u_desc"),
-        assoc=assoc(),
-        assoc_discriminant=optional("assoc_discriminant"),
-    )
+    return row
 
 
 def _objects(data: dict, key: str) -> list[dict]:

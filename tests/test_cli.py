@@ -182,6 +182,12 @@ def _bundled_rows() -> dict:
     ("t3-1", "assoc", {"deg": 9, "K2": 2}),
     ("t1-01", "matrix", [8, 4]),
     ("t1-01", "matrix", 8),
+    # a falsy assoc is no object either, not "no associated surface"
+    ("t3-1", "assoc", 0),
+    ("t3-1", "assoc", False),
+    ("t3-1", "assoc", ""),
+    ("t3-1", "assoc", []),
+    ("t3-1", "assoc", {}),
 ])
 def test_dataset_takes_only_exact_integers(tmp_path, capsys, row_id, key, value):
     data = _bundled_rows()
