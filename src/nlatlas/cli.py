@@ -194,27 +194,28 @@ def _cmd_tables(args) -> int:
             reports.append(reproduce_tables(w, dataset))
         except DatasetMissing as exc:
             raise ParseError(str(exc), args.which, at) from None
-    for rep in reports:
-        if args.format == "json":
-            import json
-            print(json.dumps({
-                "table": rep.which, "ok": rep.ok,
-                "mismatches": [{"row": c.row.id, "diffs": {
-                    k: {"got": got, "want": want} for k, (got, want) in c.diffs.items()}}
-                    for c in rep.mismatches],
-            }, indent=2))
-        elif args.format == "md":
-            print(f"### Table {rep.which}\n")
-            print(table_markdown(rep))
-            print()
-        elif args.format == "csv":
-            print(table_csv(rep))
-        else:
-            status = "all rows match" if rep.ok else \
-                f"{len(rep.mismatches)} mismatching row(s)"
-            print(f"table {rep.which}: {len(rep.checks)} rows, {status}")
-            for c in rep.mismatches:
-                print(f"  {c.row.id} ({c.row.surface}): {c.diffs}")
+    if args.format == "json":
+        import json
+        print(json.dumps([{
+            "table": rep.which, "ok": rep.ok,
+            "mismatches": [{"row": c.row.id, "diffs": {
+                k: {"got": got, "want": want} for k, (got, want) in c.diffs.items()}}
+                for c in rep.mismatches],
+        } for rep in reports], indent=2))
+    else:
+        for rep in reports:
+            if args.format == "md":
+                print(f"### Table {rep.which}\n")
+                print(table_markdown(rep))
+                print()
+            elif args.format == "csv":
+                print(table_csv(rep))
+            else:
+                status = "all rows match" if rep.ok else \
+                    f"{len(rep.mismatches)} mismatching row(s)"
+                print(f"table {rep.which}: {len(rep.checks)} rows, {status}")
+                for c in rep.mismatches:
+                    print(f"  {c.row.id} ({c.row.surface}): {c.diffs}")
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_MISMATCH
 
 

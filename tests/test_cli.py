@@ -137,6 +137,21 @@ def test_tables_detect_corruption(tmp_path, capsys):
     assert "t1-01" in out and "h0_N" in out
 
 
+def test_tables_json_is_one_array(tmp_path, capsys):
+    code, out, _ = run(capsys, "--format", "json", "tables")
+    assert code == 0
+    assert json.loads(out) == [{"table": t, "ok": True, "mismatches": []} for t in (1, 2, 3, 4)]
+    data = _bundled_rows()
+    data["unirational_rows"][0]["h0_N"] = 99
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "--format", "json", "--dataset", str(bad), "tables", "--which", "1")
+    assert code == 2
+    [table] = json.loads(out)
+    assert table["table"] == 1 and not table["ok"]
+    assert table["mismatches"][0]["row"] == "t1-01" and "h0_N" in table["mismatches"][0]["diffs"]
+
+
 def test_reproduce_tables_empty_dataset(tmp_path):
     empty = {"version": 1, "unirational_rows": [], "gap_rows": [],
              "rational_rows": []}
