@@ -159,12 +159,15 @@ def _cmd_search(args) -> int:
         import json
         print(json.dumps([_encode(e) for e in entries], indent=2))
     elif args.format == "csv":
-        print("surface,m11,m12,m22,discriminant,codim_lo,codim_hi,h0_IS2,h0_N")
+        # a spec holds commas: the csv module quotes it as RFC 4180 has it
+        import csv
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("surface", "m11", "m12", "m22", "discriminant", "codim_lo",
+                         "codim_hi", "h0_IS2", "h0_N"))
         for e in entries:
             lat = e.lattice
-            print(f"{e.model.spec_string()},{lat.m11},{lat.m12},{lat.m22},"
-                  f"{e.discriminant},{e.codim_bound_range[0]},"
-                  f"{e.codim_bound_range[1]},{e.h0_IS2},{e.h0_N}")
+            writer.writerow((e.model.spec_string(), lat.m11, lat.m12, lat.m22,
+                             e.discriminant, *e.codim_bound_range, e.h0_IS2, e.h0_N))
     elif args.format == "md":
         print(f"bounds: {bounds.describe()}\n")
         print("| surface | matrix (det) | codim range | h0(I(2)), h0(N_P7) |")
@@ -202,14 +205,14 @@ def _cmd_tables(args) -> int:
                 k: {"got": got, "want": want} for k, (got, want) in c.diffs.items()}}
                 for c in rep.mismatches],
         } for rep in reports], indent=2))
+    elif args.format == "csv":
+        print(table_csv(*reports))
     else:
         for rep in reports:
             if args.format == "md":
                 print(f"### Table {rep.which}\n")
                 print(table_markdown(rep))
                 print()
-            elif args.format == "csv":
-                print(table_csv(rep))
             else:
                 status = "all rows match" if rep.ok else \
                     f"{len(rep.mismatches)} mismatching row(s)"

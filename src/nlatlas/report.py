@@ -160,13 +160,18 @@ def table_markdown(report: TableReport) -> str:
     return "\n".join([head] + body)
 
 
-def table_csv(report: TableReport) -> str:
-    lines = ["id,surface,m11,m12,m22,discriminant,codim,h0_IS2,h0_N,h0_NSX,ok"]
-    for check in report.checks:
-        row = check.row
-        m11, m12, m22 = row.matrix
-        lines.append(
-            f"{row.id},{row.surface},{m11},{m12},{m22},{row.discriminant},"
-            f"{row.codim},{row.h0_IS2},{row.h0_N},{row.h0_NSX},{int(check.ok)}"
-        )
-    return "\n".join(lines)
+def table_csv(*reports: TableReport) -> str:
+    """The rows of ``reports`` under one header; a spec holds commas, so it
+    is quoted as RFC 4180 has it."""
+    import csv
+    import io
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("id", "surface", "m11", "m12", "m22", "discriminant", "codim",
+                     "h0_IS2", "h0_N", "h0_NSX", "ok"))
+    for report in reports:
+        for check in report.checks:
+            r = check.row
+            writer.writerow((r.id, r.surface, *r.matrix, r.discriminant, r.codim,
+                             r.h0_IS2, r.h0_N, r.h0_NSX, int(check.ok)))
+    return out.getvalue().rstrip("\n")

@@ -1,6 +1,8 @@
 import atexit
+import csv
 import functools
 import gc
+import io
 import json
 import os
 import subprocess
@@ -543,7 +545,27 @@ def test_search_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("surface,")
-    assert lines[1].startswith("1;0,0,0,8,1,4,31")
+    assert lines[1].startswith('"1;0,0,0",8,1,4,31')
+
+
+@pytest.mark.parametrize("argv,header", [
+    pytest.param(["search", "--max-a", "6", "--max-points", "10"], "surface,m11",
+                 id="search-small"),
+    pytest.param(["search", "--det", "47"], "surface,m11", id="search-det"),
+    pytest.param(["tables"], "id,surface", id="tables"),
+    pytest.param(["tables", "--which", "3,1"], "id,surface", id="tables-3-1"),
+])
+def test_csv_rows_have_as_many_fields_as_the_header(capsys, argv, header):
+    code, out, _ = run(capsys, "--format", "csv", *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][:2] == header.split(",") and len(rows) > 2
+    assert rows.count(rows[0]) == 1
+    assert all(len(row) == len(rows[0]) for row in rows)
+    # each spec is one whole field
+    column = rows[0].index("surface")
+    for row in rows[1:]:
+        nl.parse_surface_spec(row[column])
 
 
 def test_search_markdown(capsys):
