@@ -144,10 +144,10 @@ def _cmd_ledger(args) -> int:
 def _cmd_search(args) -> int:
     from .atlas import SearchBounds, enumerate_atlas, gap_report
     _given({"--det": args.det is not None, "--gaps": args.gaps})
-    bounds = SearchBounds(
-        max_a=args.max_a, max_points=args.max_points, max_mult=args.max_mult,
-        min_h0_IS2=args.min_h0_is2, max_codim=args.max_codim,
-    )
+    # only the bounds given: SearchBounds holds the defaults
+    given = {"max_a": args.max_a, "max_points": args.max_points, "max_mult": args.max_mult,
+             "min_h0_IS2": args.min_h0_is2, "max_codim": args.max_codim}
+    bounds = SearchBounds(**{k: v for k, v in given.items() if v is not None})
     entries = enumerate_atlas(bounds)
     if args.gaps:
         rep = gap_report(entries, up_to=args.up_to, bounds=bounds)
@@ -256,11 +256,11 @@ COMMANDS = {
     "ledger": (_cmd_ledger, "solve a two-sided blow-up diagram",
                {"--diagram": {"required": True, "help": "JSON diagram file"}}),
     "search": (_cmd_search, "enumerate the discriminant atlas", {
-        "--max-a": {"type": int, "default": 8},
-        "--max-points": {"type": int, "default": 13},
-        "--max-mult": {"type": int, "default": 3},
-        "--min-h0-is2": {"type": int, "default": 7},
-        "--max-codim": {"type": int, "default": 7},
+        "--max-a": {"type": int, "default": None},
+        "--max-points": {"type": int, "default": None},
+        "--max-mult": {"type": int, "default": None},
+        "--min-h0-is2": {"type": int, "default": None},
+        "--max-codim": {"type": int, "default": None},
         "--det": {"type": int, "default": None, "help": "filter to one bucket"},
         "--gaps": {"action": "store_true", "default": False, "help": "emit the gap report"},
         "--up-to": {"type": int, "default": 110}}),
