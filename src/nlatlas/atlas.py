@@ -18,10 +18,15 @@ where H.K = sum i n_i - 3a.  A model that is not standard Cremona-reduces to
 one that is, with smaller a, no more points and no higher multiplicity, so
 inside the box, and with the same H^2 and H.K, so passing the same
 conditions: each surface is listed once per standard model, and no surface
-of the box is lost.  ``_candidate_grid`` fixes the multiplicities above one
-and solves these conditions for n_1, which they bound to an interval (plus
-the plane), so no candidate outside them is built: on the default bounds 86
-of the 1,155 models with H^2 >= 1 (304 without the standard condition).
+of the box is lost.  ``_candidate_grid`` chooses the multiplicities above
+one with the degree and h0(H) as running sums, which also give the genus,
+cuts each choice to the counts that can still meet the conditions, and
+solves them for n_1, which they bound to an interval (plus the plane), so
+no candidate outside them is built: on the default bounds 86 of the 1,155
+models with H^2 >= 1 (304 without the standard condition), from 62 nodes
+of the search tree, where the H^2 and standard cuts alone visit 112
+(163,505 and 1,367,049 for the 11,997 of max_a=24, max_points=30,
+max_mult=6).
 The candidates go through ``invariants``, which counts the (-1)-classes
 orthogonal to H and blows them down (each raises K^2); a standard model
 pairs non-negatively with every (-1)-class, so none is rejected as not nef.
@@ -35,12 +40,8 @@ The lattice, its discriminant and the window read only the degree, sectional
 genus, K^2, chi(O) and nodes of the surface, and numerically equal models
 repeat those numbers.  ``_evaluate_chunk`` keeps, for the length of its
 call, a dict from them to what it computed, so such entries share one
-``RankTwoLattice``.  On the three bench grids 453 lattices and windows
-serve 683 candidates, and a serial pass over them ran at 5.85M box
-members/s with the dict and 5.50M without it (the benchmark's unit: the
-64,558 (a, counts) of the three boxes per pass, not the 683 evaluated;
-medians of 8 alternating pairs of 10-second benchmark runs, Python 3.11,
-2 shared cores).  Nothing is kept between calls.
+``RankTwoLattice``: on the three bench grids 453 lattices and windows serve
+683 candidates.  Nothing is kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
 the grid in one serial pass and sorts the entries by (discriminant, a,
@@ -58,7 +59,7 @@ from typing import NamedTuple
 from .chow import CI222
 from .counts import codimension_window
 from .lattice import RankTwoLattice, discriminant, fourfold_lattice, mod16_class
-from .surfaces import PlaneModel, SurfaceInvariants, _count_numbers, invariants
+from .surfaces import PlaneModel, SurfaceInvariants, invariants
 
 GAP_FLOOR = 16  # smallest discriminant considered attainable on a (2,2,2)
 
@@ -149,32 +150,45 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
     """Every Cremona-standard (a, counts) in the bounds that passes the
     count conditions.
 
-    n_maxmult, ..., n_2 are chosen first, within the H^2 >= 1 budget and
-    with the largest three multiplicities m1 + m2 + m3 <= a (standard).
-    With them fixed, each simple point lowers the degree and h0(H) by one,
-    raises h0(I(2)) by three and leaves the genus alone, so the n_1 that
-    pass form one interval, plus the plane's degree-1 model.  The module
-    docstring says why listing only standard models loses no surface.
+    n_maxmult, ..., n_2 are chosen first, with m1 + m2 + m3 <= a for the
+    largest three multiplicities (standard), carrying down H^2 - 1 and h0(H)
+    of S(a; 0, n_2, ...); its genus is H^2 + 2 - h0(H).  A point of
+    multiplicity i lowers H^2, h0(H) and the genus by i^2, i(i+1)/2 and
+    i(i-1)/2, so each n_i is cut to a window outside which no candidate
+    lies.  Below it, h0(H) stays above 8 even if each of the P points left
+    has multiplicity i - 1 and lowers h0(H) by i(i-1)/2: a candidate needs
+    n_i >= (h0(H) - 8 - P i(i-1)/2) / i.  Above it, H^2 - 1, h0(H) - 3 (the
+    plane's h0(H) is the least) or, when the bounds ask for it, the genus is
+    negative, or the top three sum past a, and the points still to come
+    only make each worse.  With them fixed, each simple point lowers the
+    degree and h0(H) by one, raises h0(I(2)) = 37 - H^2 - 2 h0(H) by three
+    and leaves the genus alone, so the n_1 that pass form one interval,
+    plus the plane's degree-1 model.  The module docstring says why listing
+    only standard models loses no surface.
     """
     need = max(bounds.min_h0_IS2, 3)
+    positive_genus = bounds.require_positive_genus_bound
     grid = []
 
-    def fill(a: int, high: tuple[int, ...], points: int, budget: int, top: int, k: int):
+    def fill(a: int, high: tuple[int, ...], points: int, budget: int, h0: int,
+             top: int, k: int):
         # top: the sum of the k = min(3, points chosen) largest multiplicities
         i = bounds.max_mult - len(high)
         if i > 1:
-            for n in range(min(points, budget // (i * i)) + 1):
+            first = max(0, -((8 + points * (i * i - i) // 2 - h0) // i))
+            for n in range(first, min(points, budget // (i * i)) + 1):
                 t = min(n, 3 - k)
-                if top + t * i > a:     # grows with n: the rest fail too
+                left, h = budget - n * i * i, h0 - n * (i * i + i) // 2
+                # each test only gets worse as n grows: the rest fail too
+                if top + t * i > a or h < 3 or (positive_genus and left + 3 < h):
                     break
-                fill(a, (n,) + high, points - n, budget - n * i * i, top + t * i, k + t)
+                fill(a, (n,) + high, points - n, left, h, top + t * i, k + t)
             return
         if a - top < 3 - k:
             # simple points fill the free places of the top three
             points = min(points, a - top)
-        deg, genus, h0, h0_is2 = _count_numbers(a, (0,) + high)
-        if genus < 0 and bounds.require_positive_genus_bound:
-            return
+        deg = budget + 1
+        h0_is2 = 37 - deg - 2 * h0
         # n_1 >= 0, h0(H) - n_1 <= 8 and h0(I(2)) + 3 n_1 >= need (rounded up)
         lo = max(0, h0 - 8, -((h0_is2 - need) // 3))
         # n_1 <= points, degree - n_1 >= 1 and h0(H) - n_1 >= 4
@@ -186,7 +200,7 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
             grid.append((a, (deg - 1,) + high))
 
     for a in range(1, bounds.max_a + 1):
-        fill(a, (), bounds.max_points, a * a - 1, 0, 0)
+        fill(a, (), bounds.max_points, a * a - 1, (a + 1) * (a + 2) // 2, 0, 0)
     return grid
 
 

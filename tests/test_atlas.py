@@ -3,12 +3,13 @@ import hashlib
 import itertools
 import json
 import pickle
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nlatlas import atlas, surfaces
-from nlatlas.atlas import (SearchBounds, _candidate_grid, _count_numbers,
-                           _evaluate, enumerate_atlas, gap_report)
+from nlatlas.atlas import SearchBounds, _candidate_grid, _evaluate, enumerate_atlas, gap_report
 from nlatlas.chow import _constants
 from nlatlas.counts import (H0_QUADRICS_P7, ParameterCount, codimension_window,
                             h0_quadrics)
@@ -18,6 +19,7 @@ from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_ch
 from nlatlas.serialize import encode
 from nlatlas.surfaces import (PlaneModel, expand, invariants, normalize_contractions,
                               parse_surface_spec)
+from reference import count_numbers
 
 TABLE_VALUES = {16, 28, 31, 32, 39, 44, 47, 48, 55, 60, 63, 64, 71, 76, 79, 80,
                 87, 92, 96, 103}
@@ -183,7 +185,7 @@ def _passes_counts(bounds, a, counts, pencils=False):
     """The conditions on (a, counts) that the grid decides, one candidate at
     a time, the standard one aside.  With ``pencils``, degree 1 passes at any
     h0(H), as it did before the grid admitted only the plane."""
-    deg, genus, h0, h0_is2 = _count_numbers(a, counts)
+    deg, genus, h0, h0_is2 = count_numbers(a, counts)
     return (deg >= 1 and h0 <= 8 and (h0 >= 4 or (deg == 1 and (h0 == 3 or pencils)))
             and (genus >= 0 or not bounds.require_positive_genus_bound)
             and h0_is2 >= max(bounds.min_h0_IS2, 3))
@@ -266,6 +268,55 @@ GRID_BOUNDS = pytest.mark.parametrize("bounds", [p.values[0] for p in ATLAS_DIGE
                                       ids=[p.id for p in ATLAS_DIGESTS])
 
 
+def _unpruned_grid(bounds):
+    """``_candidate_grid`` before it carried h0(H) down its recursion: it
+    pruned only on H^2 >= 1 and the standard condition, and read each
+    leaf's numbers from ``count_numbers``."""
+    need = max(bounds.min_h0_IS2, 3)
+    grid = []
+
+    def fill(a, high, points, budget, top, k):
+        i = bounds.max_mult - len(high)
+        if i > 1:
+            for n in range(min(points, budget // (i * i)) + 1):
+                t = min(n, 3 - k)
+                if top + t * i > a:
+                    break
+                fill(a, (n,) + high, points - n, budget - n * i * i, top + t * i, k + t)
+            return
+        if a - top < 3 - k:
+            points = min(points, a - top)
+        deg, genus, h0, h0_is2 = count_numbers(a, (0,) + high)
+        if genus < 0 and bounds.require_positive_genus_bound:
+            return
+        lo = max(0, h0 - 8, -((h0_is2 - need) // 3))
+        hi = min(points, deg - 1, h0 - 4)
+        grid.extend([(a, (n,) + high) for n in range(lo, hi + 1)])
+        if h0 - (deg - 1) == 3 and lo <= deg - 1 <= points:
+            grid.append((a, (deg - 1,) + high))
+
+    for a in range(1, bounds.max_a + 1):
+        fill(a, (), bounds.max_points, a * a - 1, 0, 0)
+    return grid
+
+
+@pytest.mark.parametrize("bounds", [
+    *(p.values[0] for p in ATLAS_DIGESTS),
+    SearchBounds(max_a=16, max_points=20, max_mult=4),
+    SearchBounds(max_a=20, max_points=24, max_mult=5),
+], ids=["default", "a12p16", "a10p16m4", "a16p20m4", "a20p24m5"])
+def test_pruned_grid_is_the_unpruned_grid(bounds):
+    # the same list in the same order, so the same entries and digests
+    assert _candidate_grid(bounds) == _unpruned_grid(bounds)
+
+
+@given(st.builds(SearchBounds, max_a=st.integers(1, 12), max_points=st.integers(1, 16),
+                 max_mult=st.integers(1, 6), min_h0_IS2=st.integers(1, 32),
+                 max_codim=st.just(7), require_positive_genus_bound=st.booleans()))
+def test_pruned_grid_is_the_unpruned_grid_on_drawn_bounds(bounds):
+    assert _candidate_grid(bounds) == _unpruned_grid(bounds)
+
+
 @GRID_BOUNDS
 def test_not_nef_message_words_h_as_expand(bounds):
     # the reduction words H from the input counts, without building the
@@ -274,7 +325,7 @@ def test_not_nef_message_words_h_as_expand(bounds):
     # and 65 that passed the count conditions among them
     rejected = passing = 0
     for a, counts in _box(bounds):
-        if _count_numbers(a, counts)[0] < 1:
+        if count_numbers(a, counts)[0] < 1:
             continue
         model = PlaneModel(a, counts)
         try:
@@ -334,11 +385,11 @@ def test_degree_one_point_admits_only_the_plane(bounds):
     # embedding; none gave an entry when the grid admitted them
     pencils = [(a, counts) for a, counts in _box(bounds)
                if _standard(a, counts) and _passes_counts(bounds, a, counts, pencils=True)
-               and _count_numbers(a, counts)[0] == 1 and _count_numbers(a, counts)[2] != 3]
+               and count_numbers(a, counts)[0] == 1 and count_numbers(a, counts)[2] != 3]
     assert len(pencils) == {"default": 5, "a12p16": 27, "a10p16m4": 31}[_grid_name(bounds)]
     assert all(_evaluate(bounds, a, counts, {}) is None for a, counts in pencils)
     grid = _candidate_grid(bounds)
-    assert [c for c in grid if _count_numbers(*c)[0] == 1] == [(1, (0,) * bounds.max_mult)]
+    assert [c for c in grid if count_numbers(*c)[0] == 1] == [(1, (0,) * bounds.max_mult)]
 
 
 def test_count_numbers_match_the_record():
@@ -353,7 +404,7 @@ def test_count_numbers_match_the_record():
                 s = invariants(PlaneModel(a, counts))
             except (NotNef, SpanTooSmall, ValueError):
                 continue
-            deg, genus, h0, h0_is2 = _count_numbers(a, counts)
+            deg, genus, h0, h0_is2 = count_numbers(a, counts)
             h = expand(PlaneModel(a, counts))
             twice = DivisorClass(2 * a, [2 * m for m in h.mults])
             assert (deg, genus, h0, h0_is2) == (
@@ -369,15 +420,32 @@ def test_count_numbers_match_the_record():
     assert checked > 1000 and contracted > 100
 
 
+def _visited_leaves(bounds):
+    """The calls of ``_candidate_grid``'s recursion that reach n_1."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "fill":
+            calls += len(frame.f_locals["high"]) == bounds.max_mult - 1
+    sys.setprofile(profile)
+    try:
+        _candidate_grid(bounds)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def test_atlas_work_counts(monkeypatch):
     """Work counted instead of timed, so that a busy host cannot fail it: one
     default atlas evaluates the closed form once per multidegree, builds no
     ``ParameterCount`` and exactly one ``PlaneModel`` per candidate, so no
     second model even for the candidates whose counts end in zero, which the
-    reduction drops, and runs the degree/genus/h0 loop ``_count_numbers``
-    exactly once per grid leaf (a standard choice of the counts above n_1),
-    never once per candidate: the Cremona reduction returns those numbers
-    itself.  It builds
+    reduction drops.  The grid carries the degree and h0(H) down its
+    recursion, so no loop over the counts computes them (the package has no
+    ``_count_numbers`` left), and its bounds on h0(H) and the genus leave
+    fewer leaves (a standard choice of the counts above n_1) to visit than
+    the brute-force count of them.  It builds
     at most one lattice and one codimension window per distinct (degree,
     genus, K^2) among the nef candidates, and a second call builds them all
     again.  Each codimension window takes chi(O_S(2H)) and chi(O_S(H)) once:
@@ -394,13 +462,11 @@ def test_atlas_work_counts(monkeypatch):
                  if sum(high) <= bounds.max_points
                  and sum(i * i * n for i, n in enumerate(high, 2)) < a * a
                  and _standard(a, (0,) + high))
-    built = {"model": 0, "count": 0, "loop": 0, "window": 0, "chi": 0, "lattice": 0}
-
-    def counted_loop(*args):
-        built["loop"] += 1
-        return _count_numbers(*args)
-    monkeypatch.setattr(atlas, "_count_numbers", counted_loop)
-    monkeypatch.setattr(surfaces, "_count_numbers", counted_loop)
+    assert not hasattr(atlas, "_count_numbers") and not hasattr(surfaces, "_count_numbers")
+    visited = _visited_leaves(bounds)
+    # each candidate comes from a visited leaf
+    assert len({(a, counts[1:]) for a, counts in grid}) <= visited < leaves
+    built = {"model": 0, "count": 0, "window": 0, "chi": 0, "lattice": 0}
 
     def counted_window(s):
         built["window"] += 1
@@ -435,7 +501,6 @@ def test_atlas_work_counts(monkeypatch):
     assert built["count"] == 0
     assert 0 < trailing_zero < len(grid)
     assert built["model"] == len(grid)
-    assert built["loop"] == leaves > 0     # the grid's calls, none per candidate
     assert 0 < built["chi"] <= 2 * built["window"]
     assert 0 < built["window"] <= built["lattice"] <= len(surfaces_seen)
     # nothing is kept across calls: the second call does all of it again

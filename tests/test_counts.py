@@ -11,8 +11,9 @@ from nlatlas.counts import (chi_NSX_lower, codimension_bound, codimension_window
 from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef
 from nlatlas.lattice import (Mod16Class, RankTwoLattice, discriminant, fourfold_lattice,
                              mod16_class)
-from nlatlas.surfaces import (SurfaceInvariants, _count_numbers, abstract_surface,
-                              invariants, parse_surface_spec, PlaneModel)
+from nlatlas.surfaces import (SurfaceInvariants, abstract_surface, invariants,
+                              parse_surface_spec, PlaneModel)
+from reference import count_numbers
 
 DEL_PEZZO = invariants(PlaneModel(3, (5,)))
 PLANE = invariants(PlaneModel(1))
@@ -159,7 +160,7 @@ def test_window_matches_codimension_bound(dataset):
     # standard or not, so Cremona-equivalent models too
     for a in range(1, 9):
         for counts in itertools.product(range(14), repeat=3):
-            deg, genus, h0, h0_is2 = _count_numbers(a, counts)
+            deg, genus, h0, h0_is2 = count_numbers(a, counts)
             if (sum(counts) > 13 or deg < 1 or h0 > 8 or (h0 < 4 and deg != 1)
                     or genus < 0 or h0_is2 < 7):
                 continue
