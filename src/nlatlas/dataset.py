@@ -6,8 +6,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-from importlib import resources
-from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
 from .errors import DatasetMissing
@@ -97,7 +95,11 @@ def _triple(value, what: str) -> tuple[int, int, int]:
 
 def _assoc(value, what: str) -> tuple[int, int, int]:
     if isinstance(value, dict):  # indexing a list would fail without naming the row
-        return tuple(_int(value.get(k), f"{what} {k}") for k in ("deg", "g", "K2"))
+        rest = dict(value)
+        triple = tuple(_int(rest.pop(k, None), f"{what} {k}") for k in ("deg", "g", "K2"))
+        if rest:
+            raise ValueError(f"{what}: unknown field {next(iter(rest))!r}")
+        return triple
     raise TypeError(f"{what} must be an object, got {value!r}")
 
 
@@ -113,12 +115,16 @@ _FIELDS = tuple((name, _READERS[hint], type(None) in get_args(hint))
 
 def _row_from_dict(d: dict) -> TableRow:
     rid, values, defaults = d.get("id"), [], TableRow._field_defaults
+    rest = dict(d)  # the keys no field has read yet
     for name, reader, nullable in _FIELDS:
         if name not in d and name not in defaults:
             raise ValueError(f"row {rid}: missing field {name!r}")
-        value = d.get(name, defaults.get(name))
+        value = rest.pop(name, defaults.get(name))
         read = name in d and not (value is None and nullable)
         values.append(reader(value, f"row {rid}: {name}") if read else value)
+    if rest:
+        # a misspelled optional field would drop its check without a word
+        raise ValueError(f"row {rid}: unknown field {next(iter(rest))!r}")
     row = TableRow._make(values)
     m11, m12, m22 = row.matrix
     if m11 * m22 - m12 * m12 != row.discriminant:
@@ -165,16 +171,20 @@ def load_dataset(path: str | os.PathLike | None = None) -> Dataset:
     bundled copy, in that order."""
     chosen = path or os.environ.get(DATASET_ENV)
     if chosen:
-        p = Path(chosen)
-        if not p.is_file():
-            raise DatasetMissing(f"dataset file not found: {p}")
+        chosen = os.fspath(chosen)
+        if not os.path.isfile(chosen):
+            raise DatasetMissing(f"dataset file not found: {chosen}")
         try:
-            data = json.loads(p.read_text())
+            with open(chosen, encoding="utf-8") as f:
+                data = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
-            raise DatasetMissing(f"cannot read dataset {p}: {exc}") from exc
-        return _dataset_from_dict(data, source=str(p))
+            raise DatasetMissing(f"cannot read dataset {chosen}: {exc}") from exc
+        return _dataset_from_dict(data, source=chosen)
     try:
-        text = resources.files("nlatlas").joinpath("data/table_rows.json").read_text()
-    except (FileNotFoundError, OSError) as exc:
+        # beside this module: importlib.resources and pathlib cost more than it
+        with open(os.path.join(os.path.dirname(__file__), "data", "table_rows.json"),
+                  encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
         raise DatasetMissing(f"bundled dataset missing: {exc}") from exc
     return _dataset_from_dict(json.loads(text), source="bundled")

@@ -310,6 +310,35 @@ def test_dataset_names_a_missing_field(tmp_path, capsys, edit, message):
     assert run(capsys, "--dataset", str(bad), "tables") == (3, "", f"error: {message}\n")
 
 
+def _misspell_congruence_degree(data):
+    row = next(r for r in data["rational_rows"] if r["id"] == "t3-1")
+    row["congruence_degre"] = row.pop("congruence_degree")
+    row["congruence_secancy"] = 999
+
+
+@pytest.mark.parametrize("edit,message", [
+    # the secancy check runs only with a congruence degree, so the misspelled
+    # field gave "all rows match"
+    pytest.param(_misspell_congruence_degree, "row t3-1: unknown field 'congruence_degre'",
+                 id="row-misspelled"),
+    pytest.param(lambda data: data["unirational_rows"][0].update(note="x"),
+                 "row t1-01: unknown field 'note'", id="row-extra"),
+    pytest.param(lambda data: data["rational_rows"][0]["assoc"].update(genus=9),
+                 "row t3-1: assoc: unknown field 'genus'", id="assoc-extra"),
+])
+def test_dataset_refuses_an_unknown_field(tmp_path, capsys, edit, message):
+    data = _bundled_rows()
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    message = f"malformed dataset {bad}: {message}"
+    with pytest.raises(DatasetMissing) as exc:
+        load_dataset(bad)
+    assert str(exc.value) == message
+    assert run(capsys, "--dataset", str(bad), "tables", "--which", "3") == (
+        3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("top,kind", [([1, 2], "list"), ("rows", "str"), (None, "NoneType")])
 def test_dataset_must_be_an_object(tmp_path, capsys, top, kind):
     bad = tmp_path / "bad.json"

@@ -2,8 +2,9 @@
 nlatlas.cli`` loads only ``errors``, each command loads exactly the modules it
 runs, atlas (and ``dataclasses``) only where it enumerates or codes an atlas
 record, a well-formed command loads no ``argparse`` (only help and usage
-errors do), an atlas of any worker count loads no process machinery, and
-every public name of the package is the object of its home module."""
+errors do), an atlas of any worker count loads no process machinery, the
+dataset is read without ``importlib.resources``, and every public name of
+the package is the object of its home module."""
 
 import importlib
 import json
@@ -18,10 +19,11 @@ import nlatlas as nl
 HEAVY = {"nlatlas.atlas", "nlatlas.hodge", "nlatlas.serialize"}
 
 
-def loaded_after(statement: str, env: dict) -> set[str]:
-    """The modules a fresh interpreter holds after ``statement``."""
+def loaded_after(statement: str, env: dict, *options: str) -> set[str]:
+    """The modules a fresh interpreter, started with ``options``, holds after
+    ``statement``."""
     script = statement + "\nimport sys\nprint(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, *options, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return set(proc.stdout.split())
 
@@ -29,6 +31,14 @@ def loaded_after(statement: str, env: dict) -> set[str]:
 def test_import_package_loads_no_submodule(fresh_env):
     assert not {m for m in loaded_after("import nlatlas", fresh_env)
                 if m.startswith("nlatlas.")}
+
+
+def test_loading_the_dataset_loads_no_resource_machinery(fresh_env):
+    # under -S: a site .pth file may preload these, which would hide what
+    # the reader imports itself
+    loaded = loaded_after("import nlatlas\nnlatlas.load_dataset()", fresh_env, "-S")
+    assert "nlatlas.dataset" in loaded
+    assert not loaded & {"importlib.resources", "pathlib", "zipfile"}
 
 
 def nlatlas_modules(loaded: set[str]) -> set[str]:
