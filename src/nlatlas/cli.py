@@ -120,8 +120,11 @@ def _cmd_count(args) -> int:
 def _cmd_ledger(args) -> int:
     import json
     from .hodge import classify_solved, diagram_from_dict, solve_diagram
-    with open(args.diagram) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.diagram, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise NLAtlasError(f"cannot read diagram {args.diagram}: {exc}") from exc
     solved = solve_diagram(diagram_from_dict(data))
     cls = classify_solved(solved)
     inv = solved.invariants

@@ -21,7 +21,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import (DimensionMismatch, Inconsistent, Underdetermined,
-                     UnknownPreset)
+                     UnknownPreset, read_fields, reader)
 from .surfaces import SurfaceInvariants, parse_surface_spec
 
 UNKNOWN = "unknown"
@@ -284,15 +284,12 @@ def classify_solved(solved: SolvedDiagram) -> Classification:
     return classify(inv.pg, inv.q, inv.K2)
 
 
-def _table(rows: list | tuple) -> HodgeDiamond:
+def _table(rows: list, what: str) -> HodgeDiamond:
     """An explicit diamond, given as a nested list of integers."""
-    if not all(isinstance(r, (list, tuple)) and all(type(x) is int for x in r)
-               for r in rows):
-        raise ValueError(f"a Hodge table is a list of integer rows, got {rows!r}")
-    return HodgeDiamond(len(rows) - 1, tuple(tuple(r) for r in rows))
+    return HodgeDiamond(len(rows) - 1, reader(tuple[tuple[int, ...], ...])(rows, what))
 
 
-def _center_from_spec(obj) -> HodgeDiamond | str:
+def _center_from_spec(obj, side: str) -> HodgeDiamond | str:
     """A diagram center: "unknown", a preset name, a surface spec string, or
     an explicit diamond given as a nested list."""
     if obj == UNKNOWN:
@@ -301,8 +298,8 @@ def _center_from_spec(obj) -> HodgeDiamond | str:
         if obj in _PRESETS:
             return preset(obj)
         return surface_diamond(parse_surface_spec(obj))
-    if isinstance(obj, (list, tuple)):
-        return _table(obj)
+    if isinstance(obj, list):
+        return _table(obj, f"diagram: {side}: center")
     raise ValueError(f"cannot interpret diagram center {obj!r}")
 
 
@@ -311,8 +308,8 @@ def _fourfold_from_spec(obj, side: str) -> HodgeDiamond:
     diamond of dimension 4, given as a nested list."""
     if isinstance(obj, str):
         fourfold = preset(obj)
-    elif isinstance(obj, (list, tuple)):
-        fourfold = _table(obj)
+    elif isinstance(obj, list):
+        fourfold = _table(obj, f"diagram: {side}: fourfold")
     else:
         raise ValueError(f"cannot interpret fourfold {obj!r}")
     if fourfold.dim != 4:
@@ -321,25 +318,31 @@ def _fourfold_from_spec(obj, side: str) -> HodgeDiamond:
     return fourfold
 
 
+class _DiagramSide(NamedTuple):  # each value takes several forms, read below
+    fourfold: object
+    center: object
+
+
+class _DiagramFile(NamedTuple):
+    left: _DiagramSide
+    right: _DiagramSide
+    flop_bridge: object = True  # read below, to name it in its message
+
+
 def diagram_from_dict(data: dict) -> DiagramSpec:
     """Schema: {"left": {"fourfold": ..., "center": ...},
                 "right": {"fourfold": ..., "center": ...},
-                "flop_bridge": bool}; a missing side or field is a ``ValueError``,
-    and so is a ``flop_bridge`` that is present but not a JSON boolean."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a diagram is a JSON object, got {type(data).__name__}")
-    left, right = data.get("left"), data.get("right")
-    for name, side in (("left", left), ("right", right)):
-        if not isinstance(side, dict) or not {"fourfold", "center"} <= side.keys():
-            raise ValueError(f"diagram side {name!r} needs a 'fourfold' and a 'center'")
+                "flop_bridge": bool}, with ``flop_bridge`` true when left out.
+    A missing side or field, a key outside the schema (a misspelled
+    ``flop_bridge`` would leave the bridge on) and a ``flop_bridge`` that is
+    not a JSON boolean are each a ``ValueError``."""
+    left, right, bridge = read_fields(data, _DiagramFile, "diagram")
     # bool() would read the strings "false" and "no" as set
-    bridge = data.get("flop_bridge", True)
-    if not isinstance(bridge, bool):
-        raise ValueError(f"diagram field 'flop_bridge' must be true or false, got {bridge!r}")
+    bridge = reader(bool)(bridge, "diagram field 'flop_bridge'")
     return DiagramSpec(
-        left_fourfold=_fourfold_from_spec(left["fourfold"], "left"),
-        left_center=_center_from_spec(left["center"]),
-        right_fourfold=_fourfold_from_spec(right["fourfold"], "right"),
-        right_center=_center_from_spec(right["center"]),
+        left_fourfold=_fourfold_from_spec(left.fourfold, "left"),
+        left_center=_center_from_spec(left.center, "left"),
+        right_fourfold=_fourfold_from_spec(right.fourfold, "right"),
+        right_center=_center_from_spec(right.center, "right"),
         flop_bridge=bridge,
     )

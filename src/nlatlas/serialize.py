@@ -5,8 +5,8 @@ declaration order, under their own names except ``DivisorClass.plane_degree``,
 which is written ``"d"``.  Tuples become arrays, a ``Side`` becomes its value
 and nested records are encoded the same way; ``decode`` reverses each step,
 rebuilding the enum from the field's type, and raises ``TypeError`` for a
-value whose wire type does not match the field's.  All numbers stay Python
-integers end to end.
+value whose wire type does not match the field's, a missing field or a key
+that is no field.  All numbers stay Python integers end to end.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import operator
 import sys
 import typing
 from typing import Any
+
+from .errors import reader
 
 # the codec reads its classes through the package and needs none of these:
 # the benchmark's tracer (bench/spans.py) wraps functions of every module it
@@ -41,49 +43,31 @@ KINDS = {
 _KIND_OF = {name: kind for kind, name in KINDS.items()}
 
 WIRE_NAMES = {("divisor", "plane_degree"): "d"}
-SCALARS = (int, str, bool)
 
 
 def _field(hint: Any) -> tuple[Any, Any]:
     """(to wire, from wire) for a field of type ``hint``.  To wire is None for
-    a scalar, which goes on the wire as it is; from wire raises ``TypeError``
-    for a wire value of another type."""
-    if hint in SCALARS:
-        def read(value):
-            if type(value) is not hint:
-                raise TypeError(value)
-            return value
-        return None, read
+    a scalar, which goes on the wire as it is; from wire takes the wire value
+    and its name, and refuses a value of another type."""
     if isinstance(hint, enum.EnumMeta):
-        def read(value):
-            try:
-                return hint(value)
-            except ValueError:
-                raise TypeError(value) from None
-        return operator.attrgetter("value"), read
-    if typing.get_origin(hint) is tuple:
-        # every tuple field holds one element type: tuple[int, ...] or a
-        # fixed-length tuple[int, int]
-        args = typing.get_args(hint)
-        write_item, read_item = _field(args[0])
-        size = None if args[-1] is Ellipsis else len(args)
-
-        def read(value):
-            if type(value) is not list or size not in (None, len(value)):
-                raise TypeError(value)
-            return tuple(read_item(v) for v in value)
-        if write_item is None:
-            return list, read
-        return (lambda value: [write_item(v) for v in value]), read
-
-    def read(value):
-        record = decode(value)
-        if type(record) is not hint:
-            raise TypeError(value)
-        return record
-    # encode is looked up at each call, so a wrapper bound over it later
-    # (the tracer's) sees the nested records too
-    return (lambda value: encode(value)), read
+        return operator.attrgetter("value"), lambda value, what: hint(value)
+    if hasattr(hint, "_fields"):
+        def read(value, what):
+            record = decode(value)
+            if type(record) is not hint:
+                raise TypeError(f"{what} must be a {hint.__name__}, got {value!r}")
+            return record
+        # encode is looked up at each call, so a wrapper bound over it later
+        # (the tracer's) sees the nested records too
+        return (lambda value: encode(value)), read
+    read = reader(hint)
+    if typing.get_origin(hint) is not tuple:
+        return None, read
+    # an array of arrays (HodgeDiamond.entries) writes its rows as arrays too
+    write_item = _field(typing.get_args(hint)[0])[0]
+    if write_item is None:
+        return list, read
+    return (lambda value: [write_item(v) for v in value]), read
 
 
 _ENCODERS: dict[type, tuple[str, tuple]] = {}
@@ -122,7 +106,10 @@ def decode(data: Any) -> Any:
     try:
         kind = data["kind"]
         cls, layout = _DECODERS.get(kind) or _coder(kind)
-        fields = {name: from_wire(data[wire]) for name, wire, _, from_wire in layout}
-    except (KeyError, TypeError):
-        raise TypeError(f"cannot decode {data!r}") from None
+        if len(data) != len(layout) + 1:
+            raise ValueError(f"{kind}: {len(data) - 1} keys for {len(layout)} fields")
+        fields = {name: from_wire(data[wire], wire) for name, wire, _, from_wire in layout}
+    except (KeyError, TypeError, ValueError) as exc:
+        # the cause names the field that was refused
+        raise TypeError(f"cannot decode {data!r}") from exc
     return cls(**fields)

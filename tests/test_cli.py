@@ -296,7 +296,7 @@ def test_dataset_refuses_rows_that_are_not_objects(tmp_path, capsys, key, index,
     pytest.param(lambda data: data.pop("version"), "missing field 'version'",
                  id="version"),
     pytest.param(lambda data: data["gap_rows"][0].pop("discriminant"),
-                 "missing field 'discriminant'", id="gap-row-discriminant"),
+                 "gap_rows[0]: missing field 'discriminant'", id="gap-row-discriminant"),
 ])
 def test_dataset_names_a_missing_field(tmp_path, capsys, edit, message):
     data = _bundled_rows()
@@ -325,6 +325,10 @@ def _misspell_congruence_degree(data):
                  "row t1-01: unknown field 'note'", id="row-extra"),
     pytest.param(lambda data: data["rational_rows"][0]["assoc"].update(genus=9),
                  "row t3-1: assoc: unknown field 'genus'", id="assoc-extra"),
+    pytest.param(lambda data: data["gap_rows"][0].update(tabel=3),
+                 "gap_rows[0]: unknown field 'tabel'", id="gap-row-extra"),
+    pytest.param(lambda data: data.update(descripton=data.pop("description")),
+                 "unknown field 'descripton'", id="top-level-misspelled"),
 ])
 def test_dataset_refuses_an_unknown_field(tmp_path, capsys, edit, message):
     data = _bundled_rows()
@@ -462,8 +466,14 @@ def test_ledger_without_a_minimal_model_count(tmp_path, capsys, monkeypatch):
     *({"left": {"fourfold": "X222", "center": "5;7,0,1"},
        "right": {"fourfold": "ci22", "center": "unknown"},
        "flop_bridge": bridge} for bridge in ("false", "no", 0, None)),
+    # a misspelled key was ignored: the first solved with the bridge on
+    {"left": {"fourfold": "X222", "center": "5;7,0,1"},
+     "right": {"fourfold": "ci22", "center": "unknown"}, "flop_brige": False},
+    {"left": {"fourfold": "X222", "center": "5;7,0,1", "centre": "plane"},
+     "right": {"fourfold": "ci22", "center": "unknown"}},
 ], ids=["empty-object", "list", "left-without-center", "flat-table", "surface-fourfolds",
-        "bridge-string-false", "bridge-string-no", "bridge-zero", "bridge-null"])
+        "bridge-string-false", "bridge-string-no", "bridge-zero", "bridge-null",
+        "bridge-misspelled", "side-centre"])
 def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     diagram = tmp_path / "diagram.json"
     diagram.write_text(json.dumps(data))
@@ -474,6 +484,18 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
         assert "'flop_bridge'" in err
     if data and isinstance(data["left"]["fourfold"], list):
         assert "side 'left' needs a fourfold" in err
+    for key in ("flop_brige", "centre"):
+        if f'"{key}"' in diagram.read_text():
+            assert f"unknown field '{key}'" in err
+
+
+@pytest.mark.parametrize("content", [b"{nope", b'{"left": "\xff"}'], ids=["json", "utf-8"])
+def test_ledger_unreadable_diagram_names_the_file(tmp_path, capsys, content):
+    diagram = tmp_path / "diagram.json"
+    diagram.write_bytes(content)
+    code, out, err = run(capsys, "ledger", "--diagram", str(diagram))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read diagram {diagram}: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_3_and_help_exits_0(capsys):

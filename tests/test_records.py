@@ -35,7 +35,8 @@ def _records() -> list:
         TruncatedClass(1, 2, 3, 4, 5, 6, 7), nl.fourfold_lattice(nl.CI222, s),
         mod16_class(16), nl.codimension_bound(s, 0), nl.preset("X222"), spec, solved,
         solved.invariants, classify_solved(solved), report, report.checks[0],
-        dataset.rows[-1], dataset, dataset.gap_rows[0], bounds, atlas[0],
+        dataset.rows[-1], dataset.row("t3-1").assoc, dataset, dataset.gap_rows[0], bounds,
+        atlas[0],
         nl.gap_report(atlas, 110, bounds),
     ]
 
