@@ -5,8 +5,8 @@ max_points base points in total and multiplicities up to max_mult.  The
 numbers carried by H alone are linear in the point counts, so these
 conditions are decided on (a, counts), while the grid is generated:
 
-  * the image has degree H^2 >= 1 and, when the bounds ask for it,
-    non-negative sectional genus 1 + (H^2 + H.K)/2,
+  * the image has degree H^2 >= 1 and non-negative sectional genus
+    1 + (H^2 + H.K)/2,
   * the system embeds: h0(H) = 1 + (H^2 - H.K)/2 between 4 and 8, or it
     is the plane, degree 1 with h0(H) = 3,
   * at least min_h0_IS2 (and at least 3) quadrics pass through it,
@@ -70,15 +70,13 @@ class _SearchBoundsFields(NamedTuple):
     max_mult: int
     min_h0_IS2: int
     max_codim: int
-    require_positive_genus_bound: bool
 
 
 class SearchBounds(_SearchBoundsFields):
     __slots__ = ()
 
     def __new__(cls, max_a: int = 8, max_points: int = 13, max_mult: int = 3,
-                min_h0_IS2: int = 7, max_codim: int = 7,
-                require_positive_genus_bound: bool = True):
+                min_h0_IS2: int = 7, max_codim: int = 7):
         limits = []
         for name, value in zip(cls._fields, (max_a, max_points, max_mult, min_h0_IS2,
                                              max_codim)):
@@ -88,11 +86,7 @@ class SearchBounds(_SearchBoundsFields):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
             limits.append(value)
-        # the string "false" would switch the filter on
-        if not isinstance(require_positive_genus_bound, bool):
-            raise TypeError("require_positive_genus_bound must be a bool, got "
-                            f"{require_positive_genus_bound!r}")
-        return tuple.__new__(cls, (*limits, require_positive_genus_bound))
+        return tuple.__new__(cls, limits)
 
     def describe(self) -> str:
         return (f"a <= {self.max_a}, <= {self.max_points} points, "
@@ -158,16 +152,15 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
     lies.  Below it, h0(H) stays above 8 even if each of the P points left
     has multiplicity i - 1 and lowers h0(H) by i(i-1)/2: a candidate needs
     n_i >= (h0(H) - 8 - P i(i-1)/2) / i.  Above it, H^2 - 1, h0(H) - 3 (the
-    plane's h0(H) is the least) or, when the bounds ask for it, the genus is
-    negative, or the top three sum past a, and the points still to come
-    only make each worse.  With them fixed, each simple point lowers the
-    degree and h0(H) by one, raises h0(I(2)) = 37 - H^2 - 2 h0(H) by three
-    and leaves the genus alone, so the n_1 that pass form one interval,
-    plus the plane's degree-1 model.  The module docstring says why listing
-    only standard models loses no surface.
+    plane's h0(H) is the least) or the genus is negative, or the top three
+    sum past a, and the points still to come only make each worse.  With
+    them fixed, each simple point lowers the degree and h0(H) by one, raises
+    h0(I(2)) = 37 - H^2 - 2 h0(H) by three and leaves the genus alone, so
+    the n_1 that pass form one interval, plus the plane's degree-1 model.
+    The module docstring says why listing only standard models loses no
+    surface.
     """
     need = max(bounds.min_h0_IS2, 3)
-    positive_genus = bounds.require_positive_genus_bound
     grid = []
 
     def fill(a: int, high: tuple[int, ...], points: int, budget: int, h0: int,
@@ -180,7 +173,7 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
                 t = min(n, 3 - k)
                 left, h = budget - n * i * i, h0 - n * (i * i + i) // 2
                 # each test only gets worse as n grows: the rest fail too
-                if top + t * i > a or h < 3 or (positive_genus and left + 3 < h):
+                if top + t * i > a or h < 3 or left + 3 < h:
                     break
                 fill(a, (n,) + high, points - n, left, h, top + t * i, k + t)
             return

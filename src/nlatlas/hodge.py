@@ -178,14 +178,13 @@ def derive_surface_invariants(d: HodgeDiamond) -> DerivedSurfaceInvariants:
 
 class DiagramSpec(NamedTuple):
     """Bl_(left_center) left_fourfold = Bl_(right_center) right_fourfold, with
-    the flopped-surface contributions cancelled when flop_bridge is set.
-    Exactly one center may be the string "unknown"."""
+    the flopped-surface contributions cancelled (the flop bridge).  Exactly
+    one center may be the string "unknown"."""
 
     left_fourfold: HodgeDiamond
     left_center: HodgeDiamond | str
     right_fourfold: HodgeDiamond
     right_center: HodgeDiamond | str
-    flop_bridge: bool = True
 
 
 class SolvedDiagram(NamedTuple):
@@ -198,11 +197,6 @@ def solve_diagram(spec: DiagramSpec) -> SolvedDiagram:
     """Solve h^{p,q}(F1) + h^{p-1,q-1}(C1) = h^{p,q}(F2) + h^{p-1,q-1}(C2)
     for the missing surface diamond: it is ``blowup`` of the known side minus
     the other fourfold, shifted back by (1,1)."""
-    if not spec.flop_bridge:
-        raise Underdetermined(
-            "without the flop bridge the two flopped surfaces do not cancel; "
-            "supply their diamonds by solving the blow-ups directly"
-        )
     left_unknown = spec.left_center == UNKNOWN
     right_unknown = spec.right_center == UNKNOWN
     if left_unknown and right_unknown:
@@ -335,14 +329,20 @@ def diagram_from_dict(data: dict) -> DiagramSpec:
                 "flop_bridge": bool}, with ``flop_bridge`` true when left out.
     A missing side or field, a key outside the schema (a misspelled
     ``flop_bridge`` would leave the bridge on) and a ``flop_bridge`` that is
-    not a JSON boolean are each a ``ValueError``."""
+    not a JSON boolean are each a ``ValueError``; ``flop_bridge`` false, once
+    the sides are read, is ``Underdetermined``."""
     left, right, bridge = read_fields(data, _DiagramFile, "diagram")
     # bool() would read the strings "false" and "no" as set
     bridge = reader(bool)(bridge, "diagram field 'flop_bridge'")
-    return DiagramSpec(
+    spec = DiagramSpec(
         left_fourfold=_fourfold_from_spec(left.fourfold, "left"),
         left_center=_center_from_spec(left.center, "left"),
         right_fourfold=_fourfold_from_spec(right.fourfold, "right"),
         right_center=_center_from_spec(right.center, "right"),
-        flop_bridge=bridge,
     )
+    if not bridge:
+        raise Underdetermined(
+            "without the flop bridge the two flopped surfaces do not cancel; "
+            "supply their diamonds by solving the blow-ups directly"
+        )
+    return spec

@@ -1,8 +1,7 @@
 """JSON-friendly encoding of the record types, with exact round-trips.
 
 A record goes on the wire as ``{"kind": ...}`` followed by its fields in
-declaration order, under their own names except ``DivisorClass.plane_degree``,
-which is written ``"d"``.  Tuples become arrays, a ``Side`` becomes its value
+declaration order, under their own names.  Tuples become arrays, a ``Side`` becomes its value
 and nested records are encoded the same way; ``decode`` reverses each step,
 rebuilding the enum from the field's type, and raises ``TypeError`` for a
 value whose wire type does not match the field's, a missing field or a key
@@ -29,7 +28,6 @@ from . import dataset, hodge, picard, report  # noqa: F401
 # imports from its home module on first access: JSON output that holds no
 # atlas record never loads atlas
 KINDS = {
-    "divisor": "DivisorClass",
     "plane_model": "PlaneModel",
     "surface": "SurfaceInvariants",
     "ci_type": "CompleteIntersectionType",
@@ -41,8 +39,6 @@ KINDS = {
     "gap_report": "GapReport",
 }
 _KIND_OF = {name: kind for kind, name in KINDS.items()}
-
-WIRE_NAMES = {("divisor", "plane_degree"): "d"}
 
 
 def _field(hint: Any) -> tuple[Any, Any]:
@@ -75,11 +71,10 @@ _DECODERS: dict[str, tuple[type, tuple]] = {}
 
 
 def _coder(kind: str) -> tuple[type, tuple]:
-    """The class of ``kind`` and its layout, (attribute, wire name, to wire,
-    from wire) per field, added to both tables; ``KeyError`` for no kind."""
+    """The class of ``kind`` and its layout, (name, to wire, from wire) per
+    field, added to both tables; ``KeyError`` for no kind."""
     cls = getattr(sys.modules[__package__], KINDS[kind])
-    layout = tuple((name, WIRE_NAMES.get((kind, name), name), *_field(hint))
-                   for name, hint in typing.get_type_hints(cls).items())
+    layout = tuple((name, *_field(hint)) for name, hint in typing.get_type_hints(cls).items())
     _ENCODERS[cls] = (kind, layout)
     _DECODERS[kind] = (cls, layout)
     return cls, layout
@@ -96,9 +91,9 @@ def encode(obj: Any) -> Any:
         if cls is not type(obj):
             raise TypeError(f"no encoder for {type(obj).__name__}") from None
     out = {"kind": kind}
-    for name, wire, to_wire, _ in layout:
+    for name, to_wire, _ in layout:
         value = getattr(obj, name)
-        out[wire] = value if to_wire is None else to_wire(value)
+        out[name] = value if to_wire is None else to_wire(value)
     return out
 
 
@@ -108,7 +103,7 @@ def decode(data: Any) -> Any:
         cls, layout = _DECODERS.get(kind) or _coder(kind)
         if len(data) != len(layout) + 1:
             raise ValueError(f"{kind}: {len(data) - 1} keys for {len(layout)} fields")
-        fields = {name: from_wire(data[wire], wire) for name, wire, _, from_wire in layout}
+        fields = {name: from_wire(data[name], name) for name, _, from_wire in layout}
     except (KeyError, TypeError, ValueError) as exc:
         # the cause names the field that was refused
         raise TypeError(f"cannot decode {data!r}") from exc

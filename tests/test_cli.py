@@ -489,6 +489,20 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
             assert f"unknown field '{key}'" in err
 
 
+@pytest.mark.parametrize("center,message", [
+    ("5;7,0,1", "without the flop bridge the two flopped surfaces do not cancel; "
+                "supply their diamonds by solving the blow-ups directly"),
+    # the sides are read first, as when solve_diagram refused the bridge
+    ("5;x", "expected an integer, got 'x' (at position 2 in '5;x')"),
+], ids=["refused", "bad-center-first"])
+def test_ledger_without_the_flop_bridge_exits_3(tmp_path, capsys, center, message):
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps({"left": {"fourfold": "X222", "center": center},
+                                   "right": {"fourfold": "ci22", "center": "unknown"},
+                                   "flop_bridge": False}))
+    assert run(capsys, "ledger", "--diagram", str(diagram)) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("content", [b"{nope", b'{"left": "\xff"}'], ids=["json", "utf-8"])
 def test_ledger_unreadable_diagram_names_the_file(tmp_path, capsys, content):
     diagram = tmp_path / "diagram.json"
@@ -589,6 +603,17 @@ def test_search_gaps_text(capsys):
     code, out, _ = run(capsys, "search", "--gaps", "--up-to", "110")
     assert code == 0
     assert "23, 95, 108" in out and "a <= 8" in out
+
+
+def test_every_search_bound_is_a_search_option(capsys):
+    # a SearchBounds field no option sets is a setting only the library has
+    values = dict(zip(nl.SearchBounds._fields, (3, 5, 2, 4, 6), strict=True))
+    argv = [arg for name, value in values.items()
+            for arg in (f"--{name.lower().replace('_', '-')}", str(value))]
+    assert set(argv[::2]) <= set(cli.COMMANDS["search"][2])
+    code, out, _ = run(capsys, "--format", "json", "search", "--gaps", *argv)
+    assert code == 0
+    assert decode(json.loads(out)["bounds"]) == nl.SearchBounds(**values)
 
 
 def test_search_csv(capsys):
@@ -695,7 +720,6 @@ def test_json_round_trip_all_record_types():
     bounds = nl.SearchBounds(max_a=2, max_points=3)
     atlas = nl.enumerate_atlas(bounds)
     values = [
-        nl.DivisorClass(5, (1, 1, 3)),
         nl.PlaneModel(5, (7, 0, 1)),
         s,
         nl.CI222,

@@ -111,7 +111,6 @@ def _record_values() -> dict[str, object]:
     s = nl.parse_surface_spec("5;6,2 nodes=1")
     atlas = nl.enumerate_atlas(nl.SearchBounds(max_a=3, max_points=5))
     return {
-        "divisor": nl.DivisorClass(5, (1, 1, 3)),
         "plane_model": nl.PlaneModel(5, (7, 0, 1)),
         "surface": s,
         "ci_type": nl.CI222,

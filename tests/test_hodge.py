@@ -143,9 +143,6 @@ def test_solve_guards():
     with pytest.raises(Underdetermined):
         solve_diagram(DiagramSpec(preset("X222"), preset("plane"),
                                   preset("P4"), preset("plane")))
-    with pytest.raises(Underdetermined):
-        solve_diagram(DiagramSpec(preset("X222"), preset("plane"),
-                                  preset("P4"), UNKNOWN, flop_bridge=False))
     # solving for the center of a cubic against P4 + plane forces h^{2,0} < 0
     with pytest.raises(Inconsistent):
         solve_diagram(DiagramSpec(preset("cubic4"), UNKNOWN, preset("P4"),
@@ -210,11 +207,12 @@ def test_diagram_from_dict():
         "right": {"fourfold": "P4", "center": "unknown"},
     })
     assert solve_diagram(explicit).invariants.K2 == 2
-    # the bridge is a JSON boolean or absent; bool("false") would be True
-    assert explicit.flop_bridge
+    # the bridge is a JSON boolean or absent; bool("false") would be True,
+    # and without it the flopped surfaces do not cancel
     sides = {"left": {"fourfold": "X222", "center": "plane"},
              "right": {"fourfold": "P4", "center": "unknown"}}
-    assert not diagram_from_dict(dict(sides, flop_bridge=False)).flop_bridge
+    with pytest.raises(Underdetermined, match="^without the flop bridge"):
+        diagram_from_dict(dict(sides, flop_bridge=False))
     with pytest.raises(ValueError, match="'flop_bridge' must be true or false, got 'false'"):
         diagram_from_dict(dict(sides, flop_bridge="false"))
 

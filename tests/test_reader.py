@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import nlatlas as nl
 from nlatlas.dataset import Assoc, TableRow
 from nlatlas.errors import read_fields
-from nlatlas.serialize import KINDS, WIRE_NAMES, decode
+from nlatlas.serialize import KINDS, decode
 
 SRC = Path(nl.__file__).parent
 BUNDLED = json.loads((SRC / "data" / "table_rows.json").read_text())
@@ -66,7 +66,7 @@ def _codec_fields() -> list[tuple[dict, str, typing.Any]]:
         cls = getattr(nl, KINDS[record["kind"]])
         for name, hint in typing.get_type_hints(cls).items():
             if not (isinstance(hint, enum.EnumMeta) or hasattr(hint, "_fields")):
-                fields.append((record, WIRE_NAMES.get((record["kind"], name), name), hint))
+                fields.append((record, name, hint))
     return fields
 
 

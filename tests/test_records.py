@@ -108,14 +108,11 @@ def test_direct_construction_validates(build):
 @pytest.mark.parametrize("build", [
     lambda: nl.HodgeDiamond(2, ((1, 0, 2.7), (0, True, 0), (2.2, 0, 1))),
     lambda: nl.HodgeDiamond(0, [["1"]]),
-    lambda: nl.SearchBounds(require_positive_genus_bound=1),
     lambda: nl.abstract_surface(9, 3, 1, 1.5),
     lambda: nl.codimension_bound(nl.abstract_surface(9, 3, 1, 1), 2.5),
-], ids=["diamond-float", "diamond-str", "bounds-genus-int", "abstract-float",
-        "count-float"])
+], ids=["diamond-float", "diamond-str", "abstract-float", "count-float"])
 def test_direct_construction_refuses_inexact_types(build):
-    # int() would truncate 2.7 and parse "1"; the genus filter takes a bool;
-    # abstract_surface(9, 3, 1, 1.5) gave h0_H = 8.5 and a count at h0(N_S/X)
+    # int() would truncate 2.7 and parse "1"; abstract_surface(9, 3, 1, 1.5) gave h0_H = 8.5 and a count at h0(N_S/X)
     # = 2.5 a codimension bound of 3.5
     with pytest.raises(TypeError):
         build()

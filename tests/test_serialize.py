@@ -33,7 +33,8 @@ def test_encode_rejects_unknown_types():
 
 @pytest.mark.parametrize("data", [{"kind": "nope"}, [1], {}, "kind", {"kind": [1]},
                                   {"kind": "divisor"}, {"kind": "surface", "degree": 1},
-                                  {"kind": "divisor", "d": "x", "mults": [1]},
+                                  # the retired divisor kind, as it was written
+                                  {"kind": "divisor", "d": 5, "mults": [1, 1, 3]},
                                   {"kind": "rank2_lattice", "m11": 8, "m12": 4, "m22": 4,
                                    "side": "bogus"},
                                   {"kind": "parameter_count", "h0_IS2": 1, "h0_N": 1,
@@ -46,6 +47,15 @@ def test_decode_rejects_unknown_kinds(data):
     with pytest.raises(TypeError) as exc:
         decode(data)
     assert str(exc.value) == f"cannot decode {data!r}"
+
+
+def test_decode_refuses_a_search_bounds_record_with_the_genus_switch():
+    # written before the grid always cut at genus < 0
+    data = {**json.loads((RECORDS / "search_bounds.json").read_text()),
+            "require_positive_genus_bound": True}
+    with pytest.raises(TypeError) as exc:
+        decode(data)
+    assert str(exc.value.__cause__) == "search_bounds: 6 keys for 5 fields"
 
 
 # The codec imports atlas for the first atlas record it meets.  Each statement
