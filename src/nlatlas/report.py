@@ -86,7 +86,8 @@ def _parses_to(spec: str, s: SurfaceInvariants) -> bool:
 def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
              dataset: Dataset | None = None) -> str:
     """One-screen report: invariants, lattice, discriminant with its mod-16
-    class, and the parameter counts with their assumption flags."""
+    class, and, for type (2,2,2), the parameter counts with their assumption
+    flags."""
     s = parse_surface_spec(surface_spec)
     lat = fourfold_lattice(ci, s)
     disc = discriminant(lat)
@@ -113,6 +114,9 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
             f"  self-intersection used the fitted +{NODE_CORRECTION} per node rule: "
             f"{lat.m22} = {lat.m22 - fitted} + {NODE_CORRECTION}*{s.nodes}"
         )
+    if ci != CI222:
+        # the counts live in the Hilbert scheme of three quadrics in P^7
+        return "\n".join([*lines, "", f"parameter count: computed for type {CI222} only"])
     row = None
     if dataset is not None:
         try:

@@ -102,6 +102,18 @@ def test_mod16_verdict_only_on_222(capsys, ci, disc, residue):
     assert third == f"(residue {residue} mod 16)"
 
 
+@pytest.mark.parametrize("ci", ["3", "2,2"])
+def test_describe_counts_parameters_only_for_222(capsys, ci):
+    # the counts are taken in the Hilbert scheme of three quadrics in P^7;
+    # row t1-10's h0(N_S/X) and its codimension bound belong to (2,2,2)
+    code, out, _ = run(capsys, "describe", "--ci", ci, "--surface", "5;7,0,1")
+    assert code == 0
+    assert out.endswith("\n\nparameter count: computed for type (2,2,2) only\n")
+    assert "h0(N_S/P7)" not in out and "t1-10" not in out
+    _, out, _ = run(capsys, "describe", "--ci", "2,2,2", "--surface", "5;7,0,1")
+    assert "h0(N_S/X) = 2 from dataset row t1-10" in out
+
+
 def test_invariants_command(capsys):
     code, out, _ = run(capsys, "invariants", "--surface", "3;5,0,0")
     assert code == 0
