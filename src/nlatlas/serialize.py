@@ -44,12 +44,15 @@ _KIND_OF = {name: kind for kind, name in KINDS.items()}
 def _field(hint: Any) -> tuple[Any, Any]:
     """(to wire, from wire) for a field of type ``hint``.  To wire is None for
     a scalar, which goes on the wire as it is; from wire takes the wire value
-    and its name, and refuses a value of another type."""
+    and its name, and refuses a value of another type naming the field."""
     if isinstance(hint, enum.EnumMeta):
-        return operator.attrgetter("value"), lambda value, what: hint(value)
+        return operator.attrgetter("value"), reader(hint)
     if hasattr(hint, "_fields"):
         def read(value, what):
-            record = decode(value)
+            try:
+                record = decode(value)
+            except (TypeError, ValueError) as exc:  # the cause names the field inside
+                raise TypeError(f"{what} must be a {hint.__name__}, got {value!r}") from exc
             if type(record) is not hint:
                 raise TypeError(f"{what} must be a {hint.__name__}, got {value!r}")
             return record

@@ -1,8 +1,8 @@
 """The one reader of JSON input (``errors.reader`` and ``errors.read_fields``):
 a value of the wrong type is refused with its field named, for every field of
-a dataset row and every field of a codec record that the reader reads; every
-bundled row reads back equal to itself; and no other module words a refusal
-of its own."""
+a dataset row and every field of a codec record, enums and nested records
+included; every bundled row reads back equal to itself; and no other module
+words a refusal of its own."""
 
 import enum
 import json
@@ -35,6 +35,9 @@ def wrong(hint) -> st.SearchStrategy:
         return st.integers() | st.none() | st.lists(st.text(max_size=3), max_size=2)
     if hint is bool:
         return st.integers() | st.none() | st.text(max_size=3)
+    if isinstance(hint, enum.EnumMeta):  # a string that is no member's value
+        values = {member.value for member in hint}
+        return st.text(max_size=3).filter(lambda v: v not in values) | st.integers() | st.none()
     if typing.get_origin(hint) is tuple:
         # a string for a list, or a list holding a wrong element
         values = st.text(max_size=3) | st.lists(wrong(args[0]), min_size=1, max_size=3)
@@ -57,16 +60,13 @@ def test_a_row_field_of_the_wrong_type_is_refused_by_name(data):
 
 
 def _codec_fields() -> list[tuple[dict, str, typing.Any]]:
-    """(a golden wire record, the wire name of one of its fields, the field's
-    type) for every field the reader reads: enums and nested records have
-    their own branches in the codec."""
+    """(a golden wire record, the name of one of its fields, the field's
+    type) for every field of every golden record."""
     fields = []
     for path in sorted(RECORDS.glob("*.json")):
         record = json.loads(path.read_text())
         cls = getattr(nl, KINDS[record["kind"]])
-        for name, hint in typing.get_type_hints(cls).items():
-            if not (isinstance(hint, enum.EnumMeta) or hasattr(hint, "_fields")):
-                fields.append((record, name, hint))
+        fields += [(record, name, hint) for name, hint in typing.get_type_hints(cls).items()]
     return fields
 
 
@@ -79,14 +79,17 @@ def test_the_golden_records_hold_every_kind():
 
 @given(st.data())
 def test_a_record_field_of_the_wrong_type_is_refused_by_name(data):
-    record, wire, hint = data.draw(st.sampled_from(CODEC_FIELDS))
+    record, name, hint = data.draw(st.sampled_from(CODEC_FIELDS))
+    values = wrong(hint)
+    if hasattr(hint, "_fields"):  # or a coded record of another kind
+        values |= st.just({"kind": "ci_type", "degrees": [2, 2, 2]})
     bad = dict(record)
-    bad[wire] = data.draw(wrong(hint))
+    bad[name] = data.draw(values)
     with pytest.raises(TypeError) as exc:
         decode(bad)
     assert str(exc.value) == f"cannot decode {bad!r}"
     # the cause names the field, or the element of an array of arrays
-    assert re.match(rf"{re.escape(wire)}(\[\d+\])? must be ", str(exc.value.__cause__))
+    assert re.match(rf"{re.escape(name)}(\[\d+\])? must be ", str(exc.value.__cause__))
 
 
 def test_every_bundled_row_reads_back_equal_to_itself(dataset):
