@@ -109,22 +109,28 @@ class SurfaceInvariants(_SurfaceInvariantsFields):
         return self.chi_O + (m * m * self.degree - m * self.HK) // 2
 
 
+def _embedded(degree: int, hk: int, K2: int, chi_O: int, label: str,
+              why: str) -> SurfaceInvariants:
+    """The record with H^2 = ``degree``, H.K = ``hk``, K^2 and chi(O); a span
+    below P^3, degree > 1 with h0(H) < 4, is ``SpanTooSmall`` worded by ``why``.
+    Degree 1 passes at any h0(H) until ROADMAP item 7 admits only h0(H) = 3."""
+    h0 = chi_O + (degree - hk) // 2
+    if h0 < 4 and degree != 1:
+        raise SpanTooSmall(f"{label or 'surface'} gives h0(H) = {h0}: {why}")
+    # positional: this runs once per atlas candidate
+    return SurfaceInvariants(degree, 1 + (degree + hk) // 2, K2, chi_O, 12 * chi_O - K2,
+                             h0, 0, True, label)
+
+
 def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
                      label: str = "") -> SurfaceInvariants:
     """Build a record from (deg, g, K^2, chi(O)); chi_top and h0_H derived.
-    Like ``invariants``, it refuses a surface of degree > 1 with h0(H) < 4,
-    which cannot span the P^3 an embedded surface needs."""
+    Like ``invariants``, it refuses a surface of degree > 1 with h0(H) < 4."""
     # operator.index rejects floats and strings, as PlaneModel does; the
     # record's own constructor, which the atlas runs per candidate, does not
     degree, sect_genus, K2, chi_O = map(operator.index, (degree, sect_genus, K2, chi_O))
-    chi_top = 12 * chi_O - K2
-    HK = 2 * sect_genus - 2 - degree
-    h0 = chi_O + (degree - HK) // 2
-    if h0 < 4 and degree != 1:
-        raise SpanTooSmall(f"{label or 'surface'} gives h0(H) = {h0}: "
-                           f"a surface of degree {degree} spans at least P^3")
-    return SurfaceInvariants(degree, sect_genus, K2, chi_O, chi_top, h0,
-                             provenance_label=label)
+    return _embedded(degree, 2 * sect_genus - 2 - degree, K2, chi_O, label,
+                     f"a surface of degree {degree} spans at least P^3")
 
 
 def expand(model: PlaneModel) -> DivisorClass:
@@ -198,14 +204,8 @@ def invariants(model: PlaneModel) -> SurfaceInvariants:
     the numbers ``normalize_contractions`` returns (H^2 + H.K is even), and
     K^2 = 9 - k plus one per contracted (-1)-class."""
     degree, hk, _, _, contracted = normalize_contractions(model)
-    g, h0 = 1 + (degree + hk) // 2, 1 + (degree - hk) // 2
-    if h0 < 4 and degree != 1:
-        raise SpanTooSmall(
-            f"{model} gives h0(H) = {h0}: the system maps to a plane without embedding"
-        )
-    K2 = 9 - sum(model.point_counts) + contracted
-    # positional: this runs once per atlas candidate
-    return SurfaceInvariants(degree, g, K2, 1, 12 - K2, h0, 0, True, str(model))
+    return _embedded(degree, hk, 9 - sum(model.point_counts) + contracted, 1, str(model),
+                     "the system maps to a plane without embedding")
 
 
 def _rebuilt(src: SurfaceInvariants, **changes) -> SurfaceInvariants:
