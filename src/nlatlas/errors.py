@@ -77,9 +77,8 @@ _NOUNS = {int: ("an integer", "integers"), str: ("a string", "strings"),
 
 
 def _noun(hint, plural: bool = False) -> str:
-    import enum
     import typing
-    if isinstance(hint, enum.EnumMeta):
+    if hasattr(hint, "__members__"):  # an Enum
         return "one of " + ", ".join(repr(member.value) for member in hint)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is not tuple:
@@ -94,7 +93,6 @@ def reader(hint):
     1.0), an ``Enum`` of strings by value, ``X | None``, tuples from arrays,
     a NamedTuple by ``read_fields`` and ``object`` as it is.  A refusal is a
     ``ValueError`` naming ``what``."""
-    import enum
     import typing
     args = typing.get_args(hint)
     if type(None) in args:
@@ -105,14 +103,6 @@ def reader(hint):
     if hasattr(hint, "_fields"):
         return lambda value, what: read_fields(value, hint, what)
     noun = _noun(hint)
-    if isinstance(hint, enum.EnumMeta):
-        members = {member.value: member for member in hint}
-
-        def read(value, what):
-            if type(value) is str and value in members:
-                return members[value]
-            raise ValueError(f"{what} must be {noun}, got {value!r}")
-        return read
     if typing.get_origin(hint) is tuple:
         # every tuple declares one element type
         item, size = args[0], None if args[-1] is Ellipsis else len(args)
@@ -126,10 +116,13 @@ def reader(hint):
                     return tuple(value)
             raise ValueError(f"{what} must be {noun}, got {value!r}")
         return read
+    members = {member.value: member for member in hint} if hasattr(hint, "__members__") else {}
 
     def read(value, what):
         if type(value) is hint:
             return value
+        if type(value) is str and value in members:  # an Enum's value
+            return members[value]
         raise ValueError(f"{what} must be {noun}, got {value!r}")
     return read
 

@@ -341,8 +341,6 @@ def diagram_from_dict(data: dict) -> DiagramSpec:
         right_center=_center_from_spec(right.center, "right"),
     )
     if not bridge:
-        raise Underdetermined(
-            "without the flop bridge the two flopped surfaces do not cancel; "
-            "supply their diamonds by solving the blow-ups directly"
-        )
+        raise Underdetermined("without the flop bridge the two flopped surfaces do not "
+                              "cancel; supply their diamonds by solving the blow-ups directly")
     return spec

@@ -86,8 +86,7 @@ def _parses_to(spec: str, s: SurfaceInvariants) -> bool:
 def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
              dataset: Dataset | None = None) -> str:
     """One-screen report: invariants, lattice, discriminant with its mod-16
-    class, and, for type (2,2,2), the parameter counts with their assumption
-    flags."""
+    class, and the (2,2,2) parameter counts with their assumption flags."""
     s = parse_surface_spec(surface_spec)
     lat = fourfold_lattice(ci, s)
     disc = discriminant(lat)
