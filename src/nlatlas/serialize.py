@@ -1,11 +1,12 @@
 """JSON-friendly encoding of the record types, with exact round-trips.
 
 A record goes on the wire as ``{"kind": ...}`` followed by its fields in
-declaration order, under their own names.  Tuples become arrays, a ``Side`` becomes its value
-and nested records are encoded the same way; ``decode`` reverses each step,
-rebuilding the enum from the field's type, and raises ``TypeError`` for a
-value whose wire type does not match the field's, a missing field or a key
-that is no field.  All numbers stay Python integers end to end.
+declaration order, under their own names.  Tuples become arrays, a ``Side``
+becomes its value and nested records are encoded the same way; ``decode``
+reverses each step, rebuilding the enum from the field's type, and raises
+``TypeError`` for a value whose wire type does not match the field's, a
+missing field or a key that is no field.  All numbers stay Python integers
+end to end.
 """
 
 from __future__ import annotations
