@@ -229,9 +229,9 @@ def _cmd_describe(args) -> int:
     from .chow import CI222, parse_ci
     from .dataset import load_dataset
     from .report import describe
-    dataset = load_dataset(args.dataset)
     ci = parse_ci(args.ci) if args.ci else CI222
-    print(describe(args.surface, ci, dataset))
+    # only the (2,2,2) parameter count reads the dataset
+    print(describe(args.surface, ci, load_dataset(args.dataset) if ci == CI222 else None))
     return EXIT_OK
 
 

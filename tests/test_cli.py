@@ -388,6 +388,18 @@ def test_describe_with_unloadable_named_dataset_exits_3(tmp_path, monkeypatch, c
     assert code == 0 and "t1-10" in out
 
 
+def test_describe_loads_the_dataset_only_for_222(capsys):
+    # the other types print no parameter count, so a missing dataset file
+    # does not stop them; (2,2,2) still reads it
+    argv = ("describe", "--surface", "5;7,0,1")
+    for ci in ("3", "2,2"):
+        bundled = run(capsys, *argv, "--ci", ci)
+        assert run(capsys, "--dataset", "/nonexistent.json", *argv, "--ci", ci) == bundled
+        assert bundled[0] == 0 and bundled[1]
+    code, out, err = run(capsys, "--dataset", "/nonexistent.json", *argv, "--ci", "2,2,2")
+    assert (code, out) == (3, "") and "dataset file not found" in err
+
+
 @pytest.mark.parametrize("which,position", [
     ("1,x", 2), ("x", 0), ("1,,2", 2), ("1, 2,+3", 5), ("\uff11", 0), ("1,2\u0663", 2),
     ("1,5", 2),
