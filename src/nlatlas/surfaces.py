@@ -156,10 +156,10 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
 
     Returns ``(H^2, H.K, a, counts, contracted)``: H^2 and H.K, taken in
     the pass that lists the multiplicities; the standard model as plain
-    ``(a, counts)`` (the points of multiplicity 0 dropped; the input's own
-    ``point_counts`` when it is already standard); and the number of
-    contracted classes.  Only (-1)-classes are checked: with ten or more
-    points, nefness against all curves (Nagata's problem) is not claimed.
+    ``(a, counts)``, without points of multiplicity 0 or trailing zero
+    counts; and the number of contracted classes.  Only (-1)-classes are
+    checked: with ten or more points, nefness against all curves (Nagata's
+    problem) is not claimed.
     """
     a = model.a
     c = model.point_counts
@@ -176,9 +176,9 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
     k = len(m)
     m += [0] * (3 - k)
-    if m[0] + m[1] + m[2] <= a and (not c or c[-1]):
+    if m[0] + m[1] + m[2] <= a:
         # standard already: no zero multiplicity, so only the line can contract
-        return h2, hk, a, c, int(a == m[0] + m[1])
+        return h2, hk, a, c[:m[0]], int(a == m[0] + m[1])
     while True:
         if m[-1] < 0:
             # H as str(expand(model)) words it, without loading picard: the

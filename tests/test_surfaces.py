@@ -181,6 +181,8 @@ def test_normalize_returns_a_standard_input_itself():
         _, _, a, counts, _ = reduced
         assert a == model.a and counts is model.point_counts
         assert normalize_contractions(PlaneModel(model.a, model.point_counts + (0,))) == reduced
+    # a standard model's counts come back without their trailing zeros
+    assert normalize_contractions(PlaneModel(5, (6, 2, 0))) == (11, -5, 5, (6, 2), 0)
 
 
 def test_genus_roundtrip_identity():
