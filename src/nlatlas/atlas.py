@@ -26,22 +26,21 @@ no candidate outside them is built: on the default bounds 86 of the 1,155
 models with H^2 >= 1 (304 without the standard condition), from 62 nodes
 of the search tree, where the H^2 and standard cuts alone visit 112
 (163,505 and 1,367,049 for the 11,997 of max_a=24, max_points=30,
-max_mult=6).
-The candidates go through ``invariants``, which counts the (-1)-classes
-orthogonal to H and blows them down (each raises K^2); a standard model
-pairs non-negatively with every (-1)-class, so none is rejected as not nef.
-The conditions that need the record are then:
+max_mult=6).  Each candidate comes with its degree, genus, K^2 and h0(H):
+a standard H pairs non-negatively with every (-1)-class, and only the line
+through the two largest points, when a = m1 + m2, pairs to zero; its
+blow-down raises K^2 = 9 - (number of points) by one.  Left to check:
 
   * the resulting discriminant is non-negative,
   * the codimension-bound window, taken over h0(N_S/X) between 0 and the
     clamped Euler estimate, meets [0, max_codim].
 
-The lattice, its discriminant and the window read only the degree, sectional
-genus, K^2, chi(O) and nodes of the surface, and numerically equal models
-repeat those numbers.  ``_evaluate_chunk`` keeps, for the length of its
-call, a dict from them to what it computed, so such entries share one
-``RankTwoLattice``: on the three bench grids 453 lattices and windows serve
-683 candidates.  Nothing is kept between calls.
+They read only the degree, genus and K^2 (chi(O) = 1 and no nodes), so
+``_evaluate_chunk`` keeps, for the length of its call, a dict from them to
+the lattice, discriminant and window, or to a rejection: 453 lattices and
+windows serve the 683 candidates of the three bench grids, a rejected type
+costs one lookup, and only kept entries build a plane model, a labelled
+record and an entry.  Nothing is kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
 the grid in one serial pass and sorts the entries by (discriminant, a,
@@ -59,7 +58,7 @@ from typing import NamedTuple
 from .chow import CI222
 from .counts import codimension_window
 from .lattice import RankTwoLattice, discriminant, fourfold_lattice, mod16_class
-from .surfaces import PlaneModel, SurfaceInvariants, invariants
+from .surfaces import PlaneModel, SurfaceInvariants
 
 GAP_FLOOR = 16  # smallest discriminant considered attainable on a (2,2,2)
 
@@ -113,36 +112,43 @@ class AtlasEntry:
         return (self.discriminant, self.model.a, self.model.point_counts)
 
 
-def _evaluate(bounds: SearchBounds, a: int, counts: tuple[int, ...],
-              shared: dict) -> AtlasEntry | None:
+def _evaluate(bounds: SearchBounds, candidate: tuple, shared: dict) -> AtlasEntry | None:
     """The entry of a candidate of ``_candidate_grid``, or None.  ``shared``
-    holds the lattice, discriminant and window of each surface seen so far
-    in this call (None for the window of a negative discriminant)."""
-    model = PlaneModel(a, counts)
-    # the grid holds only standard models with H^2 >= 1 and h0(H) >= 4 or the
-    # plane, so a NotNef, SpanTooSmall or H^2 ValueError here would be a fault
-    s = invariants(model)
-    # the numbers of s that the lattice and the window read
-    key = (s.degree, s.sect_genus, s.K2, s.chi_O, s.nodes)
-    found = shared.get(key)
+    maps each (degree, genus, K^2) seen in this call to its lattice,
+    discriminant and window, or to False when it is rejected."""
+    a, counts, degree, genus, K2, h0 = candidate
+    found = shared.get((degree, genus, K2))
     if found is None:
+        # an unlabelled record of the numbers the lattice and the window read
+        s = SurfaceInvariants(degree, genus, K2, 1, 12 - K2, h0)
         lat = fourfold_lattice(CI222, s)
         disc = discriminant(lat)
-        found = shared[key] = (lat, disc, codimension_window(s) if disc >= 0 else None)
-    lat, disc, window = found
-    if window is None:
+        window = codimension_window(s) if disc >= 0 else None
+        # no test of hi < 0: a surface of the grid has no nodes, so the clamped
+        # estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
+        found = shared[degree, genus, K2] = (
+            window is not None and window[3] <= bounds.max_codim and (lat, disc, window))
+    if not found:
         return None
-    h0_is2, h0_n, _, lo, hi = window
-    # no test of hi < 0: a surface of the grid has no nodes, so the clamped
-    # estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
-    if lo > bounds.max_codim:
-        return None
+    lat, disc, (h0_is2, h0_n, _, lo, hi) = found
+    model = PlaneModel(a, counts)
+    s = SurfaceInvariants(degree, genus, K2, 1, 12 - K2, h0, 0, True, str(model))
     return AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n)
 
 
-def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
+def _leaf(a: int, high: tuple, placed: int, deg: int, h0: int, ns) -> list[tuple]:
+    """The candidates S(a; n, *high), n in ``ns``, where S(a; 0, *high) has
+    H^2 = ``deg``, h0(H) = ``h0`` and ``placed`` points.  A standard model
+    with a = m1 + m2 has m3 = 0: at most two points, summing to H.K + 3a."""
+    genus = deg + 2 - h0
+    mults = 3 * a + 2 + deg - 2 * h0     # H.K + 3a of S(a; 0, *high)
+    return [(a, (n,) + high, deg - n, genus,
+             9 - placed - n + (placed + n <= 2 and a == mults + n), h0 - n) for n in ns]
+
+
+def _candidate_grid(bounds: SearchBounds) -> list[tuple]:
     """Every Cremona-standard (a, counts) in the bounds that passes the
-    count conditions.
+    count conditions, as (a, counts, degree, genus, K^2, h0(H)).
 
     n_maxmult, ..., n_2 are chosen first, with m1 + m2 + m3 <= a for the
     largest three multiplicities (standard), carrying down H^2 - 1 and h0(H)
@@ -156,12 +162,12 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
     sum past a, and the points still to come only make each worse.  With
     them fixed, each simple point lowers the degree and h0(H) by one, raises
     h0(I(2)) = 37 - H^2 - 2 h0(H) by three and leaves the genus alone, so
-    the n_1 that pass form one interval, plus the plane's degree-1 model.
-    The module docstring says why listing only standard models loses no
-    surface.
+    the n_1 that pass form one interval, plus the plane's degree-1 model,
+    which ``_leaf`` lists with their numbers.  The module docstring says why
+    listing only standard models loses no surface.
     """
     need = max(bounds.min_h0_IS2, 3)
-    grid = []
+    grid: list[tuple] = []
 
     def fill(a: int, high: tuple[int, ...], points: int, budget: int, h0: int,
              top: int, k: int):
@@ -177,35 +183,29 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple[int, tuple[int, ...]]]:
                     break
                 fill(a, (n,) + high, points - n, left, h, top + t * i, k + t)
             return
-        if a - top < 3 - k:
-            # simple points fill the free places of the top three
-            points = min(points, a - top)
+        # simple points fill the free places of the top three
+        room = min(points, a - top) if a - top < 3 - k else points
         deg = budget + 1
         h0_is2 = 37 - deg - 2 * h0
         # n_1 >= 0, h0(H) - n_1 <= 8 and h0(I(2)) + 3 n_1 >= need (rounded up)
         lo = max(0, h0 - 8, -((h0_is2 - need) // 3))
         # n_1 <= points, degree - n_1 >= 1 and h0(H) - n_1 >= 4
-        hi = min(points, deg - 1, h0 - 4)
-        grid.extend([(a, (n,) + high) for n in range(lo, hi + 1)])
+        ns = range(lo, min(room, deg - 1, h0 - 4) + 1)
         # n_1 = deg - 1 gives degree 1, which embeds only as the plane,
         # h0(H) = 3, below the interval; the pencils (h0(H) <= 2) do not
-        if h0 - (deg - 1) == 3 and lo <= deg - 1 <= points:
-            grid.append((a, (deg - 1,) + high))
+        if h0 - (deg - 1) == 3 and lo <= deg - 1 <= room:
+            ns = [*ns, deg - 1]
+        if ns:
+            grid.extend(_leaf(a, high, bounds.max_points - points, deg, h0, ns))
 
     for a in range(1, bounds.max_a + 1):
         fill(a, (), bounds.max_points, a * a - 1, (a + 1) * (a + 2) // 2, 0, 0)
     return grid
 
 
-def _evaluate_chunk(bounds: SearchBounds,
-                    chunk: list[tuple[int, tuple[int, ...]]]) -> list[AtlasEntry]:
-    out = []
+def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry]:
     shared: dict = {}   # lives for this call only, see ``_evaluate``
-    for a, counts in chunk:
-        entry = _evaluate(bounds, a, counts, shared)
-        if entry is not None:
-            out.append(entry)
-    return out
+    return [e for c in chunk if (e := _evaluate(bounds, c, shared)) is not None]
 
 
 def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> list[AtlasEntry]:

@@ -1,8 +1,13 @@
-"""Reference computations that share no code path with the package: the
-numbers of a plane model taken straight from its point counts, against which
-the atlas grid's running sums and the records are checked."""
+"""Reference computations for the atlas: the numbers of a plane model taken
+straight from its point counts, against which the grid's running sums and
+the records are checked, and the per-candidate path through ``invariants``
+against which the atlas is checked."""
 
-from nlatlas.surfaces import H0_QUADRICS_P7
+from nlatlas.atlas import AtlasEntry
+from nlatlas.chow import CI222
+from nlatlas.counts import codimension_window
+from nlatlas.lattice import discriminant, fourfold_lattice
+from nlatlas.surfaces import H0_QUADRICS_P7, PlaneModel, invariants
 
 
 def count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -17,3 +22,26 @@ def count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
         hk += i * n
     # h0(I(2)) = 36 - chi(O_S(2H)) with chi(O_S) = 1
     return deg, 1 + (deg + hk) // 2, 1 + (deg - hk) // 2, H0_QUADRICS_P7 - 1 - 2 * deg + hk
+
+
+def evaluate(bounds, a: int, counts: tuple[int, ...], shared: dict) -> AtlasEntry | None:
+    """The atlas entry of S(a; counts), or None, with the surface record
+    taken from ``invariants``, so for any model, standard or not: a model
+    that is not nef raises ``NotNef``, and one that spans less than P^3
+    ``SpanTooSmall``.  ``shared`` maps the numbers that the lattice and the
+    window read to them."""
+    model = PlaneModel(a, counts)
+    s = invariants(model)
+    key = (s.degree, s.sect_genus, s.K2, s.chi_O, s.nodes)
+    found = shared.get(key)
+    if found is None:
+        lat = fourfold_lattice(CI222, s)
+        disc = discriminant(lat)
+        found = shared[key] = (lat, disc, codimension_window(s) if disc >= 0 else None)
+    lat, disc, window = found
+    if window is None:
+        return None
+    h0_is2, h0_n, _, lo, hi = window
+    if lo > bounds.max_codim:
+        return None
+    return AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n)

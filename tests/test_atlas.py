@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nlatlas import atlas, surfaces
-from nlatlas.atlas import SearchBounds, _candidate_grid, _evaluate, enumerate_atlas, gap_report
+from nlatlas.atlas import AtlasEntry, SearchBounds, _candidate_grid, enumerate_atlas, gap_report
 from nlatlas.chow import _constants
-from nlatlas.counts import (H0_QUADRICS_P7, ParameterCount, codimension_window,
-                            h0_quadrics)
+from nlatlas.counts import H0_QUADRICS_P7, ParameterCount, h0_quadrics
 from nlatlas.errors import NegativeCount, NotNef, ParseError, SpanTooSmall
 from nlatlas.lattice import mod16_class
 from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
 from nlatlas.serialize import encode
 from nlatlas.surfaces import (PlaneModel, expand, invariants, normalize_contractions,
                               parse_surface_spec)
-from reference import count_numbers
+from reference import count_numbers, evaluate
 
 TABLE_VALUES = {16, 28, 31, 32, 39, 44, 47, 48, 55, 60, 63, 64, 71, 76, 79, 80,
                 87, 92, 96, 103}
@@ -217,17 +216,23 @@ def _standard(a, counts):
 def test_pruned_grid_drops_only_rejects(bounds):
     kept = [(a, counts) for a, counts in _box(bounds)
             if _passes_counts(bounds, a, counts) and _standard(a, counts)]
-    assert sorted(_candidate_grid(bounds)) == kept
+    assert sorted(_models(_candidate_grid(bounds))) == kept
     shared = {}
-    entries = [e for e in (_evaluate(bounds, a, c, shared) for a, c in kept) if e is not None]
+    entries = [e for e in (evaluate(bounds, a, c, shared) for a, c in kept) if e is not None]
     assert enumerate_atlas(bounds) == sorted(entries, key=lambda e: e.sort_key)
 
 
 def test_evaluate_raises_on_a_model_that_is_not_nef():
-    # S(3;0,2) is not standard, so never a grid candidate: a NotNef in
-    # _evaluate is a fault, like a SpanTooSmall
+    # S(3;0,2) is not standard, so never a grid candidate; the reference
+    # evaluates any model and refuses it, so the tests that evaluate the
+    # whole box can skip it
     with pytest.raises(NotNef):
-        _evaluate(SearchBounds(), 3, (0, 2, 0), {})
+        evaluate(SearchBounds(), 3, (0, 2, 0), {})
+
+
+def _models(grid):
+    """The (a, counts) of each candidate of a grid, in its order."""
+    return [c[:2] for c in grid]
 
 
 # sha256 of the atlas entries' field tuples, one repr per line, on three
@@ -308,14 +313,14 @@ def _unpruned_grid(bounds, genus_cut=True):
 ], ids=["default", "a12p16", "a10p16m4", "a16p20m4", "a20p24m5"])
 def test_pruned_grid_is_the_unpruned_grid(bounds):
     # the same list in the same order, so the same entries and digests
-    assert _candidate_grid(bounds) == _unpruned_grid(bounds)
+    assert _models(_candidate_grid(bounds)) == _unpruned_grid(bounds)
 
 
 @given(st.builds(SearchBounds, max_a=st.integers(1, 12), max_points=st.integers(1, 16),
                  max_mult=st.integers(1, 6), min_h0_IS2=st.integers(1, 32),
                  max_codim=st.just(7)))
 def test_pruned_grid_is_the_unpruned_grid_on_drawn_bounds(bounds):
-    assert _candidate_grid(bounds) == _unpruned_grid(bounds)
+    assert _models(_candidate_grid(bounds)) == _unpruned_grid(bounds)
 
 
 @GRID_BOUNDS
@@ -356,7 +361,7 @@ def test_standard_models_lose_no_surface(bounds):
     for a, counts in _box(bounds):
         if _passes_counts(bounds, a, counts):
             try:
-                entry = _evaluate(bounds, a, counts, {})
+                entry = evaluate(bounds, a, counts, {})
             except NotNef:
                 continue
             if entry is not None:
@@ -388,8 +393,8 @@ def test_degree_one_point_admits_only_the_plane(bounds):
                if _standard(a, counts) and _passes_counts(bounds, a, counts, pencils=True)
                and count_numbers(a, counts)[0] == 1 and count_numbers(a, counts)[2] != 3]
     assert len(pencils) == {"default": 5, "a12p16": 27, "a10p16m4": 31}[_grid_name(bounds)]
-    assert all(_evaluate(bounds, a, counts, {}) is None for a, counts in pencils)
-    grid = _candidate_grid(bounds)
+    assert all(evaluate(bounds, a, counts, {}) is None for a, counts in pencils)
+    grid = _models(_candidate_grid(bounds))
     assert [c for c in grid if count_numbers(*c)[0] == 1] == [(1, (0,) * bounds.max_mult)]
 
 
@@ -440,23 +445,24 @@ def _visited_leaves(bounds):
 def test_atlas_work_counts(monkeypatch):
     """Work counted instead of timed, so that a busy host cannot fail it: one
     default atlas evaluates the closed form once per multidegree, builds no
-    ``ParameterCount`` and exactly one ``PlaneModel`` per candidate, so no
-    second model even for the candidates whose counts end in zero, which the
-    reduction drops.  The grid carries the degree and h0(H) down its
-    recursion, so no loop over the counts computes them (the package has no
-    ``_count_numbers`` left), and its bounds on h0(H) and the genus leave
-    fewer leaves (a standard choice of the counts above n_1) to visit than
-    the brute-force count of them.  It builds
-    at most one lattice and one codimension window per distinct (degree,
-    genus, K^2) among the nef candidates, and a second call builds them all
-    again.  Each codimension window takes chi(O_S(2H)) and chi(O_S(H)) once:
-    at most two ``chi_twist`` calls per window."""
+    ``ParameterCount``, and takes each candidate's numbers from the grid:
+    it calls neither ``invariants`` nor ``normalize_contractions``, and
+    builds one ``PlaneModel``, one labelled record and one ``AtlasEntry``
+    per entry, none for a rejected candidate.  The grid carries the degree
+    and h0(H) down its recursion, so no loop over the counts computes them
+    (the package has no ``_count_numbers`` left), and its bounds on h0(H)
+    and the genus leave fewer leaves (a standard choice of the counts above
+    n_1) to visit than the brute-force count of them; it gives the numbers
+    of the candidates only on the leaves that have some.  It builds one
+    lattice, and at most one codimension window, per distinct (degree,
+    genus, K^2) among the candidates, each from one unlabelled record, and
+    a second call builds them all again.  Each codimension window takes
+    chi(O_S(2H)) and chi(O_S(H)) once: at most two ``chi_twist`` calls per
+    window."""
     bounds = SearchBounds()
     grid = _candidate_grid(bounds)
-    surfaces_seen = {(s.degree, s.sect_genus, s.K2)
-                     for s in (invariants(PlaneModel(a, counts)) for a, counts in grid)}
-    assert len(surfaces_seen) == 85
-    trailing_zero = sum(1 for _, counts in grid if not counts[-1])
+    surfaces_seen = {c[2:5] for c in grid}
+    assert (len(grid), len(surfaces_seen)) == (86, 85)
     leaves = sum(1 for a in range(1, bounds.max_a + 1)
                  for high in itertools.product(range(bounds.max_points + 1),
                                                repeat=bounds.max_mult - 1)
@@ -466,49 +472,85 @@ def test_atlas_work_counts(monkeypatch):
     assert not hasattr(atlas, "_count_numbers") and not hasattr(surfaces, "_count_numbers")
     visited = _visited_leaves(bounds)
     # each candidate comes from a visited leaf
-    assert len({(a, counts[1:]) for a, counts in grid}) <= visited < leaves
-    built = {"model": 0, "count": 0, "window": 0, "chi": 0, "lattice": 0}
+    assert len({(a, counts[1:]) for a, counts, *_ in grid}) <= visited < leaves
+    built = {"model": 0, "record": 0, "entry": 0, "count": 0, "window": 0, "chi": 0,
+             "lattice": 0, "leaf": 0, "invariants": 0, "normalize": 0}
 
-    def counted_window(s):
-        built["window"] += 1
-        return codimension_window(s)
-    monkeypatch.setattr(atlas, "codimension_window", counted_window)
-    fourfold_lattice = atlas.fourfold_lattice
-
-    def counted_lattice(ci, s):
-        built["lattice"] += 1
-        return fourfold_lattice(ci, s)
-    monkeypatch.setattr(atlas, "fourfold_lattice", counted_lattice)
-    chi_twist = surfaces.SurfaceInvariants.chi_twist
-
-    def counted_chi(self, m):
-        built["chi"] += 1
-        return chi_twist(self, m)
-    monkeypatch.setattr(surfaces.SurfaceInvariants, "chi_twist", counted_chi)
-
-    def counted(cls, key):
-        original = cls.__new__
-
+    def counting(key, fn):
         def wrapper(*args, **kwargs):
             built[key] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(cls, "__new__", wrapper)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    counted(PlaneModel, "model")
-    counted(ParameterCount, "count")
+    # the atlas binds neither name, and ``invariants`` calls the reduction
+    # through the module attribute
+    assert not hasattr(atlas, "invariants") and not hasattr(atlas, "normalize_contractions")
+    monkeypatch.setattr(surfaces, "invariants", counting("invariants", surfaces.invariants))
+    monkeypatch.setattr(surfaces, "normalize_contractions",
+                        counting("normalize", surfaces.normalize_contractions))
+    monkeypatch.setattr(atlas, "codimension_window",
+                        counting("window", atlas.codimension_window))
+    monkeypatch.setattr(atlas, "fourfold_lattice", counting("lattice", atlas.fourfold_lattice))
+    monkeypatch.setattr(atlas, "_leaf", counting("leaf", atlas._leaf))
+    monkeypatch.setattr(surfaces.SurfaceInvariants, "chi_twist",
+                        counting("chi", surfaces.SurfaceInvariants.chi_twist))
+    for cls, key in ((PlaneModel, "model"), (surfaces.SurfaceInvariants, "record"),
+                     (ParameterCount, "count")):
+        monkeypatch.setattr(cls, "__new__", counting(key, cls.__new__))
+    monkeypatch.setattr(AtlasEntry, "__init__", counting("entry", AtlasEntry.__init__))
     _constants.cache_clear()
     assert len(enumerate_atlas(bounds)) == 79
     assert _constants.cache_info().misses == 1     # (2,2,2) only
-    assert built["count"] == 0
-    assert 0 < trailing_zero < len(grid)
-    assert built["model"] == len(grid)
+    assert built["invariants"] == built["normalize"] == built["count"] == 0
+    assert built["model"] == built["entry"] == 79 < len(grid)
+    assert built["lattice"] == len(surfaces_seen)
+    assert built["record"] == 79 + built["lattice"]
     assert 0 < built["chi"] <= 2 * built["window"]
-    assert 0 < built["window"] <= built["lattice"] <= len(surfaces_seen)
+    assert 0 < built["window"] <= built["lattice"]
+    assert built["leaf"] == len({(a, counts[1:]) for a, counts, *_ in grid})
     # nothing is kept across calls: the second call does all of it again
     first = dict(built)
     assert len(enumerate_atlas(bounds)) == 79
     assert (built["lattice"], built["window"]) == (2 * first["lattice"],
                                                   2 * first["window"])
+    # on a large box, 7,379 of the 121,353 leaves have candidates, and only
+    # those compute their numbers
+    built["leaf"] = 0
+    grid = _candidate_grid(SearchBounds(max_a=24, max_points=30, max_mult=6))
+    assert built["leaf"] == len({(a, counts[1:]) for a, counts, *_ in grid}) == 7379
+
+
+def _assert_the_reference_atlas(bounds):
+    """Each candidate's numbers are those of ``invariants``, the atlas is the
+    reference evaluator's, sorted, and each entry's lattice has m22 even and
+    discriminant -deg^2 mod 16."""
+    shared, expected = {}, []
+    for a, counts, degree, genus, K2, h0 in _candidate_grid(bounds):
+        s = invariants(PlaneModel(a, counts))
+        assert (degree, genus, K2, h0) == (s.degree, s.sect_genus, s.K2, s.h0_H), (a, counts)
+        entry = evaluate(bounds, a, counts, shared)
+        if entry is not None:
+            expected.append(entry)
+    entries = enumerate_atlas(bounds)
+    assert entries == sorted(expected, key=lambda e: e.sort_key)
+    for e in entries:
+        assert e.lattice.m22 % 2 == 0, e.model
+        assert (e.discriminant + e.surface.degree ** 2) % 16 == 0, e.model
+
+
+@pytest.mark.parametrize("bounds", [
+    *(p.values[0] for p in ATLAS_DIGESTS),
+    SearchBounds(max_a=20, max_points=24, max_mult=5),
+], ids=["default", "a12p16", "a10p16m4", "a20p24m5"])
+def test_atlas_is_the_reference_atlas(bounds):
+    _assert_the_reference_atlas(bounds)
+
+
+@given(st.builds(SearchBounds, max_a=st.integers(1, 12), max_points=st.integers(1, 16),
+                 max_mult=st.integers(1, 6), min_h0_IS2=st.integers(1, 32),
+                 max_codim=st.integers(1, 40)))
+def test_atlas_is_the_reference_atlas_on_drawn_bounds(bounds):
+    _assert_the_reference_atlas(bounds)
 
 
 def test_atlas_consistent_with_direct_pipeline(default_atlas):
