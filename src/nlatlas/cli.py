@@ -119,15 +119,15 @@ def _cmd_count(args) -> int:
 
 def _cmd_ledger(args) -> int:
     import json
-    from .hodge import classify_solved, diagram_from_dict, solve_diagram
+    from .hodge import classify, diagram_from_dict, solve_diagram
     try:
         with open(args.diagram, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise NLAtlasError(f"cannot read diagram {args.diagram}: {exc}") from exc
     solved = solve_diagram(diagram_from_dict(data))
-    cls = classify_solved(solved)
     inv = solved.invariants
+    cls = classify(inv.pg, inv.q, inv.K2)
     text = (solved.unknown.pretty() + "\n"
             f"p_g = {inv.pg}, q = {inv.q}, b2 = {inv.b2}, chi(O) = {inv.chi_O}, "
             f"chi_top = {inv.chi_top}, K^2 = {inv.K2}\n")

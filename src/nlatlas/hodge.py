@@ -197,18 +197,13 @@ def solve_diagram(spec: DiagramSpec) -> SolvedDiagram:
     """Solve h^{p,q}(F1) + h^{p-1,q-1}(C1) = h^{p,q}(F2) + h^{p-1,q-1}(C2)
     for the missing surface diamond: it is ``blowup`` of the known side minus
     the other fourfold, shifted back by (1,1)."""
-    left_unknown = spec.left_center == UNKNOWN
-    right_unknown = spec.right_center == UNKNOWN
-    if left_unknown and right_unknown:
-        raise Underdetermined("both centers are unknown")
-    if not (left_unknown or right_unknown):
+    side = "left" if spec.left_center == UNKNOWN else "right"
+    # the unknown side first: its fourfold and center, then the known side's
+    other_f, center, known_f, known_c = spec if side == "left" else spec[2:] + spec[:2]
+    if center != UNKNOWN:
         raise Underdetermined("no unknown center to solve for")
-    if left_unknown:
-        known_f, known_c = spec.right_fourfold, spec.right_center
-        other_f, side = spec.left_fourfold, "left"
-    else:
-        known_f, known_c = spec.left_fourfold, spec.left_center
-        other_f, side = spec.right_fourfold, "right"
+    if known_c == UNKNOWN:
+        raise Underdetermined("both centers are unknown")
     if not isinstance(known_c, HodgeDiamond) or known_c.dim != 2:
         raise DimensionMismatch("the known center must be a surface diamond")
     if other_f.dim != 4:
@@ -273,43 +268,31 @@ def classify(pg: int, q: int, K2: int) -> Classification:
     )
 
 
-def classify_solved(solved: SolvedDiagram) -> Classification:
-    inv = solved.invariants
-    return classify(inv.pg, inv.q, inv.K2)
-
-
 def _table(rows: list, what: str) -> HodgeDiamond:
     """An explicit diamond, given as a nested list of integers."""
     return HodgeDiamond(len(rows) - 1, reader(tuple[tuple[int, ...], ...])(rows, what))
 
 
-def _center_from_spec(obj, side: str) -> HodgeDiamond | str:
-    """A diagram center: "unknown", a preset name, a surface spec string, or
-    an explicit diamond given as a nested list."""
-    if obj == UNKNOWN:
+def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
+    """The ``part`` ("fourfold" or "center") of diagram side ``side``: a
+    preset name or an explicit diamond given as a nested list, and for a
+    center also "unknown" or a surface spec string.  A fourfold must have
+    dimension 4."""
+    if part == "center" and obj == UNKNOWN:
         return UNKNOWN
-    if isinstance(obj, str):
-        if obj in _PRESETS:
-            return preset(obj)
-        return surface_diamond(parse_surface_spec(obj))
     if isinstance(obj, list):
-        return _table(obj, f"diagram: {side}: center")
-    raise ValueError(f"cannot interpret diagram center {obj!r}")
-
-
-def _fourfold_from_spec(obj, side: str) -> HodgeDiamond:
-    """The fourfold of diagram side ``side``: a preset name or an explicit
-    diamond of dimension 4, given as a nested list."""
-    if isinstance(obj, str):
-        fourfold = preset(obj)
-    elif isinstance(obj, list):
-        fourfold = _table(obj, f"diagram: {side}: fourfold")
+        diamond = _table(obj, f"diagram: {side}: {part}")
+    elif isinstance(obj, str) and (part == "fourfold" or obj in _PRESETS):
+        diamond = preset(obj)
+    elif isinstance(obj, str):
+        return surface_diamond(parse_surface_spec(obj))
     else:
-        raise ValueError(f"cannot interpret fourfold {obj!r}")
-    if fourfold.dim != 4:
+        noun = "diagram center" if part == "center" else "fourfold"
+        raise ValueError(f"cannot interpret {noun} {obj!r}")
+    if part == "fourfold" and diamond.dim != 4:
         raise DimensionMismatch(f"diagram side {side!r} needs a fourfold, "
-                                f"got a diamond of dimension {fourfold.dim}")
-    return fourfold
+                                f"got a diamond of dimension {diamond.dim}")
+    return diamond
 
 
 class _DiagramSide(NamedTuple):  # each value takes several forms, read below
@@ -334,12 +317,10 @@ def diagram_from_dict(data: dict) -> DiagramSpec:
     left, right, bridge = read_fields(data, _DiagramFile, "diagram")
     # bool() would read the strings "false" and "no" as set
     bridge = reader(bool)(bridge, "diagram field 'flop_bridge'")
-    spec = DiagramSpec(
-        left_fourfold=_fourfold_from_spec(left.fourfold, "left"),
-        left_center=_center_from_spec(left.center, "left"),
-        right_fourfold=_fourfold_from_spec(right.fourfold, "right"),
-        right_center=_center_from_spec(right.center, "right"),
-    )
+    # left fourfold, left center, right fourfold, right center, in that order
+    spec = DiagramSpec._make(_diamond(value, side, part)
+                             for side, given in (("left", left), ("right", right))
+                             for part, value in zip(_DiagramSide._fields, given))
     if not bridge:
         raise Underdetermined("without the flop bridge the two flopped surfaces do not "
                               "cancel; supply their diamonds by solving the blow-ups directly")

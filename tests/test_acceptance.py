@@ -10,7 +10,7 @@ import pytest
 
 import nlatlas as nl
 from nlatlas.atlas import enumerate_atlas, gap_report, SearchBounds
-from nlatlas.hodge import UNKNOWN, DiagramSpec, classify_solved
+from nlatlas.hodge import UNKNOWN, DiagramSpec, classify
 from nlatlas.lattice import expected_residue
 from nlatlas.report import check_row
 from nlatlas.serialize import decode, encode
@@ -122,8 +122,8 @@ def test_criterion_6_hodge_ledger():
     ci6 = nl.solve_diagram(DiagramSpec(
         nl.preset("X222"), nl.surface_diamond(nl.parse_surface_spec("5;7,0,1")),
         nl.preset("ci22"), UNKNOWN))
-    c6 = classify_solved(ci6)
     i2 = ci6.invariants
+    c6 = classify(i2.pg, i2.q, i2.K2)
     ok2 = (i2.b2, i2.K2) == (45, 1) and c6.non_minimal and c6.minimal_model_K2 == 2
 
     c14 = nl.solve_diagram(DiagramSpec(
@@ -131,7 +131,7 @@ def test_criterion_6_hodge_ledger():
         nl.surface_diamond(nl.parse_surface_spec("abs:deg=14,g=8,K2=0,chiO=2 int-proj")),
         nl.preset("cubic4"), UNKNOWN))
     i3 = c14.invariants
-    ok3 = (i3.pg, i3.K2) == (3, 2) and classify_solved(c14).castelnuovo_type_I
+    ok3 = (i3.pg, i3.K2) == (3, 2) and classify(i3.pg, i3.q, i3.K2).castelnuovo_type_I
 
     _report("criterion 6: the three diagram solves "
             "(plane / CI(2,2) / cubic targets)", ok1 and ok2 and ok3,

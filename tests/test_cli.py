@@ -468,8 +468,8 @@ def test_ledger_flags_negative_K2(tmp_path, capsys, center, K2, blow_downs):
 
 def test_ledger_without_a_minimal_model_count(tmp_path, capsys, monkeypatch):
     import nlatlas.hodge
-    monkeypatch.setattr(nlatlas.hodge, "classify_solved",
-                        lambda solved: nlatlas.hodge.classify(1, 0, -2))
+    classify = nlatlas.hodge.classify
+    monkeypatch.setattr(nlatlas.hodge, "classify", lambda pg, q, K2: classify(1, 0, -2))
     diagram = tmp_path / "diagram.json"
     diagram.write_text(json.dumps({"left": {"fourfold": "X222", "center": "5;7,0,1"},
                                    "right": {"fourfold": "ci22", "center": "unknown"}}))

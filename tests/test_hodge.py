@@ -5,7 +5,7 @@ import pytest
 from nlatlas.errors import (DimensionMismatch, Inconsistent, Underdetermined,
                             UnknownPreset)
 from nlatlas.hodge import (UNKNOWN, DiagramSpec, HodgeDiamond, blowup,
-                           classify, classify_solved, curve,
+                           classify, curve,
                            derive_surface_invariants, diagram_from_dict,
                            fourfold, point, preset, solve_diagram, surface,
                            surface_diamond)
@@ -102,7 +102,7 @@ def test_solve_plane_diagram():
     inv = sol.invariants
     assert (inv.pg, inv.q, inv.chi_top, inv.K2) == (3, 0, 46, 2)
     assert inv.chi_O == 4
-    cls = classify_solved(sol)
+    cls = classify(inv.pg, inv.q, inv.K2)
     assert cls.castelnuovo_type_I and not cls.non_minimal
 
 
@@ -111,7 +111,7 @@ def test_solve_ci6_diagram():
     sol = solve_diagram(DiagramSpec(preset("X222"), s, preset("ci22"), UNKNOWN))
     inv = sol.invariants
     assert (inv.b2, inv.K2) == (45, 1)
-    cls = classify_solved(sol)
+    cls = classify(inv.pg, inv.q, inv.K2)
     assert cls.non_minimal and cls.minimal_model_K2 == 2 and cls.blow_downs == 1
 
 
@@ -120,7 +120,7 @@ def test_solve_c14_diagram():
     sol = solve_diagram(DiagramSpec(preset("X222"), s, preset("cubic4"), UNKNOWN))
     inv = sol.invariants
     assert (inv.pg, inv.q, inv.chi_top, inv.K2) == (3, 0, 46, 2)
-    assert classify_solved(sol).castelnuovo_type_I
+    assert classify(inv.pg, inv.q, inv.K2).castelnuovo_type_I
 
 
 def test_solve_unknown_on_either_side():

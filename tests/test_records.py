@@ -14,7 +14,7 @@ import pytest
 
 import nlatlas as nl
 from nlatlas.chow import ONE, H, TruncatedClass
-from nlatlas.hodge import classify_solved, diagram_from_dict, solve_diagram
+from nlatlas.hodge import classify, diagram_from_dict, solve_diagram
 from nlatlas.lattice import mod16_class
 from nlatlas.serialize import KINDS, decode, encode
 from nlatlas.surfaces import SurfaceInvariants
@@ -28,13 +28,14 @@ def _records() -> list:
     spec = diagram_from_dict({"left": {"fourfold": "X222", "center": "5;7,0,1"},
                               "right": {"fourfold": "ci22", "center": "unknown"}})
     solved = solve_diagram(spec)
+    inv = solved.invariants
     dataset = nl.load_dataset()
     report = nl.reproduce_tables(1, dataset)
     return [
         nl.DivisorClass(5, (1, 1, 3)), nl.PlaneModel(5, (7, 0, 1)), s, nl.CI222,
         TruncatedClass(1, 2, 3, 4, 5, 6, 7), nl.fourfold_lattice(nl.CI222, s),
         mod16_class(16), nl.codimension_bound(s, 0), nl.preset("X222"), spec, solved,
-        solved.invariants, classify_solved(solved), report, report.checks[0],
+        inv, classify(inv.pg, inv.q, inv.K2), report, report.checks[0],
         dataset.rows[-1], dataset.row("t3-1").assoc, dataset, dataset.gap_rows[0], bounds,
         atlas[0],
         nl.gap_report(atlas, 110, bounds),
