@@ -10,6 +10,8 @@ from typing import NamedTuple
 from .errors import DatasetMissing, read_fields
 
 DATASET_ENV = "NLATLAS_DATASET"
+# beside this module: importlib.resources and pathlib cost more than os.path
+_BUNDLED = os.path.join(os.path.dirname(__file__), "data", "table_rows.json")
 
 
 class Assoc(NamedTuple):
@@ -111,21 +113,12 @@ def load_dataset(path: str | os.PathLike | None = None) -> Dataset:
     """Load the dataset from ``path``, the environment override, or the
     bundled copy, in that order."""
     chosen = path or os.environ.get(DATASET_ENV)
-    if chosen:
-        chosen = os.fspath(chosen)
-        if not os.path.isfile(chosen):
-            raise DatasetMissing(f"dataset file not found: {chosen}")
-        try:
-            with open(chosen, encoding="utf-8") as f:
-                data = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DatasetMissing(f"cannot read dataset {chosen}: {exc}") from exc
-        return _dataset_from_dict(data, source=chosen)
+    source = os.fspath(chosen) if chosen else "bundled"
+    if chosen and not os.path.isfile(source):
+        raise DatasetMissing(f"dataset file not found: {source}")
     try:
-        # beside this module: importlib.resources and pathlib cost more than it
-        with open(os.path.join(os.path.dirname(__file__), "data", "table_rows.json"),
-                  encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise DatasetMissing(f"bundled dataset missing: {exc}") from exc
-    return _dataset_from_dict(json.loads(text), source="bundled")
+        with open(source if chosen else _BUNDLED, encoding="utf-8") as f:
+            data = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DatasetMissing(f"cannot read dataset {source}: {exc}") from exc
+    return _dataset_from_dict(data, source)

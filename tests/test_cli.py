@@ -372,6 +372,15 @@ def test_missing_dataset_exits_3(capsys):
     assert code == 3
 
 
+def test_unreadable_bundled_dataset_is_refused_as_a_named_one(monkeypatch, capsys):
+    # one reader for both: a broken install gets the named file's message
+    import nlatlas.dataset
+    monkeypatch.setattr(nlatlas.dataset, "_BUNDLED", "/nonexistent/rows.json")
+    code, out, err = run(capsys, "tables")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read dataset bundled: [Errno 2] ")
+
+
 def test_describe_with_unloadable_named_dataset_exits_3(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
