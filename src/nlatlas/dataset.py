@@ -119,6 +119,6 @@ def load_dataset(path: str | os.PathLike | None = None) -> Dataset:
     try:
         with open(source if chosen else _BUNDLED, encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise DatasetMissing(f"cannot read dataset {source}: {exc}") from exc
     return _dataset_from_dict(data, source)

@@ -545,6 +545,17 @@ def test_ledger_unreadable_diagram_names_the_file(tmp_path, capsys, content):
     assert err.startswith(f"error: cannot read diagram {diagram}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", [b"{nope", b'{"description": "\xff"}'], ids=["json", "utf-8"])
+def test_unreadable_dataset_names_the_file(tmp_path, monkeypatch, capsys, content):
+    dataset = tmp_path / "rows.json"
+    dataset.write_bytes(content)
+    code, out, err = run(capsys, "--dataset", str(dataset), "tables")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read dataset {dataset}: ") and err.count("\n") == 1
+    monkeypatch.setenv("NLATLAS_DATASET", str(dataset))
+    assert run(capsys, "describe", "--surface", "5;7,0,1") == (code, out, err)
+
+
 def test_usage_errors_exit_3_and_help_exits_0(capsys):
     # exit 2 means a table mismatch, so argparse's own usage exit is not used
     for argv in (["search", "--max-a", "x"], ["search", "--workers", "2"],

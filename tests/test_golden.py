@@ -37,8 +37,8 @@ DIAGRAM = {
     "flop_bridge": True,
 }
 
-# name -> argv after the global flags; {diagram} and {bad_dataset} are files
-# written by ``_write_inputs``
+# name -> argv after the global flags; {diagram}, {bad_dataset} and the other
+# names in braces are files written by ``_write_inputs``
 COMMANDS = {
     "describe-plane": ["describe", "--surface", "5;7,0,1"],
     "describe-nodal": ["describe", "--surface", "5;6,2 nodes=1"],
@@ -64,8 +64,8 @@ COMMANDS = {
     "tables-diffs": ["--dataset", "{bad_dataset}", "tables"],
 }
 
-# failing commands: exit 3 and the position of the bad token, in the same
-# message for every format, so they run in one
+# failing commands: exit 3 and a message naming the bad token's position or
+# the bad file, the same for every format, so they run in one
 ERRORS = {
     "describe-zero-nodes": ["describe", "--surface", "5;6,2 nodes=0"],
     "describe-zero-degree": ["describe", "--surface", "0;1"],
@@ -77,6 +77,7 @@ ERRORS = {
     "selfint-ci-underscore": ["selfint", "--ci", "2,1_0", "--surface", "5;7,0,1"],
     "selfint-ci-empty": ["selfint", "--ci", "2,,2", "--surface", "5;7,0,1"],
     "selfint-ci-one": ["selfint", "--ci", "1,2", "--surface", "5;7,0,1"],
+    "tables-dataset-not-utf8": ["--dataset", "{latin1_dataset}", "tables"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
@@ -84,8 +85,9 @@ CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
 
 
 def _write_inputs(root: Path) -> dict[str, str]:
-    """The diagram file, and a dataset copy whose row t1-01 has another
-    matrix of the same determinant, another h0_N and another codim."""
+    """The diagram file, a dataset copy whose row t1-01 has another matrix
+    of the same determinant, another h0_N and another codim, and a dataset
+    file in Latin-1."""
     diagram = root / "diagram.json"
     diagram.write_text(json.dumps(DIAGRAM))
     data = json.loads(
@@ -95,7 +97,9 @@ def _write_inputs(root: Path) -> dict[str, str]:
     row.update(matrix=[8, 0, 2], h0_N=row["h0_N"] + 1, codim=row["codim"] + 1)
     bad = root / "bad_rows.json"
     bad.write_text(json.dumps(data))
-    return {"diagram": str(diagram), "bad_dataset": str(bad)}
+    latin1 = root / "latin1_rows.json"
+    latin1.write_bytes('{"description": "\u00e9d. 1"}'.encode("latin-1"))
+    return {"diagram": str(diagram), "bad_dataset": str(bad), "latin1_dataset": str(latin1)}
 
 
 def _argv(name: str, fmt: str, paths: dict[str, str]) -> list[str]:
@@ -103,8 +107,12 @@ def _argv(name: str, fmt: str, paths: dict[str, str]) -> list[str]:
     return ["--format", fmt] + [a.format(**paths) for a in argv]
 
 
-def _record(code: int, out: str, err: str) -> str:
-    return f"exit {code}\n{out}" + (f"stderr:\n{err}" if err else "")
+def _record(code: int, out: str, err: str, paths: dict[str, str]) -> str:
+    text = f"exit {code}\n{out}" + (f"stderr:\n{err}" if err else "")
+    # the input files lie in a temporary directory: name each by its key
+    for key, path in paths.items():
+        text = text.replace(path, "{" + key + "}")
+    return text
 
 
 def _record_values() -> dict[str, object]:
@@ -137,7 +145,7 @@ def test_cli_golden(name, fmt, paths, capsys):
     code = main(_argv(name, fmt, paths))
     captured = capsys.readouterr()
     want = (GOLDEN / "cli" / f"{name}.{fmt}").read_text()
-    assert _record(code, captured.out, captured.err) == want
+    assert _record(code, captured.out, captured.err, paths) == want
 
 
 # the text and JSON forms of every command of the benchmark's cli-session,
@@ -155,7 +163,7 @@ def test_cli_golden_in_fresh_interpreter(name, fmt, paths, fresh_env):
     proc = subprocess.run([sys.executable, "-c", launch, *_argv(name, fmt, paths)],
                           env=fresh_env, capture_output=True, text=True)
     want = (GOLDEN / "cli" / f"{name}.{fmt}").read_text()
-    assert _record(proc.returncode, proc.stdout, proc.stderr) == want
+    assert _record(proc.returncode, proc.stdout, proc.stderr, paths) == want
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
@@ -174,7 +182,7 @@ def _regenerate() -> None:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(_argv(name, fmt, paths))
             (GOLDEN / "cli" / f"{name}.{fmt}").write_text(
-                _record(code, out.getvalue(), err.getvalue()))
+                _record(code, out.getvalue(), err.getvalue(), paths))
     for name, value in RECORDS.items():
         (GOLDEN / "records" / f"{name}.json").write_text(
             json.dumps(encode(value), indent=2) + "\n")
