@@ -229,7 +229,7 @@ def _cmd_describe(args) -> int:
     from .chow import CI222, parse_ci
     from .dataset import load_dataset
     from .report import describe
-    ci = parse_ci(args.ci) if args.ci else CI222
+    ci = parse_ci(args.ci)
     # only the (2,2,2) parameter count reads the dataset
     print(describe(args.surface, ci, load_dataset(args.dataset) if ci == CI222 else None))
     return EXIT_OK
@@ -270,7 +270,7 @@ COMMANDS = {
     "tables": (_cmd_tables, "recompute the bundled tables and diff",
                {"--which": {"default": "1,2,3,4", "help": "comma list from 1,2,3,4"}}),
     "describe": (_cmd_describe, "one-screen report for a surface spec",
-                 {"--surface": {"required": True}, "--ci": {"default": None}}),
+                 {"--surface": {"required": True}, "--ci": {"default": "2,2,2"}}),
 }
 
 

@@ -567,6 +567,21 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys):
     assert code == 0 and out.startswith("usage: nlatlas")
 
 
+def test_an_option_of_several_commands_has_one_default():
+    # describe --ci "" read as (2,2,2) while lattice --ci "" was refused
+    defaults = {}
+    for _, _, options in cli.COMMANDS.values():
+        for flag, kw in options.items():
+            defaults.setdefault(flag, set()).add(kw.get("default"))
+    assert {flag: values for flag, values in defaults.items() if len(values) > 1} == {}
+
+
+@pytest.mark.parametrize("command", ["lattice", "selfint", "describe"])
+def test_empty_ci_is_refused_with_its_position(capsys, command):
+    assert run(capsys, command, "--ci", "", "--surface", "5;7,0,1") == (
+        3, "", "error: expected an integer, got '' (at position 0 in '')\n")
+
+
 @pytest.mark.parametrize("command", ["lattice", "selfint", "count"])
 def test_every_abs_option_has_its_help(capsys, command):
     code, out, _ = run(capsys, command, "--help")

@@ -77,6 +77,7 @@ ERRORS = {
     "selfint-ci-underscore": ["selfint", "--ci", "2,1_0", "--surface", "5;7,0,1"],
     "selfint-ci-empty": ["selfint", "--ci", "2,,2", "--surface", "5;7,0,1"],
     "selfint-ci-one": ["selfint", "--ci", "1,2", "--surface", "5;7,0,1"],
+    "describe-ci-empty": ["describe", "--ci", "", "--surface", "5;7,0,1"],
     "tables-dataset-not-utf8": ["--dataset", "{latin1_dataset}", "tables"],
 }
 
