@@ -270,7 +270,11 @@ def classify(pg: int, q: int, K2: int) -> Classification:
 
 def _table(rows: list, what: str) -> HodgeDiamond:
     """An explicit diamond, given as a nested list of integers."""
-    return HodgeDiamond(len(rows) - 1, reader(tuple[tuple[int, ...], ...])(rows, what))
+    entries = reader(tuple[tuple[int, ...], ...])(rows, what)
+    try:
+        return HodgeDiamond(len(rows) - 1, entries)
+    except ValueError as exc:  # named as the reader names a bad entry
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:

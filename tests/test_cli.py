@@ -522,6 +522,23 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
             assert f"unknown field '{key}'" in err
 
 
+@pytest.mark.parametrize("side,part,table,message", [
+    ("left", "center", [[1, 0], [0]], "need a 2x2 table for dimension 1"),
+    ("left", "center", [], "dimension must be 0, 1, 2 or 4, got -1"),
+    ("left", "center", [[1, 0, 1], [0, 20, 0], [2, 0, 1]], "conjugation symmetry fails at (0,2)"),
+    ("right", "fourfold", [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "Serre symmetry fails at (0,0)"),
+], ids=["ragged", "empty", "asymmetric", "fourfold-serre"])
+def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side, part, table,
+                                                        message):
+    data = {"left": {"fourfold": "X222", "center": "5;7,0,1"},
+            "right": {"fourfold": "ci22", "center": "unknown"}}
+    data[side][part] = table
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps(data))
+    assert run(capsys, "ledger", "--diagram", str(diagram)) == (
+        3, "", f"error: diagram: {side}: {part}: {message}\n")
+
+
 @pytest.mark.parametrize("center,message", [
     ("5;7,0,1", "without the flop bridge the two flopped surfaces do not cancel; "
                 "supply their diamonds by solving the blow-ups directly"),

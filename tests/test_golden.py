@@ -79,6 +79,7 @@ ERRORS = {
     "selfint-ci-one": ["selfint", "--ci", "1,2", "--surface", "5;7,0,1"],
     "describe-ci-empty": ["describe", "--ci", "", "--surface", "5;7,0,1"],
     "tables-dataset-not-utf8": ["--dataset", "{latin1_dataset}", "tables"],
+    "ledger-not-a-diamond": ["ledger", "--diagram", "{bad_diagram}"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
@@ -86,11 +87,14 @@ CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
 
 
 def _write_inputs(root: Path) -> dict[str, str]:
-    """The diagram file, a dataset copy whose row t1-01 has another matrix
-    of the same determinant, another h0_N and another codim, and a dataset
-    file in Latin-1."""
+    """The diagram file, one whose left center is no diamond, a dataset copy
+    whose row t1-01 has another matrix of the same determinant, another h0_N
+    and another codim, and a dataset file in Latin-1."""
     diagram = root / "diagram.json"
     diagram.write_text(json.dumps(DIAGRAM))
+    bad_diagram = root / "bad_diagram.json"
+    bad_diagram.write_text(json.dumps({**DIAGRAM, "left": {"fourfold": "X222",
+                                                           "center": [[1, 0], [0]]}}))
     data = json.loads(
         resources.files("nlatlas").joinpath("data/table_rows.json").read_text())
     row = data["unirational_rows"][0]
@@ -100,7 +104,8 @@ def _write_inputs(root: Path) -> dict[str, str]:
     bad.write_text(json.dumps(data))
     latin1 = root / "latin1_rows.json"
     latin1.write_bytes('{"description": "\u00e9d. 1"}'.encode("latin-1"))
-    return {"diagram": str(diagram), "bad_dataset": str(bad), "latin1_dataset": str(latin1)}
+    return {"diagram": str(diagram), "bad_diagram": str(bad_diagram), "bad_dataset": str(bad),
+            "latin1_dataset": str(latin1)}
 
 
 def _argv(name: str, fmt: str, paths: dict[str, str]) -> list[str]:
