@@ -147,10 +147,9 @@ def _cmd_ledger(args) -> int:
 def _cmd_search(args) -> int:
     from .atlas import SearchBounds, enumerate_atlas, gap_report
     _given({"--det": args.det is not None, "--gaps": args.gaps})
-    # only the bounds given: SearchBounds holds the defaults
-    given = {"max_a": args.max_a, "max_points": args.max_points, "max_mult": args.max_mult,
-             "min_h0_IS2": args.min_h0_is2, "max_codim": args.max_codim}
-    bounds = SearchBounds(**{k: v for k, v in given.items() if v is not None})
+    # the bounds given, max_a by --max-a and so on: SearchBounds holds the defaults
+    bounds = SearchBounds(**{name: value for name in SearchBounds._fields
+                             if (value := getattr(args, name.lower())) is not None})
     entries = enumerate_atlas(bounds)
     if args.gaps:
         rep = gap_report(entries, up_to=args.up_to, bounds=bounds)
