@@ -117,7 +117,6 @@ def _embedded(degree: int, hk: int, K2: int, chi_O: int, label: str,
     h0 = chi_O + (degree - hk) // 2
     if h0 < 4 and degree != 1:
         raise SpanTooSmall(f"{label or 'surface'} gives h0(H) = {h0}: {why}")
-    # positional: this runs once per atlas candidate
     return SurfaceInvariants(degree, 1 + (degree + hk) // 2, K2, chi_O, 12 * chi_O - K2,
                              h0, 0, True, label)
 
@@ -127,7 +126,7 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
     """Build a record from (deg, g, K^2, chi(O)); chi_top and h0_H derived.
     Like ``invariants``, it refuses a surface of degree > 1 with h0(H) < 4."""
     # operator.index rejects floats and strings, as PlaneModel does; the
-    # record's own constructor, which the atlas runs per candidate, does not
+    # record's own constructor, which the atlas runs on its own integers, does not
     degree, sect_genus, K2, chi_O = map(operator.index, (degree, sect_genus, K2, chi_O))
     return _embedded(degree, 2 * sect_genus - 2 - degree, K2, chi_O, label,
                      f"a surface of degree {degree} spans at least P^3")
@@ -181,8 +180,7 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
         return h2, hk, a, c[:m[0]], int(a == m[0] + m[1])
     while True:
         if m[-1] < 0:
-            # H as str(expand(model)) words it, without loading picard: the
-            # atlas words this for every candidate it rejects as not nef
+            # H as str(expand(model)) words it, without loading picard
             mults = ",".join(str(i) for i, n in enumerate(c, 1) for _ in range(n))
             raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = ({model.a}; {mults})")
         e = m[0] + m[1] + m[2] - a
