@@ -93,8 +93,8 @@ def _write_inputs(root: Path) -> dict[str, str]:
     diagram = root / "diagram.json"
     diagram.write_text(json.dumps(DIAGRAM))
     bad_diagram = root / "bad_diagram.json"
-    bad_diagram.write_text(json.dumps({**DIAGRAM, "left": {"fourfold": "X222",
-                                                           "center": [[1, 0], [0]]}}))
+    bad_diagram.write_text(json.dumps(
+        {**DIAGRAM, "left": {**DIAGRAM["left"], "center": [[1, 0], [0]]}}))
     data = json.loads(
         resources.files("nlatlas").joinpath("data/table_rows.json").read_text())
     row = data["unirational_rows"][0]
