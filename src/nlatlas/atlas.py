@@ -35,12 +35,16 @@ blow-down raises K^2 = 9 - (number of points) by one.  Left to check:
   * the codimension-bound window, taken over h0(N_S/X) between 0 and the
     clamped Euler estimate, meets [0, max_codim].
 
-They read only the degree, genus and K^2 (chi(O) = 1 and no nodes), so
-``_evaluate_chunk`` keeps, for the length of its call, a dict from them to
-the lattice, discriminant and window, or to a rejection: 453 lattices and
-windows serve the 683 candidates of the three bench grids, a rejected type
-costs one lookup, and only kept entries build a plane model, a labelled
-record and an entry.  Nothing is kept between calls.
+They read only the degree, genus and K^2 (chi(O) = 1, no nodes, and h0(H) =
+chi(O_S(H)) is fixed by the degree and genus), so ``_evaluate_chunk``
+decides each new type from these integers, with no surface record: m22
+from ``chow.formula_222``, the lattice and its discriminant, and the window
+from ``counts.codimension_window_of``.  A dict, kept for the length of the
+call, maps each type to them or to a rejection: the 683 candidates of the
+three bench grids have 453 types, which build 453 lattices and 431 windows
+(a negative discriminant needs none), a rejected type costs one lookup, and
+only the 608 kept entries build a plane model, a labelled record and an
+entry.  Nothing is kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
 the grid in one serial pass and sorts the entries by (discriminant, a,
@@ -55,9 +59,9 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chow import CI222
-from .counts import codimension_window
-from .lattice import RankTwoLattice, discriminant, fourfold_lattice, mod16_class
+from .chow import CI222, formula_222
+from .counts import codimension_window_of
+from .lattice import RankTwoLattice, Side, discriminant, mod16_class
 from .surfaces import PlaneModel, SurfaceInvariants
 
 GAP_FLOOR = 16  # smallest discriminant considered attainable on a (2,2,2)
@@ -110,30 +114,6 @@ class AtlasEntry:
     @property
     def sort_key(self):
         return (self.discriminant, self.model.a, self.model.point_counts)
-
-
-def _evaluate(bounds: SearchBounds, candidate: tuple, shared: dict) -> AtlasEntry | None:
-    """The entry of a candidate of ``_candidate_grid``, or None.  ``shared``
-    maps each (degree, genus, K^2) seen in this call to its lattice,
-    discriminant and window, or to False when it is rejected."""
-    a, counts, degree, genus, K2, h0 = candidate
-    found = shared.get((degree, genus, K2))
-    if found is None:
-        # an unlabelled record of the numbers the lattice and the window read
-        s = SurfaceInvariants(degree, genus, K2, 1, 12 - K2, h0)
-        lat = fourfold_lattice(CI222, s)
-        disc = discriminant(lat)
-        window = codimension_window(s) if disc >= 0 else None
-        # no test of hi < 0: a surface of the grid has no nodes, so the clamped
-        # estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
-        found = shared[degree, genus, K2] = (
-            window is not None and window[3] <= bounds.max_codim and (lat, disc, window))
-    if not found:
-        return None
-    lat, disc, (h0_is2, h0_n, _, lo, hi) = found
-    model = PlaneModel(a, counts)
-    s = SurfaceInvariants(degree, genus, K2, 1, 12 - K2, h0, 0, True, str(model))
-    return AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n)
 
 
 def _leaf(a: int, high: tuple, placed: int, deg: int, h0: int, ns) -> list[tuple]:
@@ -204,8 +184,33 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple]:
 
 
 def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry]:
-    shared: dict = {}   # lives for this call only, see ``_evaluate``
-    return [e for c in chunk if (e := _evaluate(bounds, c, shared)) is not None]
+    """The entries of the candidates of ``_candidate_grid`` in ``chunk``.
+    ``types`` maps each (degree, genus, K^2) seen in this call to its lattice,
+    discriminant and window, or to False when it is rejected; nothing is kept
+    between calls."""
+    m11 = CI222.fourfold_degree
+    types: dict = {}
+    entries = []
+    for a, counts, degree, genus, K2, h0 in chunk:
+        found = types.get((degree, genus, K2))
+        if found is None:
+            # chi(O_S) = 1, no nodes and h0(H) = chi(O_S(H)), which the degree
+            # and genus fix: the type's integers are all the lattice and the
+            # window read
+            lat = RankTwoLattice(m11, degree, formula_222(degree, genus, K2, 1),
+                                 Side.FOURFOLD_MIDDLE)
+            disc = discriminant(lat)
+            window = codimension_window_of(degree, 1, h0, K2, 12 - K2, 0) if disc >= 0 else None
+            # no test of hi < 0: a surface of the grid has no nodes, so the
+            # clamped estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
+            found = types[degree, genus, K2] = (
+                window is not None and window[3] <= bounds.max_codim and (lat, disc, window))
+        if found:
+            lat, disc, (h0_is2, h0_n, _, lo, hi) = found
+            model = PlaneModel(a, counts)
+            s = SurfaceInvariants(degree, genus, K2, 1, 12 - K2, h0, 0, True, str(model))
+            entries.append(AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n))
+    return entries
 
 
 def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> list[AtlasEntry]:

@@ -42,49 +42,59 @@ def h0_quadrics(s: SurfaceInvariants) -> int:
     """h0(I_{S/P7}(2)) = 36 - chi(O_S(2H)); each node relaxes one condition."""
     n = H0_QUADRICS_P7 - s.chi_twist(2) + s.nodes
     if n < 0:
-        raise _negative_quadrics(s, n)
+        raise _negative_quadrics(n, _name(s))
     return n
 
 
-def _negative_quadrics(s: SurfaceInvariants, n: int) -> NegativeCount:
-    return NegativeCount(f"h0(I_S(2)) = {n} < 0 for {s.provenance_label or s}")
+def _name(s: SurfaceInvariants):
+    """What a refusal of s names: its label, or the record itself."""
+    return s.provenance_label or s
 
 
-def _numbers(s: SurfaceInvariants) -> tuple[int, int, int]:
-    """(h0(I_S(2)), h0(N_{S/P7}), chi(O_S(2H))) of s, h0(I_S(2)) not yet
-    checked.  One ``chi_twist`` call gives H.K and chi(O_S(H)), and
-    Riemann-Roch gives chi(O_S(2H)) = 2 chi(O_S(H)) - chi(O_S) + H^2 from
-    it, so each is computed once."""
-    chi_h = s.chi_twist(1)
-    chi_2h = 2 * chi_h - s.chi_O + s.degree
-    t = 7 * s.K2 - 5 * s.chi_top
+def _negative_quadrics(n: int, who) -> NegativeCount:
+    return NegativeCount(f"h0(I_S(2)) = {n} < 0 for {who}")
+
+
+def _numbers(degree: int, chi_O: int, chi_h: int, K2: int, chi_top: int,
+             nodes: int) -> tuple[int, int, int]:
+    """(h0(I_S(2)), h0(N_{S/P7}), chi(O_S(2H))) of the surface with H^2 =
+    ``degree``, chi(O_S), chi(O_S(H)) = ``chi_h``, K^2, chi_top and nodes,
+    h0(I_S(2)) not yet checked.  Riemann-Roch gives chi(O_S(2H)) =
+    2 chi(O_S(H)) - chi(O_S) + H^2, so each is computed once."""
+    chi_2h = 2 * chi_h - chi_O + degree
+    t = 7 * K2 - 5 * chi_top
     if t % 6 != 0:
         raise DivisibilityViolation(
             f"7K^2 - 5chi_top = {t} not divisible by 6: corrupted surface record"
         )
-    return (H0_QUADRICS_P7 - chi_2h + s.nodes,
-            8 * chi_h - s.chi_O - t // 6 - 3 * s.nodes, chi_2h)
+    return (H0_QUADRICS_P7 - chi_2h + nodes,
+            8 * chi_h - chi_O - t // 6 - 3 * nodes, chi_2h)
+
+
+def _record(s: SurfaceInvariants) -> tuple[int, int, int, int, int, int]:
+    """The integers ``_numbers`` reads from s, with one ``chi_twist`` call."""
+    return s.degree, s.chi_O, s.chi_twist(1), s.K2, s.chi_top, s.nodes
 
 
 def h0_normal_bundle(s: SurfaceInvariants) -> int:
     """chi(N_{S/P7}) from the Euler and normal-bundle sequences:
     8*chi(O_S(H)) - chi(O_S) - chi(T_S), with chi(T_S) = (7K^2 - 5chi_top)/6.
     Nodal images lose 3 per node (fitted rule)."""
-    return _numbers(s)[1]
+    return _numbers(*_record(s))[1]
 
 
 def chi_NSX_lower(s: SurfaceInvariants) -> int:
     """Euler-characteristic estimate chi(N_{S/X}) = h0(N_{S/P7}) - 3*chi(O_S(2))
     from 0 -> N_{S/X} -> N_{S/P7} -> O_S(2)^3 -> 0.  Explicitly NOT an h^0:
     it may undershoot (h^1 terms) and is only a semicontinuity sanity bound."""
-    _, h0_n, chi_2h = _numbers(s)
+    _, h0_n, chi_2h = _numbers(*_record(s))
     return h0_n - 3 * chi_2h
 
 
-def _net_of_quadrics(s: SurfaceInvariants, h0_is2: int) -> None:
+def _net_of_quadrics(h0_is2: int, who) -> None:
     """h0(I_S(2)) must leave room for a net of quadrics."""
     if h0_is2 < 0:
-        raise _negative_quadrics(s, h0_is2)
+        raise _negative_quadrics(h0_is2, who)
     if h0_is2 < 3:
         raise NegativeCount(
             f"h0(I_S(2)) = {h0_is2} < 3: no net of quadrics through the surface"
@@ -111,19 +121,30 @@ def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
     h0_NSX = operator.index(h0_NSX)
     if h0_NSX < 0:
         raise NegativeCount(f"h0(N_S/X) must be >= 0, got {h0_NSX}")
-    h0_is2, h0_n, _ = _numbers(s)
-    _net_of_quadrics(s, h0_is2)
+    h0_is2, h0_n, _ = _numbers(*_record(s))
+    _net_of_quadrics(h0_is2, _name(s))
     grass = grassmannian_dim(h0_is2)
     return ParameterCount(h0_is2, h0_n, h0_NSX, grass, _codim(h0_n, grass, h0_NSX),
                           count_flags(s))
 
 
 def codimension_window(s: SurfaceInvariants) -> tuple[int, int, int, int, int]:
-    """For a surface with no known h0(N_{S/X}): (h0(I_S(2)), h0(N_{S/P7}), the
-    clamped Euler estimate of h0(N_{S/X}), and the codimension bounds at
-    h0(N_{S/X}) = 0 and at that estimate), each number computed once."""
-    h0_is2, h0_n, chi_2h = _numbers(s)
-    _net_of_quadrics(s, h0_is2)
+    """``codimension_window_of`` the numbers of s."""
+    return codimension_window_of(*_record(s), _name(s))
+
+
+def codimension_window_of(degree: int, chi_O: int, chi_h: int, K2: int, chi_top: int,
+                          nodes: int, who=None) -> tuple[int, int, int, int, int]:
+    """For a surface with no known h0(N_{S/X}), given by the integers of
+    ``_numbers``: (h0(I_S(2)), h0(N_{S/P7}), the clamped Euler estimate of
+    h0(N_{S/X}), and the codimension bounds at h0(N_{S/X}) = 0 and at that
+    estimate), each number computed once.  ``who`` is what a refusal names,
+    by default the numbers."""
+    h0_is2, h0_n, chi_2h = _numbers(degree, chi_O, chi_h, K2, chi_top, nodes)
+    if h0_is2 < 3:
+        _net_of_quadrics(h0_is2, who or f"H^2 = {degree}, chi(O_S(H)) = {chi_h}, "
+                                        f"K^2 = {K2}")
     nsx = max(h0_n - 3 * chi_2h, 0)
-    grass = grassmannian_dim(h0_is2)
-    return h0_is2, h0_n, nsx, _codim(h0_n, grass, 0), _codim(h0_n, grass, nsx)
+    lo = _codim(h0_n, grassmannian_dim(h0_is2), 0)
+    # each dimension of h0(N_S/X) adds one to the bound
+    return h0_is2, h0_n, nsx, lo, lo + nsx

@@ -8,12 +8,13 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from nlatlas import atlas, surfaces
+from nlatlas import atlas, chow, lattice, surfaces
+from nlatlas import counts as counts_module
 from nlatlas.atlas import AtlasEntry, SearchBounds, _candidate_grid, enumerate_atlas, gap_report
 from nlatlas.chow import _constants
 from nlatlas.counts import H0_QUADRICS_P7, ParameterCount, h0_quadrics
 from nlatlas.errors import NegativeCount, NotNef, ParseError, SpanTooSmall
-from nlatlas.lattice import mod16_class
+from nlatlas.lattice import RankTwoLattice, mod16_class
 from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
 from nlatlas.serialize import encode
 from nlatlas.surfaces import (PlaneModel, expand, invariants, normalize_contractions,
@@ -448,17 +449,17 @@ def test_atlas_work_counts(monkeypatch):
     ``ParameterCount``, and takes each candidate's numbers from the grid:
     it calls neither ``invariants`` nor ``normalize_contractions``, and
     builds one ``PlaneModel``, one labelled record and one ``AtlasEntry``
-    per entry, none for a rejected candidate.  The grid carries the degree
-    and h0(H) down its recursion, so no loop over the counts computes them
-    (the package has no ``_count_numbers`` left), and its bounds on h0(H)
-    and the genus leave fewer leaves (a standard choice of the counts above
-    n_1) to visit than the brute-force count of them; it gives the numbers
-    of the candidates only on the leaves that have some.  It builds one
-    lattice, and at most one codimension window, per distinct (degree,
-    genus, K^2) among the candidates, each from one unlabelled record, and
-    a second call builds them all again.  Each codimension window takes
-    chi(O_S(2H)) and chi(O_S(H)) once: at most two ``chi_twist`` calls per
-    window."""
+    per entry, none for a rejected candidate, and no other record.  The grid
+    carries the degree and h0(H) down its recursion, so no loop over the
+    counts computes them (the package has no ``_count_numbers`` left), and
+    its bounds on h0(H) and the genus leave fewer leaves (a standard choice
+    of the counts above n_1) to visit than the brute-force count of them; it
+    gives the numbers of the candidates only on the leaves that have some.
+    Each distinct (degree, genus, K^2) among the candidates is decided from
+    its integers: one m22 from ``formula_222``, one lattice and at most one
+    codimension window, with no ``fourfold_lattice``, ``self_intersection``,
+    ``codimension_window`` or ``chi_twist`` call, and a second call does all
+    of it again."""
     bounds = SearchBounds()
     grid = _candidate_grid(bounds)
     surfaces_seen = {c[2:5] for c in grid}
@@ -474,7 +475,8 @@ def test_atlas_work_counts(monkeypatch):
     # each candidate comes from a visited leaf
     assert len({(a, counts[1:]) for a, counts, *_ in grid}) <= visited < leaves
     built = {"model": 0, "record": 0, "entry": 0, "count": 0, "window": 0, "chi": 0,
-             "lattice": 0, "leaf": 0, "invariants": 0, "normalize": 0}
+             "m22": 0, "lattice": 0, "leaf": 0, "invariants": 0, "normalize": 0,
+             "record_path": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -482,37 +484,41 @@ def test_atlas_work_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # the atlas binds neither name, and ``invariants`` calls the reduction
-    # through the module attribute
-    assert not hasattr(atlas, "invariants") and not hasattr(atlas, "normalize_contractions")
+    # the atlas binds none of these names, and each record-level function is
+    # called through a module attribute
+    for name in ("invariants", "normalize_contractions", "fourfold_lattice",
+                 "self_intersection", "codimension_window"):
+        assert not hasattr(atlas, name), name
     monkeypatch.setattr(surfaces, "invariants", counting("invariants", surfaces.invariants))
     monkeypatch.setattr(surfaces, "normalize_contractions",
                         counting("normalize", surfaces.normalize_contractions))
-    monkeypatch.setattr(atlas, "codimension_window",
-                        counting("window", atlas.codimension_window))
-    monkeypatch.setattr(atlas, "fourfold_lattice", counting("lattice", atlas.fourfold_lattice))
+    for module, name in ((lattice, "fourfold_lattice"), (lattice, "self_intersection"),
+                         (chow, "self_intersection"),
+                         (counts_module, "codimension_window")):
+        monkeypatch.setattr(module, name, counting("record_path", getattr(module, name)))
+    monkeypatch.setattr(atlas, "codimension_window_of",
+                        counting("window", atlas.codimension_window_of))
+    monkeypatch.setattr(atlas, "formula_222", counting("m22", atlas.formula_222))
     monkeypatch.setattr(atlas, "_leaf", counting("leaf", atlas._leaf))
     monkeypatch.setattr(surfaces.SurfaceInvariants, "chi_twist",
                         counting("chi", surfaces.SurfaceInvariants.chi_twist))
     for cls, key in ((PlaneModel, "model"), (surfaces.SurfaceInvariants, "record"),
-                     (ParameterCount, "count")):
+                     (ParameterCount, "count"), (RankTwoLattice, "lattice")):
         monkeypatch.setattr(cls, "__new__", counting(key, cls.__new__))
     monkeypatch.setattr(AtlasEntry, "__init__", counting("entry", AtlasEntry.__init__))
     _constants.cache_clear()
     assert len(enumerate_atlas(bounds)) == 79
     assert _constants.cache_info().misses == 1     # (2,2,2) only
     assert built["invariants"] == built["normalize"] == built["count"] == 0
-    assert built["model"] == built["entry"] == 79 < len(grid)
-    assert built["lattice"] == len(surfaces_seen)
-    assert built["record"] == 79 + built["lattice"]
-    assert 0 < built["chi"] <= 2 * built["window"]
+    assert built["record_path"] == built["chi"] == 0
+    assert built["record"] == built["model"] == built["entry"] == 79 < len(grid)
+    assert built["m22"] == built["lattice"] == len(surfaces_seen)
     assert 0 < built["window"] <= built["lattice"]
     assert built["leaf"] == len({(a, counts[1:]) for a, counts, *_ in grid})
     # nothing is kept across calls: the second call does all of it again
     first = dict(built)
     assert len(enumerate_atlas(bounds)) == 79
-    assert (built["lattice"], built["window"]) == (2 * first["lattice"],
-                                                  2 * first["window"])
+    assert built == {key: 2 * n for key, n in first.items()}
     # on a large box, 7,379 of the 121,353 leaves have candidates, and only
     # those compute their numbers
     built["leaf"] = 0

@@ -6,7 +6,7 @@ import pytest
 from nlatlas.atlas import SearchBounds, enumerate_atlas
 from nlatlas.chow import CI222, CompleteIntersectionType, _constants
 from nlatlas.counts import (chi_NSX_lower, codimension_bound, codimension_window,
-                            h0_normal_bundle, h0_quadrics, FLAG_NODAL_FIT,
+                            codimension_window_of, h0_normal_bundle, h0_quadrics, FLAG_NODAL_FIT,
                             FLAG_VANISHING, ParameterCount)
 from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef
 from nlatlas.lattice import (Mod16Class, RankTwoLattice, discriminant, fourfold_lattice,
@@ -147,6 +147,13 @@ def _window_from_bounds(s):
     return lo.h0_IS2, lo.h0_N, nsx, lo.codim_bound, hi.codim_bound
 
 
+def _window_from_integers(s):
+    """The window of the integers the atlas passes, with chi(O_S(H)) =
+    chi(O_S) + H^2 + 1 - g by Riemann-Roch and adjunction."""
+    return codimension_window_of(s.degree, s.chi_O, s.chi_O + s.degree + 1 - s.sect_genus,
+                                 s.K2, s.chi_top, s.nodes, s.provenance_label or s)
+
+
 def _outcome(f, s):
     try:
         return f(s)
@@ -169,8 +176,28 @@ def test_window_matches_codimension_bound(dataset):
             except NotNef:
                 pass
     assert len(surfaces) == 41 + 294
+    # and drawn records, smooth and nodal, many of them refused
+    rng = random.Random(31)
+    for _ in range(3000):
+        k2, chi = rng.randint(-20, 9), rng.randint(-2, 8)
+        surfaces.append(SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi,
+                                          12 * chi - k2, 4, rng.choice((0, 0, 1, 2, 3))))
+    refused = 0
     for s in surfaces:
-        assert _outcome(codimension_window, s) == _outcome(_window_from_bounds, s), s
+        window = _outcome(codimension_window, s)
+        assert window == _outcome(_window_from_bounds, s) == _outcome(_window_from_integers, s), s
+        refused += isinstance(window, str)
+    assert 1000 < refused < len(surfaces) - 1000
+
+
+def test_window_refusal_names_the_numbers_by_default():
+    with pytest.raises(NegativeCount, match=r"^h0\(I_S\(2\)\) = -5 < 0 for "
+                                            r"H\^2 = 20, chi\(O_S\(H\)\) = 11, K\^2 = -3$"):
+        codimension_window_of(20, 1, 11, -3, 15, 0)
+    with pytest.raises(NegativeCount, match="no net of quadrics"):
+        codimension_window_of(12, 1, 12, 0, 12, 0)
+    with pytest.raises(DivisibilityViolation):
+        codimension_window_of(9, 1, 8, 1, 12, 0)
 
 
 CI_TYPES = (CI222, CompleteIntersectionType((3,)), CompleteIntersectionType((2, 2)))
