@@ -111,7 +111,10 @@ def _dataset_from_dict(data: dict, source: str) -> Dataset:
 
 def load_dataset(path: str | os.PathLike | None = None) -> Dataset:
     """Load the dataset from ``path``, the environment override, or the
-    bundled copy, in that order."""
+    bundled copy, in that order.  An empty ``path`` is refused, while an
+    empty environment override counts as unset."""
+    if path is not None and not os.fspath(path):
+        raise DatasetMissing("dataset path is empty")
     chosen = path or os.environ.get(DATASET_ENV)
     source = os.fspath(chosen) if chosen else "bundled"
     if chosen and not os.path.isfile(source):

@@ -573,6 +573,18 @@ def test_unreadable_dataset_names_the_file(tmp_path, monkeypatch, capsys, conten
     assert run(capsys, "describe", "--surface", "5;7,0,1") == (code, out, err)
 
 
+def test_empty_dataset_path_is_refused_and_empty_env_is_unset(monkeypatch, capsys):
+    # an empty --dataset used to read the bundled tables
+    monkeypatch.delenv("NLATLAS_DATASET", raising=False)
+    for command in (["tables"], ["describe", "--surface", "5;7,0,1"]):
+        assert run(capsys, "--dataset", "", *command) == (
+            3, "", "error: dataset path is empty\n"), command
+    monkeypatch.setenv("NLATLAS_DATASET", "")
+    assert load_dataset().source == "bundled"
+    code, out, _ = run(capsys, "tables")
+    assert code == 0 and out
+
+
 def test_usage_errors_exit_3_and_help_exits_0(capsys):
     # exit 2 means a table mismatch, so argparse's own usage exit is not used
     for argv in (["search", "--max-a", "x"], ["search", "--workers", "2"],

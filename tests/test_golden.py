@@ -79,6 +79,7 @@ ERRORS = {
     "selfint-ci-one": ["selfint", "--ci", "1,2", "--surface", "5;7,0,1"],
     "describe-ci-empty": ["describe", "--ci", "", "--surface", "5;7,0,1"],
     "tables-dataset-not-utf8": ["--dataset", "{latin1_dataset}", "tables"],
+    "tables-dataset-empty": ["--dataset", "", "tables"],
     "ledger-not-a-diamond": ["ledger", "--diagram", "{bad_diagram}"],
 }
 
