@@ -284,10 +284,14 @@ def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
     dimension 4."""
     if part == "center" and obj == UNKNOWN:
         return UNKNOWN
+    what = f"diagram: {side}: {part}"  # each refusal starts with its place
     if isinstance(obj, list):
-        diamond = _table(obj, f"diagram: {side}: {part}")
+        diamond = _table(obj, what)
     elif isinstance(obj, str) and (part == "fourfold" or obj in _PRESETS):
-        diamond = preset(obj)
+        try:
+            diamond = preset(obj)
+        except UnknownPreset as exc:
+            raise UnknownPreset(f"{what}: {exc}") from None
     elif isinstance(obj, str):
         return surface_diamond(parse_surface_spec(obj))
     else:

@@ -539,6 +539,20 @@ def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side,
         3, "", f"error: diagram: {side}: {part}: {message}\n")
 
 
+@pytest.mark.parametrize("side,part,value,message", [
+    ("right", "fourfold", "nope",
+     "no preset 'nope'; available: ['K3', 'P4', 'X222', 'ci22', 'cubic4', 'plane']"),
+], ids=["unknown-preset"])
+def test_ledger_refused_value_names_its_place(tmp_path, capsys, side, part, value, message):
+    data = {"left": {"fourfold": "X222", "center": "5;7,0,1"},
+            "right": {"fourfold": "ci22", "center": "unknown"}}
+    data[side][part] = value
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps(data))
+    assert run(capsys, "ledger", "--diagram", str(diagram)) == (
+        3, "", f"error: diagram: {side}: {part}: {message}\n")
+
+
 @pytest.mark.parametrize("center,message", [
     ("5;7,0,1", "without the flop bridge the two flopped surfaces do not cancel; "
                 "supply their diamonds by solving the blow-ups directly"),

@@ -81,21 +81,31 @@ ERRORS = {
     "tables-dataset-not-utf8": ["--dataset", "{latin1_dataset}", "tables"],
     "tables-dataset-empty": ["--dataset", "", "tables"],
     "ledger-not-a-diamond": ["ledger", "--diagram", "{bad_diagram}"],
+    "ledger-unknown-preset": ["ledger", "--diagram", "{unknown_preset}"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
          + [(name, "text") for name in ERRORS])
 
 
+# the README diagram with one part replaced, each refused with its place
+BAD_DIAGRAMS = {
+    "bad_diagram": ("left", "center", [[1, 0], [0]]),
+    "unknown_preset": ("right", "fourfold", "nope"),
+}
+
+
 def _write_inputs(root: Path) -> dict[str, str]:
-    """The diagram file, one whose left center is no diamond, a dataset copy
+    """The diagram file, the diagrams of ``BAD_DIAGRAMS``, a dataset copy
     whose row t1-01 has another matrix of the same determinant, another h0_N
     and another codim, and a dataset file in Latin-1."""
     diagram = root / "diagram.json"
     diagram.write_text(json.dumps(DIAGRAM))
-    bad_diagram = root / "bad_diagram.json"
-    bad_diagram.write_text(json.dumps(
-        {**DIAGRAM, "left": {**DIAGRAM["left"], "center": [[1, 0], [0]]}}))
+    written = {"diagram": str(diagram)}
+    for key, (side, part, value) in BAD_DIAGRAMS.items():
+        path = root / f"{key}.json"
+        path.write_text(json.dumps({**DIAGRAM, side: {**DIAGRAM[side], part: value}}))
+        written[key] = str(path)
     data = json.loads(
         resources.files("nlatlas").joinpath("data/table_rows.json").read_text())
     row = data["unirational_rows"][0]
@@ -105,8 +115,7 @@ def _write_inputs(root: Path) -> dict[str, str]:
     bad.write_text(json.dumps(data))
     latin1 = root / "latin1_rows.json"
     latin1.write_bytes('{"description": "\u00e9d. 1"}'.encode("latin-1"))
-    return {"diagram": str(diagram), "bad_diagram": str(bad_diagram), "bad_dataset": str(bad),
-            "latin1_dataset": str(latin1)}
+    return {**written, "bad_dataset": str(bad), "latin1_dataset": str(latin1)}
 
 
 def _argv(name: str, fmt: str, paths: dict[str, str]) -> list[str]:
