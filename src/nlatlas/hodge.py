@@ -295,8 +295,7 @@ def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
     elif isinstance(obj, str):
         return surface_diamond(parse_surface_spec(obj))
     else:
-        noun = "diagram center" if part == "center" else "fourfold"
-        raise ValueError(f"cannot interpret {noun} {obj!r}")
+        raise ValueError(f"{what}: cannot interpret {obj!r}")
     if part == "fourfold" and diamond.dim != 4:
         raise DimensionMismatch(f"diagram side {side!r} needs a fourfold, "
                                 f"got a diamond of dimension {diamond.dim}")

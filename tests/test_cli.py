@@ -542,7 +542,9 @@ def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side,
 @pytest.mark.parametrize("side,part,value,message", [
     ("right", "fourfold", "nope",
      "no preset 'nope'; available: ['K3', 'P4', 'X222', 'ci22', 'cubic4', 'plane']"),
-], ids=["unknown-preset"])
+    ("left", "fourfold", 3, "cannot interpret 3"),
+    ("right", "center", 2.5, "cannot interpret 2.5"),
+], ids=["unknown-preset", "number-fourfold", "number-center"])
 def test_ledger_refused_value_names_its_place(tmp_path, capsys, side, part, value, message):
     data = {"left": {"fourfold": "X222", "center": "5;7,0,1"},
             "right": {"fourfold": "ci22", "center": "unknown"}}

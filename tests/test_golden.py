@@ -82,6 +82,7 @@ ERRORS = {
     "tables-dataset-empty": ["--dataset", "", "tables"],
     "ledger-not-a-diamond": ["ledger", "--diagram", "{bad_diagram}"],
     "ledger-unknown-preset": ["ledger", "--diagram", "{unknown_preset}"],
+    "ledger-number-fourfold": ["ledger", "--diagram", "{number_fourfold}"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
@@ -92,6 +93,7 @@ CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
 BAD_DIAGRAMS = {
     "bad_diagram": ("left", "center", [[1, 0], [0]]),
     "unknown_preset": ("right", "fourfold", "nope"),
+    "number_fourfold": ("left", "fourfold", 3),
 }
 
 
