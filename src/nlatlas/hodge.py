@@ -20,8 +20,8 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .errors import (DimensionMismatch, Inconsistent, Underdetermined,
-                     UnknownPreset, read_fields, reader)
+from .errors import (DimensionMismatch, Inconsistent, NLAtlasError, ParseError,
+                     Underdetermined, UnknownPreset, read_fields, reader)
 from .surfaces import SurfaceInvariants, parse_surface_spec
 
 UNKNOWN = "unknown"
@@ -293,7 +293,12 @@ def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
         except UnknownPreset as exc:
             raise UnknownPreset(f"{what}: {exc}") from None
     elif isinstance(obj, str):
-        return surface_diamond(parse_surface_spec(obj))
+        try:
+            return surface_diamond(parse_surface_spec(obj))
+        except ParseError as exc:  # keeps its position in the spec
+            raise ParseError(f"{what}: {exc.message}", exc.text, exc.position) from None
+        except (NLAtlasError, ValueError) as exc:
+            raise type(exc)(f"{what}: {exc}") from None
     else:
         raise ValueError(f"{what}: cannot interpret {obj!r}")
     if part == "fourfold" and diamond.dim != 4:

@@ -544,7 +544,14 @@ def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side,
      "no preset 'nope'; available: ['K3', 'P4', 'X222', 'ci22', 'cubic4', 'plane']"),
     ("left", "fourfold", 3, "cannot interpret 3"),
     ("right", "center", 2.5, "cannot interpret 2.5"),
-], ids=["unknown-preset", "number-fourfold", "number-center"])
+    ("left", "center", "5;x", "expected an integer, got 'x' (at position 2 in '5;x')"),
+    ("right", "center", "1;5", "H^2 = -4 < 1: not an embedding class"),
+    ("left", "center", "3;5 ext-proj", "external projection needs a linearly normal "
+                                      "surface spanning P^8, got h0(H) = 5, "
+                                      "linearly_normal = True"),
+    ("left", "center", "abs:deg=5,g=0,K2=20,chiO=1", "Hodge numbers must be >= 0"),
+], ids=["unknown-preset", "number-fourfold", "number-center", "center-parse", "center-h2",
+        "center-projection", "center-diamond"])
 def test_ledger_refused_value_names_its_place(tmp_path, capsys, side, part, value, message):
     data = {"left": {"fourfold": "X222", "center": "5;7,0,1"},
             "right": {"fourfold": "ci22", "center": "unknown"}}
@@ -559,7 +566,7 @@ def test_ledger_refused_value_names_its_place(tmp_path, capsys, side, part, valu
     ("5;7,0,1", "without the flop bridge the two flopped surfaces do not cancel; "
                 "supply their diamonds by solving the blow-ups directly"),
     # the sides are read first, as when solve_diagram refused the bridge
-    ("5;x", "expected an integer, got 'x' (at position 2 in '5;x')"),
+    ("5;x", "diagram: left: center: expected an integer, got 'x' (at position 2 in '5;x')"),
 ], ids=["refused", "bad-center-first"])
 def test_ledger_without_the_flop_bridge_exits_3(tmp_path, capsys, center, message):
     diagram = tmp_path / "diagram.json"

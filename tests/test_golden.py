@@ -83,6 +83,7 @@ ERRORS = {
     "ledger-not-a-diamond": ["ledger", "--diagram", "{bad_diagram}"],
     "ledger-unknown-preset": ["ledger", "--diagram", "{unknown_preset}"],
     "ledger-number-fourfold": ["ledger", "--diagram", "{number_fourfold}"],
+    "ledger-bad-center-spec": ["ledger", "--diagram", "{bad_center_spec}"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
@@ -94,6 +95,7 @@ BAD_DIAGRAMS = {
     "bad_diagram": ("left", "center", [[1, 0], [0]]),
     "unknown_preset": ("right", "fourfold", "nope"),
     "number_fourfold": ("left", "fourfold", 3),
+    "bad_center_spec": ("left", "center", "5;x"),
 }
 
 
