@@ -1,7 +1,10 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nlatlas.chow import parse_ci
 from nlatlas.errors import NotNef, NotProjectable, ParseError, SpanTooSmall
 from nlatlas.picard import DivisorClass
 from nlatlas.surfaces import (PlaneModel, SurfaceInvariants, abstract_surface,
@@ -261,3 +264,55 @@ def test_unprojected_large_span_rejected():
         parse_surface_spec("5;7,0")
     with pytest.raises(SpanTooSmall):
         parse_surface_spec("abs:deg=14,g=8,K2=0,chiO=2")
+
+
+# valid specs and multidegrees, and the characters and words they are made of
+SPECS = ("5;7,0,1", "3;5,0,0", "1;", "6;3,0,2 nodes=1", "abs:deg=13,g=8,K2=-1,chiO=2",
+         "abs:deg=14,g=8,K2=0,chiO=2 int-proj", "3;6 ext-proj", "5;6,2 nodes=1")
+CI_SPECS = ("2,2,2", "3", "2, 2", "2,3,4")
+SPEC_PIECES = (";", ",", "=", ":", "-", " ", "\t", "+", "_", "２", "abs:", "deg", "g",
+               "K2", "chiO", "nodes", "int-proj", "ext-proj")
+SPEC_ALPHABET = "".join(sorted({c for s in SPECS + CI_SPECS + SPEC_PIECES for c in s}))
+SPEC_ERRORS = (ParseError, SpanTooSmall, NotNef, NotProjectable, ValueError)
+
+
+def _short_numbers(text: str) -> bool:
+    # a digit run stays below 10^4: the plane-model path lists one entry per
+    # point, so a drawn count of 10^12 would ask for terabytes
+    return re.search(r"\d{5}", text) is None
+
+
+@st.composite
+def _mutated(draw, valid):
+    """A valid text with up to three characters deleted, inserted or replaced."""
+    text = draw(st.sampled_from(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(SPEC_ALPHABET))
+        text = draw(st.sampled_from((text[:at] + text[at + 1:], text[:at] + char + text[at:],
+                                     text[:at] + char + text[at + 1:])))
+    return text
+
+
+def _drawn_texts(valid):
+    pieces = st.one_of(st.sampled_from(SPEC_PIECES), st.sampled_from(SPEC_ALPHABET),
+                       st.integers(-20, 999).map(str))
+    # three mutated valid texts to one text of pieces
+    return st.one_of(*[_mutated(valid)] * 3,
+                     st.lists(pieces, max_size=12).map("".join)).filter(_short_numbers)
+
+
+@pytest.mark.parametrize("parse,valid,errors", [
+    (parse_surface_spec, SPECS, SPEC_ERRORS),
+    (parse_ci, CI_SPECS, (ParseError,)),
+], ids=["surface-spec", "multidegree"])
+def test_drawn_text_parses_or_raises_a_named_error(parse, valid, errors):
+    @given(_drawn_texts(valid))
+    @settings(max_examples=200)
+    def check(text):
+        try:
+            parse(text)
+        except errors as exc:
+            if isinstance(exc, ParseError):
+                assert exc.text == text and 0 <= exc.position <= len(text), (text, exc)
+    check()
