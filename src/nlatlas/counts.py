@@ -42,16 +42,12 @@ def h0_quadrics(s: SurfaceInvariants) -> int:
     """h0(I_{S/P7}(2)) = 36 - chi(O_S(2H)); each node relaxes one condition."""
     n = H0_QUADRICS_P7 - s.chi_twist(2) + s.nodes
     if n < 0:
-        raise _negative_quadrics(n, _name(s))
+        raise _negative_quadrics(n, s.provenance_label or s)
     return n
 
 
-def _name(s: SurfaceInvariants):
-    """What a refusal of s names: its label, or the record itself."""
-    return s.provenance_label or s
-
-
 def _negative_quadrics(n: int, who) -> NegativeCount:
+    # ``who`` is a record's label, or the record itself when it has none
     return NegativeCount(f"h0(I_S(2)) = {n} < 0 for {who}")
 
 
@@ -122,7 +118,7 @@ def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
     if h0_NSX < 0:
         raise NegativeCount(f"h0(N_S/X) must be >= 0, got {h0_NSX}")
     h0_is2, h0_n, _ = _numbers(*_record(s))
-    _net_of_quadrics(h0_is2, _name(s))
+    _net_of_quadrics(h0_is2, s.provenance_label or s)
     grass = grassmannian_dim(h0_is2)
     return ParameterCount(h0_is2, h0_n, h0_NSX, grass, _codim(h0_n, grass, h0_NSX),
                           count_flags(s))
@@ -130,7 +126,7 @@ def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
 
 def codimension_window(s: SurfaceInvariants) -> tuple[int, int, int, int, int]:
     """``codimension_window_of`` the numbers of s."""
-    return codimension_window_of(*_record(s), _name(s))
+    return codimension_window_of(*_record(s), s.provenance_label or s)
 
 
 def codimension_window_of(degree: int, chi_O: int, chi_h: int, K2: int, chi_top: int,
