@@ -527,19 +527,7 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     ("left", "center", [], "dimension must be 0, 1, 2 or 4, got -1"),
     ("left", "center", [[1, 0, 1], [0, 20, 0], [2, 0, 1]], "conjugation symmetry fails at (0,2)"),
     ("right", "fourfold", [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "Serre symmetry fails at (0,0)"),
-], ids=["ragged", "empty", "asymmetric", "fourfold-serre"])
-def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side, part, table,
-                                                        message):
-    data = {"left": {"fourfold": "X222", "center": "5;7,0,1"},
-            "right": {"fourfold": "ci22", "center": "unknown"}}
-    data[side][part] = table
-    diagram = tmp_path / "diagram.json"
-    diagram.write_text(json.dumps(data))
-    assert run(capsys, "ledger", "--diagram", str(diagram)) == (
-        3, "", f"error: diagram: {side}: {part}: {message}\n")
-
-
-@pytest.mark.parametrize("side,part,value,message", [
+    # every other refused value names its place too
     ("right", "fourfold", "nope",
      "no preset 'nope'; available: ['K3', 'P4', 'X222', 'ci22', 'cubic4', 'plane']"),
     ("left", "fourfold", 3, "cannot interpret 3"),
@@ -550,12 +538,14 @@ def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side,
                                       "surface spanning P^8, got h0(H) = 5, "
                                       "linearly_normal = True"),
     ("left", "center", "abs:deg=5,g=0,K2=20,chiO=1", "Hodge numbers must be >= 0"),
-], ids=["unknown-preset", "number-fourfold", "number-center", "center-parse", "center-h2",
-        "center-projection", "center-diamond"])
-def test_ledger_refused_value_names_its_place(tmp_path, capsys, side, part, value, message):
+], ids=["ragged", "empty", "asymmetric", "fourfold-serre", "unknown-preset",
+        "number-fourfold", "number-center", "center-parse", "center-h2", "center-projection",
+        "center-diamond"])
+def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side, part, table,
+                                                        message):
     data = {"left": {"fourfold": "X222", "center": "5;7,0,1"},
             "right": {"fourfold": "ci22", "center": "unknown"}}
-    data[side][part] = value
+    data[side][part] = table
     diagram = tmp_path / "diagram.json"
     diagram.write_text(json.dumps(data))
     assert run(capsys, "ledger", "--diagram", str(diagram)) == (
