@@ -125,7 +125,7 @@ def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
 
 
 def codimension_window(s: SurfaceInvariants) -> tuple[int, int, int, int, int]:
-    """``codimension_window_of`` the numbers of s."""
+    """The window ``codimension_window_of`` gives for the numbers of s."""
     return codimension_window_of(*_record(s), s.provenance_label or s)
 
 
