@@ -302,7 +302,7 @@ def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
     else:
         raise ValueError(f"{what}: cannot interpret {obj!r}")
     if part == "fourfold" and diamond.dim != 4:
-        raise DimensionMismatch(f"diagram side {side!r} needs a fourfold, "
+        raise DimensionMismatch(f"{what}: need dimension 4, "
                                 f"got a diamond of dimension {diamond.dim}")
     return diamond
 

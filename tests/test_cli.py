@@ -516,7 +516,7 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     if "flop_bridge" in data:
         assert "'flop_bridge'" in err
     if data and isinstance(data["left"]["fourfold"], list):
-        assert "side 'left' needs a fourfold" in err
+        assert "diagram: left: fourfold: need dimension 4" in err
     for key in ("flop_brige", "centre"):
         if f'"{key}"' in diagram.read_text():
             assert f"unknown field '{key}'" in err
@@ -538,9 +538,10 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
                                       "surface spanning P^8, got h0(H) = 5, "
                                       "linearly_normal = True"),
     ("left", "center", "abs:deg=5,g=0,K2=20,chiO=1", "Hodge numbers must be >= 0"),
+    ("left", "fourfold", [[1]], "need dimension 4, got a diamond of dimension 0"),
 ], ids=["ragged", "empty", "asymmetric", "fourfold-serre", "unknown-preset",
         "number-fourfold", "number-center", "center-parse", "center-h2", "center-projection",
-        "center-diamond"])
+        "center-diamond", "fourfold-dimension"])
 def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side, part, table,
                                                         message):
     data = {"left": {"fourfold": "X222", "center": "5;7,0,1"},

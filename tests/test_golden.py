@@ -84,6 +84,7 @@ ERRORS = {
     "ledger-unknown-preset": ["ledger", "--diagram", "{unknown_preset}"],
     "ledger-number-fourfold": ["ledger", "--diagram", "{number_fourfold}"],
     "ledger-bad-center-spec": ["ledger", "--diagram", "{bad_center_spec}"],
+    "ledger-fourfold-dimension": ["ledger", "--diagram", "{fourfold_dimension}"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
@@ -96,6 +97,7 @@ BAD_DIAGRAMS = {
     "unknown_preset": ("right", "fourfold", "nope"),
     "number_fourfold": ("left", "fourfold", 3),
     "bad_center_spec": ("left", "center", "5;x"),
+    "fourfold_dimension": ("left", "fourfold", [[1]]),
 }
 
 

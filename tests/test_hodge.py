@@ -155,7 +155,8 @@ def test_solve_needs_a_fourfold_on_each_side():
         solve_diagram(DiagramSpec(preset("plane"), preset("plane"), preset("X222"), UNKNOWN))
     with pytest.raises(DimensionMismatch, match="^the right side needs a fourfold"):
         solve_diagram(DiagramSpec(preset("X222"), preset("plane"), preset("K3"), UNKNOWN))
-    with pytest.raises(DimensionMismatch, match="^diagram side 'right' needs a fourfold"):
+    with pytest.raises(DimensionMismatch, match="^diagram: right: fourfold: need dimension 4, "
+                                                "got a diamond of dimension 2$"):
         diagram_from_dict({"left": {"fourfold": "X222", "center": "plane"},
                            "right": {"fourfold": "K3", "center": "unknown"}})
 
