@@ -1,9 +1,12 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_surfaces import SPEC_ALPHABET, SPECS, _short_numbers
 
-from nlatlas.errors import (DimensionMismatch, Inconsistent, Underdetermined,
-                            UnknownPreset)
+from nlatlas.errors import (DimensionMismatch, Inconsistent, NLAtlasError, ParseError,
+                            Underdetermined, UnknownPreset)
 from nlatlas.hodge import (UNKNOWN, DiagramSpec, HodgeDiamond, blowup,
                            classify, curve,
                            derive_surface_invariants, diagram_from_dict,
@@ -217,6 +220,48 @@ def test_diagram_from_dict():
     with pytest.raises(ValueError, match="'flop_bridge' must be true or false, got 'false'"):
         diagram_from_dict(dict(sides, flop_bridge="false"))
 
+
+# the README diagram, and values of every form a diagram part can take:
+# names, tables (diamonds of each dimension among them), non-lists and specs
+README_DIAGRAM = {"left": {"fourfold": "X222", "center": "5;7,0,1"},
+                  "right": {"fourfold": "ci22", "center": "unknown"}}
+TABLES = ([[1]], [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          [[1, 0, 1], [0, 20, 0], [1, 0, 1]],
+          [[1 if p == q else 0 for q in range(5)] for p in range(5)])
+PARTS = st.one_of(
+    st.sampled_from(["X222", "cubic4", "ci22", "P4", "K3", "plane", UNKNOWN, "nope", ""]),
+    st.sampled_from(TABLES),
+    st.lists(st.one_of(st.lists(st.integers(-1, 3), max_size=5), st.integers(0, 1),
+                       st.text(max_size=1)), max_size=5),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.dictionaries(
+        st.sampled_from(["fourfold", "center"]), st.integers(), max_size=1)),
+    st.sampled_from(SPECS),
+    st.text(SPEC_ALPHABET, max_size=12).filter(_short_numbers),
+)
+# a part that reads, half of the time, so that later parts are reached too
+READ = {"fourfold": st.sampled_from(["X222", "cubic4", "ci22", "P4", TABLES[-1]]),
+        "center": st.sampled_from(["K3", "plane", UNKNOWN, TABLES[2], *SPECS])}
+PLACE = re.compile(r"diagram: (left|right): (fourfold|center)")
+
+
+@given(st.fixed_dictionaries({side: st.fixed_dictionaries({
+    part: st.booleans().flatmap(lambda read, part=part: READ[part] if read else PARTS)
+    for part in READ}) for side in ("left", "right")}))
+@settings(max_examples=300)
+def test_drawn_diagram_is_read_or_refused_at_its_place(data):
+    try:
+        diagram_from_dict(data)
+    except (NLAtlasError, ValueError) as exc:
+        place = PLACE.match(str(exc))
+        assert place, exc
+        if isinstance(exc, ParseError):
+            assert 0 <= exc.position <= len(exc.text), exc
+        # the part is refused alone, as it was among the drawn parts
+        side, part = place.groups()
+        alone = {**README_DIAGRAM, side: {**README_DIAGRAM[side], part: data[side][part]}}
+        with pytest.raises(type(exc)) as again:
+            diagram_from_dict(alone)
+        assert str(again.value) == str(exc)
 
 def test_solved_diagrams_give_equal_blowups():
     # the defining identity: Bl_S X and Bl_U W have the same diamond
