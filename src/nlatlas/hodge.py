@@ -268,15 +268,6 @@ def classify(pg: int, q: int, K2: int) -> Classification:
     )
 
 
-def _table(rows: list, what: str) -> HodgeDiamond:
-    """An explicit diamond, given as a nested list of integers."""
-    entries = reader(tuple[tuple[int, ...], ...])(rows, what)
-    try:
-        return HodgeDiamond(len(rows) - 1, entries)
-    except ValueError as exc:  # named as the reader names a bad entry
-        raise ValueError(f"{what}: {exc}") from None
-
-
 def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
     """The ``part`` ("fourfold" or "center") of diagram side ``side``: a
     preset name or an explicit diamond given as a nested list, and for a
@@ -285,25 +276,23 @@ def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
     if part == "center" and obj == UNKNOWN:
         return UNKNOWN
     what = f"diagram: {side}: {part}"  # each refusal starts with its place
-    if isinstance(obj, list):
-        diamond = _table(obj, what)
-    elif isinstance(obj, str) and (part == "fourfold" or obj in _PRESETS):
-        try:
+    # the reader names a bad entry of a table by its index
+    entries = reader(tuple[tuple[int, ...], ...])(obj, what) if isinstance(obj, list) else None
+    try:
+        if entries is not None:
+            diamond = HodgeDiamond(len(obj) - 1, entries)
+        elif isinstance(obj, str) and (part == "fourfold" or obj in _PRESETS):
             diamond = preset(obj)
-        except UnknownPreset as exc:
-            raise UnknownPreset(f"{what}: {exc}") from None
-    elif isinstance(obj, str):
-        try:
+        elif isinstance(obj, str):
             return surface_diamond(parse_surface_spec(obj))
-        except ParseError as exc:  # keeps its position in the spec
-            raise ParseError(f"{what}: {exc.message}", exc.text, exc.position) from None
-        except (NLAtlasError, ValueError) as exc:
-            raise type(exc)(f"{what}: {exc}") from None
-    else:
-        raise ValueError(f"{what}: cannot interpret {obj!r}")
-    if part == "fourfold" and diamond.dim != 4:
-        raise DimensionMismatch(f"{what}: need dimension 4, "
-                                f"got a diamond of dimension {diamond.dim}")
+        else:
+            raise ValueError(f"cannot interpret {obj!r}")
+        if part == "fourfold" and diamond.dim != 4:
+            raise DimensionMismatch(f"need dimension 4, got a diamond of dimension {diamond.dim}")
+    except ParseError as exc:  # keeps its position in the spec
+        raise ParseError(f"{what}: {exc.message}", exc.text, exc.position) from None
+    except (NLAtlasError, ValueError) as exc:
+        raise type(exc)(f"{what}: {exc}") from None
     return diamond
 
 
