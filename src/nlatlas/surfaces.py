@@ -166,11 +166,16 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
     m: list[int] = []
     h2 = a * a
     hk = -3 * a
-    for i in range(len(c), 0, -1):
-        n = c[i - 1]
-        m += [i] * n
-        h2 -= i * i * n
-        hk += i * n
+    if sum(c) >= h2:
+        # then H^2 <= a^2 - (number of points) < 1: refused from the counts,
+        # before one entry per point is listed
+        h2 -= sum(i * i * n for i, n in enumerate(c, 1))
+    else:
+        for i in range(len(c), 0, -1):
+            n = c[i - 1]
+            m += [i] * n
+            h2 -= i * i * n
+            hk += i * n
     if h2 < 1:
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
     k = len(m)

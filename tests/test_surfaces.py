@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,11 +161,20 @@ def test_normalize_reduces_to_standard_form():
                  "H.C = -1 < 0 for a (-1)-class C and H = (9; 3,3,3,3,3,3,5)", id="cubic"),
     pytest.param(PlaneModel(3, (2, 2)), ValueError,
                  "H^2 = -1 < 1: not an embedding class", id="h2"),
+    # refused from its counts, before one entry per point is listed
+    pytest.param(PlaneModel(1, (10**7,)), ValueError,
+                 "H^2 = -9999999 < 1: not an embedding class", id="h2-many-points"),
 ])
 def test_normalize_error_messages(model, error, message):
-    with pytest.raises(error) as exc:
-        normalize_contractions(model)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as exc:
+            normalize_contractions(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert str(exc.value) == message
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("a,counts", [
