@@ -93,7 +93,7 @@ def _net_of_quadrics(h0_is2: int, who) -> None:
         raise _negative_quadrics(h0_is2, who)
     if h0_is2 < 3:
         raise NegativeCount(
-            f"h0(I_S(2)) = {h0_is2} < 3: no net of quadrics through the surface"
+            f"h0(I_S(2)) = {h0_is2} < 3 for {who}: no net of quadrics through the surface"
         )
 
 

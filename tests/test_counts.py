@@ -194,7 +194,8 @@ def test_window_refusal_names_the_numbers_by_default():
     with pytest.raises(NegativeCount, match=r"^h0\(I_S\(2\)\) = -5 < 0 for "
                                             r"H\^2 = 20, chi\(O_S\(H\)\) = 11, K\^2 = -3$"):
         codimension_window_of(20, 1, 11, -3, 15, 0)
-    with pytest.raises(NegativeCount, match="no net of quadrics"):
+    with pytest.raises(NegativeCount, match=r"^h0\(I_S\(2\)\) = 1 < 3 for H\^2 = 12, "
+                                            r"chi\(O_S\(H\)\) = 12, K\^2 = 0: no net of "):
         codimension_window_of(12, 1, 12, 0, 12, 0)
     with pytest.raises(DivisibilityViolation):
         codimension_window_of(9, 1, 8, 1, 12, 0)

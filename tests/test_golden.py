@@ -71,6 +71,7 @@ ERRORS = {
     "describe-zero-degree": ["describe", "--surface", "0;1"],
     "describe-abs-zero-degree": ["describe", "--surface", "abs:deg=0,g=0,K2=0,chiO=1"],
     "describe-negative-count": ["describe", "--surface", "5;7,-1,1"],
+    "describe-no-net": ["describe", "--surface", "abs:deg=20,g=14,K2=0,chiO=1"],
     "selfint-ci-plus": ["selfint", "--ci", "+2,2,2", "--surface", "5;7,0,1"],
     "selfint-ci-fullwidth": ["selfint", "--ci", "2,2,\uff12", "--surface", "5;7,0,1"],
     "selfint-ci-space": ["selfint", "--ci", " 2,x", "--surface", "5;7,0,1"],
