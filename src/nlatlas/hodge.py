@@ -276,7 +276,7 @@ def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
     if part == "center" and obj == UNKNOWN:
         return UNKNOWN
     what = f"diagram: {side}: {part}"  # each refusal starts with its place
-    # the reader names a bad entry of a table by its index
+    # outside the try, as the reader names the place itself, index included
     entries = reader(tuple[tuple[int, ...], ...])(obj, what) if isinstance(obj, list) else None
     try:
         if entries is not None:
