@@ -263,6 +263,7 @@ def test_drawn_diagram_is_read_or_refused_at_its_place(data):
             diagram_from_dict(alone)
         assert str(again.value) == str(exc)
 
+
 def test_solved_diagrams_give_equal_blowups():
     # the defining identity: Bl_S X and Bl_U W have the same diamond
     cases = [
