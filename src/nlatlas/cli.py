@@ -100,10 +100,12 @@ def _cmd_selfint(args) -> int:
 
 def _cmd_count(args) -> int:
     from .counts import codimension_bound
-    from .dataset import load_dataset
     _given({"--table-row": args.table_row, "--h0nsx": args.h0nsx is not None})
-    dataset = load_dataset(args.dataset)
-    row = dataset.row(args.table_row) if args.table_row else None
+    row = None
+    if args.table_row:
+        # only a table row reads the dataset, so a missing file stops no other count
+        from .dataset import load_dataset
+        row = load_dataset(args.dataset).row(args.table_row)
     s = _surface_from_args(args, row.surface if row else None)
     h0_nsx = row.h0_NSX if row else args.h0nsx
     if h0_nsx is None:

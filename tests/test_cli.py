@@ -397,7 +397,7 @@ def test_describe_with_unloadable_named_dataset_exits_3(tmp_path, monkeypatch, c
     assert code == 0 and "t1-10" in out
 
 
-def test_describe_loads_the_dataset_only_for_222(capsys):
+def test_describe_loads_the_dataset_only_for_222(capsys, monkeypatch):
     # the other types print no parameter count, so a missing dataset file
     # does not stop them; (2,2,2) still reads it
     argv = ("describe", "--surface", "5;7,0,1")
@@ -407,6 +407,15 @@ def test_describe_loads_the_dataset_only_for_222(capsys):
         assert bundled[0] == 0 and bundled[1]
     code, out, err = run(capsys, "--dataset", "/nonexistent.json", *argv, "--ci", "2,2,2")
     assert (code, out) == (3, "") and "dataset file not found" in err
+    # count reads the dataset only for --table-row, by flag or by environment
+    golden = (Path(__file__).parent / "golden" / "cli" / "count-h0nsx.text").read_text()
+    assert golden.startswith("exit 0\n")
+    monkeypatch.setenv("NLATLAS_DATASET", "/nonexistent.json")
+    for flag in (("--dataset", "/nonexistent.json"), ()):
+        code, out, err = run(capsys, *flag, *GOLDEN_COMMANDS["count-h0nsx"])
+        assert (code, out, err) == (0, golden.removeprefix("exit 0\n"), "")
+        code, out, err = run(capsys, *flag, "count", "--table-row", "t1-01")
+        assert (code, out) == (3, "") and "dataset file not found" in err
 
 
 @pytest.mark.parametrize("which,position", [

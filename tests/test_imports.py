@@ -128,6 +128,12 @@ def test_each_command_loads_exactly_its_modules(fresh_env, tmp_path, argv, names
     assert ("dataclasses" in loaded) == ("nlatlas.atlas" in loaded)
 
 
+def test_count_without_a_table_row_loads_no_dataset(fresh_env, tmp_path):
+    argv = ["count", "--surface", "5;7,0,1", "--h0nsx", "2"]
+    loaded = loaded_after(running(argv, tmp_path), fresh_env)
+    assert nlatlas_modules(loaded) == _modules("counts surfaces")
+
+
 def process_entry(argv: list[str], env: dict) -> subprocess.CompletedProcess:
     """Run ``sys.exit(main())`` with ``argv`` on ``sys.argv``; the modules it
     loaded follow its own stderr, after a line ``modules:``."""
