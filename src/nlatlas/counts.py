@@ -47,15 +47,17 @@ def h0_quadrics(s: SurfaceInvariants) -> int:
 
 
 def _negative_quadrics(n: int, who) -> NegativeCount:
-    # ``who`` is a record's label, or the record itself when it has none
+    # ``who`` is a record's label, the record itself when it has none, or the
+    # numbers of a window
     return NegativeCount(f"h0(I_S(2)) = {n} < 0 for {who}")
 
 
 def _numbers(degree: int, chi_O: int, chi_h: int, K2: int, chi_top: int,
              nodes: int) -> tuple[int, int, int]:
-    """(h0(I_S(2)), h0(N_{S/P7}), chi(O_S(2H))) of the surface with H^2 =
+    """(h0(I_S(2)), h0(N_{S/P7}), chi(N_{S/X})) of the surface with H^2 =
     ``degree``, chi(O_S), chi(O_S(H)) = ``chi_h``, K^2, chi_top and nodes,
-    h0(I_S(2)) not yet checked.  Riemann-Roch gives chi(O_S(2H)) =
+    h0(I_S(2)) not yet checked; chi(N_{S/X}) is the Euler estimate
+    h0(N_{S/P7}) - 3 chi(O_S(2H)).  Riemann-Roch gives chi(O_S(2H)) =
     2 chi(O_S(H)) - chi(O_S) + H^2, so each is computed once."""
     chi_2h = 2 * chi_h - chi_O + degree
     t = 7 * K2 - 5 * chi_top
@@ -63,8 +65,8 @@ def _numbers(degree: int, chi_O: int, chi_h: int, K2: int, chi_top: int,
         raise DivisibilityViolation(
             f"7K^2 - 5chi_top = {t} not divisible by 6: corrupted surface record"
         )
-    return (H0_QUADRICS_P7 - chi_2h + nodes,
-            8 * chi_h - chi_O - t // 6 - 3 * nodes, chi_2h)
+    h0_n = 8 * chi_h - chi_O - t // 6 - 3 * nodes
+    return H0_QUADRICS_P7 - chi_2h + nodes, h0_n, h0_n - 3 * chi_2h
 
 
 def _record(s: SurfaceInvariants) -> tuple[int, int, int, int, int, int]:
@@ -83,8 +85,7 @@ def chi_NSX_lower(s: SurfaceInvariants) -> int:
     """Euler-characteristic estimate chi(N_{S/X}) = h0(N_{S/P7}) - 3*chi(O_S(2))
     from 0 -> N_{S/X} -> N_{S/P7} -> O_S(2)^3 -> 0.  Explicitly NOT an h^0:
     it may undershoot (h^1 terms) and is only a semicontinuity sanity bound."""
-    _, h0_n, chi_2h = _numbers(*_record(s))
-    return h0_n - 3 * chi_2h
+    return _numbers(*_record(s))[2]
 
 
 def _net_of_quadrics(h0_is2: int, who) -> None:
@@ -106,11 +107,6 @@ def _codim(h0_n: int, grass_dim: int, h0_NSX: int) -> int:
     return HILBERT_DIM - (h0_n + grass_dim - h0_NSX)
 
 
-def count_flags(s: SurfaceInvariants) -> tuple[str, ...]:
-    """The assumptions every parameter count of s rests on."""
-    return (FLAG_VANISHING, FLAG_NODAL_FIT) if s.nodes else (FLAG_VANISHING,)
-
-
 def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
     """Assemble the codimension bound; h0(N_{S/X}) is caller-supplied data."""
     # operator.index refuses a float, which would make every field inexact
@@ -120,27 +116,23 @@ def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
     h0_is2, h0_n, _ = _numbers(*_record(s))
     _net_of_quadrics(h0_is2, s.provenance_label or s)
     grass = grassmannian_dim(h0_is2)
-    return ParameterCount(h0_is2, h0_n, h0_NSX, grass, _codim(h0_n, grass, h0_NSX),
-                          count_flags(s))
-
-
-def codimension_window(s: SurfaceInvariants) -> tuple[int, int, int, int, int]:
-    """The window ``codimension_window_of`` gives for the numbers of s."""
-    return codimension_window_of(*_record(s), s.provenance_label or s)
+    # the assumptions every parameter count of s rests on
+    flags = (FLAG_VANISHING, FLAG_NODAL_FIT) if s.nodes else (FLAG_VANISHING,)
+    return ParameterCount(h0_is2, h0_n, h0_NSX, grass, _codim(h0_n, grass, h0_NSX), flags)
 
 
 def codimension_window_of(degree: int, chi_O: int, chi_h: int, K2: int, chi_top: int,
-                          nodes: int, who=None) -> tuple[int, int, int, int, int]:
+                          nodes: int) -> tuple[int, int, int, int, int]:
     """For a surface with no known h0(N_{S/X}), given by the integers of
     ``_numbers``: (h0(I_S(2)), h0(N_{S/P7}), the clamped Euler estimate of
     h0(N_{S/X}), and the codimension bounds at h0(N_{S/X}) = 0 and at that
-    estimate), each number computed once.  ``who`` is what a refusal names,
-    by default the numbers."""
-    h0_is2, h0_n, chi_2h = _numbers(degree, chi_O, chi_h, K2, chi_top, nodes)
+    estimate), each number computed once.  A refusal names the numbers.  A
+    surface record takes the same window from ``codimension_bound`` and
+    ``chi_NSX_lower``."""
+    h0_is2, h0_n, chi_nsx = _numbers(degree, chi_O, chi_h, K2, chi_top, nodes)
     if h0_is2 < 3:
-        _net_of_quadrics(h0_is2, who or f"H^2 = {degree}, chi(O_S(H)) = {chi_h}, "
-                                        f"K^2 = {K2}")
-    nsx = max(h0_n - 3 * chi_2h, 0)
+        _net_of_quadrics(h0_is2, f"H^2 = {degree}, chi(O_S(H)) = {chi_h}, K^2 = {K2}")
+    nsx = max(chi_nsx, 0)
     lo = _codim(h0_n, grassmannian_dim(h0_is2), 0)
     # each dimension of h0(N_S/X) adds one to the bound
     return h0_is2, h0_n, nsx, lo, lo + nsx

@@ -7,8 +7,7 @@ from typing import NamedTuple
 
 from .chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
                    congruence_secancy)
-from .counts import (codimension_bound, codimension_window, count_flags,
-                     grassmannian_dim)
+from .counts import chi_NSX_lower, codimension_bound
 from .dataset import Dataset, TableRow
 from .errors import DatasetMissing, NLAtlasError
 from .lattice import (discriminant, fourfold_lattice, mod16_class,
@@ -123,25 +122,20 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
         except DatasetMissing:
             # another spelling of a row's spec: the same record, label included
             row = next((r for r in dataset.rows if _parses_to(r.surface, s)), None)
-    lines.append("")
+    count = codimension_bound(s, row.h0_NSX if row is not None else 0)
     if row is not None:
-        count = codimension_bound(s, row.h0_NSX)
-        lines += [
-            f"parameter count (h0(N_S/X) = {row.h0_NSX} from dataset row {row.id}):",
-            f"  h0(I_S(2)) = {count.h0_IS2}, h0(N_S/P7) = {count.h0_N}, "
-            f"Grassmannian dim = {count.grass_dim}",
-            f"  codimension bound = {count.codim_bound}   [flags: {', '.join(count.flags)}]",
-        ]
+        head = [f"parameter count (h0(N_S/X) = {row.h0_NSX} from dataset row {row.id}):"]
+        bound = f"codimension bound = {count.codim_bound}"
     else:
-        h0_is2, h0_n, nsx, lo, hi = codimension_window(s)
-        lines += [
-            "parameter count (no dataset value for h0(N_S/X); showing the window",
-            f" from h0(N_S/X) = 0 to the clamped Euler estimate {nsx}):",
-            f"  h0(I_S(2)) = {h0_is2}, h0(N_S/P7) = {h0_n}, "
-            f"Grassmannian dim = {grassmannian_dim(h0_is2)}",
-            f"  codimension bound in [{lo}, {hi}]"
-            f"   [flags: {', '.join(count_flags(s))}]",
-        ]
+        # each dimension of h0(N_S/X) adds one to the bound
+        nsx = max(chi_NSX_lower(s), 0)
+        head = ["parameter count (no dataset value for h0(N_S/X); showing the window",
+                f" from h0(N_S/X) = 0 to the clamped Euler estimate {nsx}):"]
+        bound = f"codimension bound in [{count.codim_bound}, {count.codim_bound + nsx}]"
+    lines += ["", *head,
+              f"  h0(I_S(2)) = {count.h0_IS2}, h0(N_S/P7) = {count.h0_N}, "
+              f"Grassmannian dim = {count.grass_dim}",
+              f"  {bound}   [flags: {', '.join(count.flags)}]"]
     return "\n".join(lines)
 
 

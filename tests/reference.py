@@ -5,7 +5,7 @@ against which the atlas is checked."""
 
 from nlatlas.atlas import AtlasEntry
 from nlatlas.chow import CI222
-from nlatlas.counts import codimension_window
+from nlatlas.counts import chi_NSX_lower, codimension_bound
 from nlatlas.lattice import discriminant, fourfold_lattice
 from nlatlas.surfaces import H0_QUADRICS_P7, PlaneModel, invariants
 
@@ -29,7 +29,9 @@ def evaluate(bounds, a: int, counts: tuple[int, ...], shared: dict) -> AtlasEntr
     taken from ``invariants``, so for any model, standard or not: a model
     that is not nef raises ``NotNef``, and one that spans less than P^3
     ``SpanTooSmall``.  ``shared`` maps the numbers that the lattice and the
-    window read to them."""
+    window read to them.  The window comes from the record's
+    ``ParameterCount`` at h0(N_{S/X}) = 0 and the clamped Euler estimate,
+    not from the atlas's ``codimension_window_of``."""
     model = PlaneModel(a, counts)
     s = invariants(model)
     key = (s.degree, s.sect_genus, s.K2, s.chi_O, s.nodes)
@@ -37,11 +39,13 @@ def evaluate(bounds, a: int, counts: tuple[int, ...], shared: dict) -> AtlasEntr
     if found is None:
         lat = fourfold_lattice(CI222, s)
         disc = discriminant(lat)
-        found = shared[key] = (lat, disc, codimension_window(s) if disc >= 0 else None)
+        window = (codimension_bound(s, 0), max(chi_NSX_lower(s), 0)) if disc >= 0 else None
+        found = shared[key] = (lat, disc, window)
     lat, disc, window = found
     if window is None:
         return None
-    h0_is2, h0_n, _, lo, hi = window
-    if lo > bounds.max_codim:
+    count, nsx = window
+    if count.codim_bound > bounds.max_codim:
         return None
-    return AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n)
+    return AtlasEntry(model, s, lat, disc, (count.codim_bound, count.codim_bound + nsx),
+                      count.h0_IS2, count.h0_N)

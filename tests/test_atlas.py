@@ -19,6 +19,7 @@ from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_ch
 from nlatlas.serialize import encode
 from nlatlas.surfaces import (PlaneModel, expand, invariants, normalize_contractions,
                               parse_surface_spec)
+import reference
 from reference import count_numbers, evaluate
 
 TABLE_VALUES = {16, 28, 31, 32, 39, 44, 47, 48, 55, 60, 63, 64, 71, 76, 79, 80,
@@ -458,7 +459,7 @@ def test_atlas_work_counts(monkeypatch):
     Each distinct (degree, genus, K^2) among the candidates is decided from
     its integers: one m22 from ``formula_222``, one lattice and at most one
     codimension window, with no ``fourfold_lattice``, ``self_intersection``,
-    ``codimension_window`` or ``chi_twist`` call, and a second call does all
+    ``codimension_bound`` or ``chi_twist`` call, and a second call does all
     of it again."""
     bounds = SearchBounds()
     grid = _candidate_grid(bounds)
@@ -487,14 +488,17 @@ def test_atlas_work_counts(monkeypatch):
     # the atlas binds none of these names, and each record-level function is
     # called through a module attribute
     for name in ("invariants", "normalize_contractions", "fourfold_lattice",
-                 "self_intersection", "codimension_window"):
+                 "self_intersection", "codimension_bound"):
         assert not hasattr(atlas, name), name
+    # and the reference atlas shares none of the atlas's own evaluation
+    for name in ("codimension_window_of", "formula_222"):
+        assert not hasattr(reference, name), name
     monkeypatch.setattr(surfaces, "invariants", counting("invariants", surfaces.invariants))
     monkeypatch.setattr(surfaces, "normalize_contractions",
                         counting("normalize", surfaces.normalize_contractions))
     for module, name in ((lattice, "fourfold_lattice"), (lattice, "self_intersection"),
                          (chow, "self_intersection"),
-                         (counts_module, "codimension_window")):
+                         (counts_module, "codimension_bound")):
         monkeypatch.setattr(module, name, counting("record_path", getattr(module, name)))
     monkeypatch.setattr(atlas, "codimension_window_of",
                         counting("window", atlas.codimension_window_of))
