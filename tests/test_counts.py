@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nlatlas.atlas import SearchBounds, enumerate_atlas
 from nlatlas.chow import CI222, CompleteIntersectionType, _constants
@@ -14,6 +15,7 @@ from nlatlas.lattice import (Mod16Class, RankTwoLattice, discriminant, fourfold_
 from nlatlas.surfaces import (SurfaceInvariants, abstract_surface, invariants,
                               parse_surface_spec, PlaneModel)
 from reference import count_numbers
+from test_surfaces import SPEC_ERRORS
 
 DEL_PEZZO = invariants(PlaneModel(3, (5,)))
 PLANE = invariants(PlaneModel(1))
@@ -55,6 +57,73 @@ def test_chi_nsx_semicontinuity(dataset):
     for row in dataset.rows:
         s = parse_surface_spec(row.surface)
         assert chi_NSX_lower(s) <= row.h0_NSX, row.id
+
+
+def _chi_nsx_by_riemann_roch(s):
+    """chi(N_{S/X}) of a smooth S in a (2,2,2) fourfold X by Riemann-Roch on
+    the rank-2 bundle N_{S/X}, with c1 = K_S + 2H (K_X = -2H) and c2 = m22:
+    2 chi(O_S) + 2 H^2 + H.K - m22.  It shares no code with ``chi_NSX_lower``,
+    which reads the Euler and normal-bundle sequences."""
+    hk = 2 * s.sect_genus - 2 - s.degree
+    return 2 * s.chi_O + 2 * s.degree + hk - fourfold_lattice(CI222, s).m22
+
+
+# the three grids of the benchmark's atlas workloads
+BENCH_GRIDS = (SearchBounds(), SearchBounds(max_a=12, max_points=16),
+               SearchBounds(max_a=10, max_points=16, max_mult=4))
+
+
+@st.composite
+def drawn_specs(draw, modifiers=("", " int-proj", " ext-proj", " nodes=1")):
+    """A surface spec with one of ``modifiers``: an ``abs:`` record whose
+    genus gives h0(H) = chi(O_S) + H^2 + 1 - g in 4..9, or a plane model whose
+    first count brings h0(H) into 4..9; about half of them parse."""
+    if draw(st.booleans()):
+        deg, chi_O = draw(st.integers(1, 40)), draw(st.integers(-2, 8))
+        genus = chi_O + deg + 1 - draw(st.integers(4, 9))
+        base = f"abs:deg={deg},g={genus},K2={draw(st.integers(-20, 9))},chiO={chi_O}"
+    else:
+        a = draw(st.integers(1, 12))
+        high = draw(st.lists(st.integers(0, 3), max_size=3))
+        h0 = (a + 1) * (a + 2) // 2 - sum(n * i * (i + 1) // 2 for i, n in enumerate(high, 2))
+        n1 = draw(st.integers(max(h0 - 9, 0), max(h0 - 4, 0)))
+        base = f"{a};{','.join(map(str, (n1, *high)))}"
+    return base + draw(st.sampled_from(modifiers))
+
+
+def parsed(spec):
+    """The record of ``spec``, or None for a refused spec."""
+    try:
+        return parse_surface_spec(spec)
+    except SPEC_ERRORS:
+        return None
+
+
+@settings(max_examples=200)
+@given(drawn_specs(modifiers=("", " int-proj", " ext-proj")))
+def test_chi_nsx_by_riemann_roch_on_drawn_records(spec):
+    s = parsed(spec)
+    assume(s is not None)
+    assert _chi_nsx_by_riemann_roch(s) == chi_NSX_lower(s), spec
+
+
+def test_chi_nsx_by_riemann_roch_on_grids_and_rows(dataset):
+    entries = [entry for bounds in BENCH_GRIDS for entry in enumerate_atlas(bounds)]
+    assert len(entries) == 79 + 230 + 299
+    for entry in entries:
+        assert _chi_nsx_by_riemann_roch(entry.surface) == chi_NSX_lower(entry.surface), entry
+    nodal = []
+    for row in dataset.rows:
+        s = parse_surface_spec(row.surface)
+        if s.nodes:
+            nodal.append((row.id, _chi_nsx_by_riemann_roch(s), chi_NSX_lower(s)))
+        else:
+            assert _chi_nsx_by_riemann_roch(s) == chi_NSX_lower(s), row.id
+    # the one nodal row: the fitted node rules of m22 (+2 per node) and of
+    # h0(N_S/P7) (-3 per node) leave the two counts one apart, an open
+    # discrepancy
+    assert nodal == [("t4-2", -7, -8)]
+    assert len(dataset.rows) - len(nodal) == 40
 
 
 def test_codimension_monotonicity():
