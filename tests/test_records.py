@@ -11,13 +11,17 @@ import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import nlatlas as nl
 from nlatlas.chow import ONE, H, TruncatedClass
+from nlatlas.counts import chi_NSX_lower, codimension_bound
+from nlatlas.errors import NegativeCount
 from nlatlas.hodge import classify, diagram_from_dict, solve_diagram
 from nlatlas.lattice import mod16_class
 from nlatlas.serialize import KINDS, decode, encode
 from nlatlas.surfaces import SurfaceInvariants
+from test_counts import CI_TYPES, drawn_specs, parsed
 
 
 def _records() -> list:
@@ -71,11 +75,39 @@ def _coded(value) -> bool:
     return _name(value) in KINDS.values()
 
 
-@pytest.mark.parametrize("value", [v for v in RECORDS if _coded(v)], ids=_name)
-def test_codec_round_trip(value):
+def _assert_round_trip(value):
     back = decode(json.loads(json.dumps(encode(value))))
     assert type(back) is type(value)
     assert back == value
+
+
+@pytest.mark.parametrize("value", [v for v in RECORDS if _coded(v)], ids=_name)
+def test_codec_round_trip(value):
+    _assert_round_trip(value)
+
+
+@settings(max_examples=100)
+@given(drawn_specs())
+def test_codec_round_trip_on_drawn_specs(spec):
+    # the surface, its lattice for each multidegree and, where it has a net
+    # of quadrics, both parameter counts of its window
+    s = parsed(spec)
+    assume(s is not None)
+    values = [s, *(nl.fourfold_lattice(ci, s) for ci in CI_TYPES)]
+    try:
+        values += [codimension_bound(s, 0), codimension_bound(s, max(chi_NSX_lower(s), 0))]
+    except NegativeCount:
+        pass
+    for value in values:
+        _assert_round_trip(value)
+
+
+@settings(max_examples=20)
+@given(st.builds(nl.SearchBounds, st.integers(1, 8), st.integers(1, 13), st.integers(1, 3),
+                 st.integers(1, 12), st.integers(1, 12)))
+def test_codec_round_trip_on_drawn_atlas_entries(bounds):
+    for value in (bounds, *nl.enumerate_atlas(bounds)):
+        _assert_round_trip(value)
 
 
 @pytest.mark.parametrize("value", RECORDS, ids=_name)
