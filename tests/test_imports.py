@@ -117,8 +117,11 @@ COMMANDS = [
 
 
 @pytest.mark.parametrize("argv,names", [
-    pytest.param(["--format", fmt, *argv], names, id=f"{fmt}-{command}")
-    for command, argv, *forms in COMMANDS for fmt, names in zip(("text", "json"), forms)])
+    *(pytest.param(["--format", fmt, *argv], names, id=f"{fmt}-{command}")
+      for command, argv, *forms in COMMANDS for fmt, names in zip(("text", "json"), forms)),
+    # only a table row reads the dataset
+    pytest.param(["count", "--surface", "5;7,0,1", "--h0nsx", "2"], "counts surfaces",
+                 id="text-count-no-row")])
 def test_each_command_loads_exactly_its_modules(fresh_env, tmp_path, argv, names):
     loaded = loaded_after(running(argv, tmp_path), fresh_env)
     assert nlatlas_modules(loaded) == _modules(names)
@@ -126,12 +129,6 @@ def test_each_command_loads_exactly_its_modules(fresh_env, tmp_path, argv, names
     # only atlas's AtlasEntry still needs dataclasses; JSON of a record
     # that is not an atlas record loads neither
     assert ("dataclasses" in loaded) == ("nlatlas.atlas" in loaded)
-
-
-def test_count_without_a_table_row_loads_no_dataset(fresh_env, tmp_path):
-    argv = ["count", "--surface", "5;7,0,1", "--h0nsx", "2"]
-    loaded = loaded_after(running(argv, tmp_path), fresh_env)
-    assert nlatlas_modules(loaded) == _modules("counts surfaces")
 
 
 def process_entry(argv: list[str], env: dict) -> subprocess.CompletedProcess:
