@@ -119,16 +119,21 @@ class AtlasEntry:
 def _leaf(a: int, high: tuple, placed: int, deg: int, h0: int, ns) -> list[tuple]:
     """The candidates S(a; n, *high), n in ``ns``, where S(a; 0, *high) has
     H^2 = ``deg``, h0(H) = ``h0`` and ``placed`` points.  A standard model
-    with a = m1 + m2 has m3 = 0: at most two points, summing to H.K + 3a."""
+    with a = m1 + m2 has m3 = 0: at most two points, summing to H.K + 3a.
+    The last field is ``str(PlaneModel(a, (n,) + high))``, joined from a head
+    and a tail made once per leaf."""
     genus = deg + 2 - h0
     mults = 3 * a + 2 + deg - 2 * h0     # H.K + 3a of S(a; 0, *high)
+    head = f"S({a};"
+    tail = "".join(f",{x}" for x in high) + ")"
     return [(a, (n,) + high, deg - n, genus,
-             9 - placed - n + (placed + n <= 2 and a == mults + n), h0 - n) for n in ns]
+             9 - placed - n + (placed + n <= 2 and a == mults + n), h0 - n,
+             f"{head}{n}{tail}") for n in ns]
 
 
 def _candidate_grid(bounds: SearchBounds) -> list[tuple]:
     """Every Cremona-standard (a, counts) in the bounds that passes the
-    count conditions, as (a, counts, degree, genus, K^2, h0(H)).
+    count conditions, as (a, counts, degree, genus, K^2, h0(H), label).
 
     n_maxmult, ..., n_2 are chosen first, with m1 + m2 + m3 <= a for the
     largest three multiplicities (standard), carrying down H^2 - 1 and h0(H)
@@ -191,7 +196,7 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
     m11 = CI222.fourfold_degree
     types: dict = {}
     entries = []
-    for a, counts, degree, genus, K2, h0 in chunk:
+    for a, counts, degree, genus, K2, h0, label in chunk:
         found = types.get((degree, genus, K2))
         if found is None:
             # chi(O_S) = 1, no nodes and h0(H) = chi(O_S(H)), which the degree
@@ -208,7 +213,7 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
         if found:
             lat, disc, (h0_is2, h0_n, _, lo, hi) = found
             model = PlaneModel(a, counts)
-            s = SurfaceInvariants(degree, genus, K2, 1, 12 - K2, h0, 0, True, str(model))
+            s = SurfaceInvariants(degree, genus, K2, 1, 12 - K2, h0, 0, True, label)
             entries.append(AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n))
     return entries
 

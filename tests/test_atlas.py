@@ -450,7 +450,8 @@ def test_atlas_work_counts(monkeypatch):
     ``ParameterCount``, and takes each candidate's numbers from the grid:
     it calls neither ``invariants`` nor ``normalize_contractions``, and
     builds one ``PlaneModel``, one labelled record and one ``AtlasEntry``
-    per entry, none for a rejected candidate, and no other record.  The grid
+    per entry, none for a rejected candidate, and no other record.  The
+    label comes from the grid leaf: no ``PlaneModel`` is printed.  The grid
     carries the degree and h0(H) down its recursion, so no loop over the
     counts computes them (the package has no ``_count_numbers`` left), and
     its bounds on h0(H) and the genus leave fewer leaves (a standard choice
@@ -477,7 +478,7 @@ def test_atlas_work_counts(monkeypatch):
     assert len({(a, counts[1:]) for a, counts, *_ in grid}) <= visited < leaves
     built = {"model": 0, "record": 0, "entry": 0, "count": 0, "window": 0, "chi": 0,
              "m22": 0, "lattice": 0, "leaf": 0, "invariants": 0, "normalize": 0,
-             "record_path": 0}
+             "record_path": 0, "printed": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -510,11 +511,13 @@ def test_atlas_work_counts(monkeypatch):
                      (ParameterCount, "count"), (RankTwoLattice, "lattice")):
         monkeypatch.setattr(cls, "__new__", counting(key, cls.__new__))
     monkeypatch.setattr(AtlasEntry, "__init__", counting("entry", AtlasEntry.__init__))
+    for name in ("__str__", "spec_string"):
+        monkeypatch.setattr(PlaneModel, name, counting("printed", getattr(PlaneModel, name)))
     _constants.cache_clear()
     assert len(enumerate_atlas(bounds)) == 79
     assert _constants.cache_info().misses == 1     # (2,2,2) only
     assert built["invariants"] == built["normalize"] == built["count"] == 0
-    assert built["record_path"] == built["chi"] == 0
+    assert built["record_path"] == built["chi"] == built["printed"] == 0
     assert built["record"] == built["model"] == built["entry"] == 79 < len(grid)
     assert built["m22"] == built["lattice"] == len(surfaces_seen)
     assert 0 < built["window"] <= built["lattice"]
@@ -531,13 +534,16 @@ def test_atlas_work_counts(monkeypatch):
 
 
 def _assert_the_reference_atlas(bounds):
-    """Each candidate's numbers are those of ``invariants``, the atlas is the
-    reference evaluator's, sorted, and each entry's lattice has m22 even and
-    discriminant -deg^2 mod 16."""
+    """Each candidate's numbers are those of ``invariants`` and its label is
+    the plane model's ``str``, the atlas is the reference evaluator's,
+    sorted, and each entry's lattice has m22 even and discriminant -deg^2
+    mod 16."""
     shared, expected = {}, []
-    for a, counts, degree, genus, K2, h0 in _candidate_grid(bounds):
-        s = invariants(PlaneModel(a, counts))
+    for a, counts, degree, genus, K2, h0, label in _candidate_grid(bounds):
+        model = PlaneModel(a, counts)
+        s = invariants(model)
         assert (degree, genus, K2, h0) == (s.degree, s.sect_genus, s.K2, s.h0_H), (a, counts)
+        assert label == str(model), (a, counts)
         entry = evaluate(bounds, a, counts, shared)
         if entry is not None:
             expected.append(entry)
