@@ -44,7 +44,9 @@ call, maps each type to them or to a rejection: the 683 candidates of the
 three bench grids have 453 types, which build 453 lattices and 431 windows
 (a negative discriminant needs none), a rejected type costs one lookup, and
 only the 608 kept entries build a plane model, a labelled record and an
-entry.  Nothing is kept between calls.
+entry.  The label comes from the grid leaf: ``_leaf`` joins each candidate's
+S(a;n,...) from a head and a tail made once per leaf, so no plane model is
+printed.  Nothing is kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
 the grid in one serial pass and sorts the entries by (discriminant, a,
