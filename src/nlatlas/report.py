@@ -3,7 +3,6 @@ describe report."""
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 from .chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
@@ -75,19 +74,12 @@ def reproduce_tables(which: int, dataset: Dataset) -> TableReport:
     return TableReport(which=which, checks=tuple(check_row(row) for row in rows))
 
 
-@functools.lru_cache(maxsize=1)
-def _rows_by_record(dataset: Dataset) -> dict[SurfaceInvariants, TableRow]:
-    """Each record that a row's spec parses to, label included, mapped to the
-    first row in order that parses to it; built on the first ``describe`` of
-    a spelling that is no row's text, at most once per dataset value."""
-    rows: dict[SurfaceInvariants, TableRow] = {}
-    for r in dataset.rows:
-        # a row spec that does not parse (H^2 < 1 raises ValueError) matches nothing
-        try:
-            rows.setdefault(parse_surface_spec(r.surface), r)
-        except (NLAtlasError, ValueError):
-            pass
-    return rows
+def _parses_to(spec: str, s: SurfaceInvariants) -> bool:
+    # a row spec that does not parse (H^2 < 1 raises ValueError) matches nothing
+    try:
+        return parse_surface_spec(spec) == s
+    except (NLAtlasError, ValueError):
+        return False
 
 
 def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
@@ -129,7 +121,7 @@ def describe(surface_spec: str, ci: CompleteIntersectionType = CI222,
             row = dataset.row(surface_spec)
         except DatasetMissing:
             # another spelling of a row's spec: the same record, label included
-            row = _rows_by_record(dataset).get(s)
+            row = next((r for r in dataset.rows if _parses_to(r.surface, s)), None)
     count = codimension_bound(s, row.h0_NSX if row is not None else 0)
     if row is not None:
         head = [f"parameter count (h0(N_S/X) = {row.h0_NSX} from dataset row {row.id}):"]

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from nlatlas import cli, report
+from nlatlas import cli
 from nlatlas.cli import main
 from nlatlas.dataset import load_dataset
-from nlatlas.errors import DatasetMissing, NLAtlasError
+from nlatlas.errors import DatasetMissing
 from nlatlas.report import describe, reproduce_tables, table_csv, table_markdown
 from nlatlas.serialize import decode, encode
 import nlatlas as nl
@@ -913,30 +913,8 @@ def test_describe_skips_dataset_rows_that_do_not_parse(tmp_path):
     data["unirational_rows"][0]["surface"] = "1;1"     # H^2 = 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    dataset = load_dataset(bad)
-    text = describe(" 5;7,0,1", nl.CI222, dataset)
+    text = describe(" 5;7,0,1", nl.CI222, load_dataset(bad))
     assert "from dataset row t1-10)" in text
-    # the row that does not parse matches nothing
-    assert "t1-01" not in {r.id for r in report._rows_by_record(dataset).values()}
-
-
-def test_describe_parses_the_dataset_rows_once():
-    """The rows' records are mapped once per dataset: a second ``describe``
-    of a spelling that is no row's text parses only its own spec."""
-    dataset = load_dataset()
-    spec = "abs:deg=13,g=8,K2=-1,chiO=2"
-    first = describe(spec, nl.CI222, dataset)
-    calls = []
-    parse = report.parse_surface_spec
-
-    def counting(text):
-        calls.append(text)
-        return parse(text)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "parse_surface_spec", counting)
-        assert describe(spec, nl.CI222, dataset) == first
-    assert calls == [spec]
 
 
 def test_describe_takes_the_first_row_of_a_record(tmp_path):
@@ -954,46 +932,13 @@ def test_describe_takes_the_first_row_of_a_record(tmp_path):
     assert "from dataset row t1-04)" in describe(" 1;", nl.CI222, load_dataset())
 
 
-class _FirstRowByScan:
-    """The row lookup ``describe`` made before it mapped the rows' records:
-    the first row, in order, whose spec parses to the record; a row that
-    does not parse matches nothing."""
-
-    def __init__(self, dataset):
-        self.rows = dataset.rows
-
-    def get(self, s):
-        for r in self.rows:
-            try:
-                if nl.parse_surface_spec(r.surface) == s:
-                    return r
-            except (NLAtlasError, ValueError):
-                pass
-        return None
-
-
-def _spellings(spec: str) -> list[str]:
-    """``spec``, with extra spaces, and with one and two trailing zero counts
-    on a plane model."""
-    base, *modifiers = spec.split()
-    out = [spec, "  " + "   ".join([base, *modifiers]) + " "]
-    if not base.startswith("abs:"):
-        zero = "0" if base.endswith(";") else ",0"
-        out += [" ".join([base + zero, *modifiers]), " ".join([base + zero + ",0", *modifiers])]
-    return out
-
-
-def test_describe_row_map_keeps_the_scan(monkeypatch):
+def test_describe_finds_the_row_of_a_respaced_spec():
+    # a row spec with extra spaces is no row's text, so the rows are scanned
     dataset = load_dataset()
-    specs = [s for r in dataset.rows for s in _spellings(r.surface)]
-    mapped = [describe(s, nl.CI222, dataset) for s in specs]
-    monkeypatch.setattr(report, "_rows_by_record", _FirstRowByScan)
-    assert mapped == [describe(s, nl.CI222, dataset) for s in specs]
-    # some spellings find a row by the map, and some find none
-    texts = {r.surface for r in dataset.rows}
-    found = ["from dataset row" in text for text in mapped]
-    assert any(f and s not in texts for s, f in zip(specs, found))
-    assert not all(found)
+    for r in dataset.rows:
+        base, *modifiers = r.surface.split()
+        spaced = "  " + "   ".join([base, *modifiers]) + " "
+        assert describe(spaced, nl.CI222, dataset) == describe(r.surface, nl.CI222, dataset)
 
 
 def test_dataset_row_lookup():
