@@ -54,6 +54,7 @@ class PlaneModel(_PlaneModelFields):
         return f"{self.a};{','.join(map(str, self.point_counts))}"
 
     def __str__(self) -> str:
+        # atlas._leaf builds this label for its candidates; change both together
         return f"S({self.spec_string()})"
 
 
