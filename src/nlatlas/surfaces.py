@@ -143,8 +143,8 @@ def expand(model: PlaneModel) -> DivisorClass:
 def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int, ...], int]:
     """Cremona-reduce H and count the (-1)-classes orthogonal to it.
 
-    The multiplicities are listed in descending order and padded to three
-    with zeros (points not blown up).  While a < m1 + m2 + m3, the quadratic
+    The multiplicities are counted per value, with three zeros (points not
+    blown up) to pad the top three.  While a < m1 + m2 + m3, the quadratic
     transformation at the top three points applies: with e = m1 + m2 + m3 - a,
     a and m1, m2, m3 all drop by e.  Each step maps E_i to a (-1)-class and
     keeps H^2 and H.K, and a drops, so the loop ends; a negative multiplicity
@@ -154,52 +154,50 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
     1985).  By the Hodge index theorem they are pairwise orthogonal once
     H^2 >= 1, so blowing them all down raises K^2 by their number.
 
-    Returns ``(H^2, H.K, a, counts, contracted)``: H^2 and H.K, taken in
-    the pass that lists the multiplicities; the standard model as plain
-    ``(a, counts)``, without points of multiplicity 0 or trailing zero
-    counts; and the number of contracted classes.  Only (-1)-classes are
-    checked: with ten or more points, nefness against all curves (Nagata's
-    problem) is not claimed.
+    Returns ``(H^2, H.K, a, counts, contracted)``: H^2 and H.K, taken from
+    the counts before any step; the standard model as plain ``(a, counts)``,
+    without points of multiplicity 0 or trailing zero counts; and the number
+    of contracted classes.  Only (-1)-classes are checked: with ten or more
+    points, nefness against all curves (Nagata's problem) is not claimed.
     """
     a = model.a
     c = model.point_counts
-    # the descending multiplicities, H^2 and H.K in one pass
-    m: list[int] = []
     h2 = a * a
     hk = -3 * a
-    if sum(c) >= h2:
-        # then H^2 <= a^2 - (number of points) < 1: refused from the counts,
-        # before one entry per point is listed
-        h2 -= sum(i * i * n for i, n in enumerate(c, 1))
-    else:
-        for i in range(len(c), 0, -1):
-            n = c[i - 1]
-            m += [i] * n
-            h2 -= i * i * n
-            hk += i * n
+    for i, n in enumerate(c, 1):
+        h2 -= i * i * n
+        hk += i * n
     if h2 < 1:
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
-    k = len(m)
-    m += [0] * (3 - k)
-    if m[0] + m[1] + m[2] <= a:
-        # standard already: no zero multiplicity, so only the line can contract
-        return h2, hk, a, c[:m[0]], int(a == m[0] + m[1])
+    # n[i] points of multiplicity i, and in n[0] three zeros to pad the top three
+    n = [3, *c]
+    i = len(c)
     while True:
-        if m[-1] < 0:
-            # H as str(expand(model)) words it, without loading picard
-            mults = ",".join(str(i) for i, n in enumerate(c, 1) for _ in range(n))
-            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = ({model.a}; {mults})")
-        e = m[0] + m[1] + m[2] - a
+        # the three largest multiplicities i >= m2 >= m3, read downwards
+        while not n[i]:
+            i -= 1
+        m3, s = i, n[i]
+        while s < 2:
+            m3 -= 1
+            s += n[m3]
+        m2 = m3
+        while s < 3:
+            m3 -= 1
+            s += n[m3]
+        e = i + m2 + m3 - a
         if e <= 0:
             break
+        if m3 < e:
+            # H as str(expand(model)) words it, without loading picard
+            mults = ",".join(str(i) for i, n in enumerate(c, 1) for _ in range(n))
+            raise NotNef(f"H.C = {m3 - e} < 0 for a (-1)-class C and H = ({model.a}; {mults})")
         a -= e
-        m[:3] = m[0] - e, m[1] - e, m[2] - e
-        m.sort(reverse=True)
-    counts = [0] * m[0]
-    for i in m:
-        if i:
-            counts[i - 1] += 1
-    return h2, hk, a, tuple(counts), k - sum(counts) + (a == m[0] + m[1])
+        for m in (i, m2, m3):
+            n[m] -= 1
+            n[m - e] += 1
+    # a model that took no step keeps its own tuple
+    counts = c[:i] if a == model.a else tuple(n[1:i + 1])
+    return h2, hk, a, counts, n[0] - 3 + (a == i + m2)
 
 
 def invariants(model: PlaneModel) -> SurfaceInvariants:

@@ -1,11 +1,13 @@
-"""Reference computations for the atlas: the numbers of a plane model taken
-straight from its point counts, against which the grid's running sums and
-the records are checked, and the per-candidate path through ``invariants``
-against which the atlas is checked."""
+"""Reference computations: the numbers of a plane model taken straight from
+its point counts, against which the atlas grid's running sums and the
+records are checked; the per-candidate path through ``invariants`` against
+which the atlas is checked; and Cremona reduction on one multiplicity per
+point, against which ``normalize_contractions`` is checked."""
 
 from nlatlas.atlas import AtlasEntry
 from nlatlas.chow import CI222
 from nlatlas.counts import chi_NSX_lower, codimension_bound
+from nlatlas.errors import NotNef
 from nlatlas.lattice import discriminant, fourfold_lattice
 from nlatlas.surfaces import H0_QUADRICS_P7, PlaneModel, invariants
 
@@ -49,3 +51,39 @@ def evaluate(bounds, a: int, counts: tuple[int, ...], shared: dict) -> AtlasEntr
         return None
     return AtlasEntry(model, s, lat, disc, (count.codim_bound, count.codim_bound + nsx),
                       count.h0_IS2, count.h0_N)
+
+
+def cremona_by_points(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, tuple[int, ...], int]:
+    """``normalize_contractions`` of S(a; counts) on the list of descending
+    multiplicities, one entry per point, padded to three with zeros and
+    sorted again after each quadratic transformation; the same tuple, or the
+    same exception type and message.  Its memory grows with the number of
+    points, so keep that small."""
+    m: list[int] = []
+    h2 = a * a
+    hk = -3 * a
+    for i in range(len(counts), 0, -1):
+        n = counts[i - 1]
+        m += [i] * n
+        h2 -= i * i * n
+        hk += i * n
+    if h2 < 1:
+        raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
+    k = len(m)
+    m += [0] * (3 - k)
+    a0 = a
+    while True:
+        if m[-1] < 0:
+            mults = ",".join(str(i) for i, n in enumerate(counts, 1) for _ in range(n))
+            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = ({a0}; {mults})")
+        e = m[0] + m[1] + m[2] - a
+        if e <= 0:
+            break
+        a -= e
+        m[:3] = m[0] - e, m[1] - e, m[2] - e
+        m.sort(reverse=True)
+    std = [0] * m[0]
+    for i in m:
+        if i:
+            std[i - 1] += 1
+    return h2, hk, a, tuple(std), k - sum(std) + (a == m[0] + m[1])

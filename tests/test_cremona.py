@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from itertools import groupby
+from itertools import groupby, product
 
 from hypothesis import assume, given, strategies as st
 
@@ -23,7 +23,7 @@ from nlatlas.errors import NotNef, SpanTooSmall
 from nlatlas.lattice import discriminant, fourfold_lattice
 from nlatlas.picard import DivisorClass, canonical, pair
 from nlatlas.surfaces import PlaneModel, expand, invariants, normalize_contractions
-from reference import count_numbers
+from reference import count_numbers, cremona_by_points
 
 
 def _partitions(total, squares, most, room, prefix=()):
@@ -153,6 +153,28 @@ def test_normalize_matches_orbit_oracle():
         deep += want is not None and a < sum(sorted(mults)[-3:])
     assert deep > 1000
 
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, NotNef) as exc:
+        return type(exc), str(exc)
+
+
+def test_normalize_matches_reduction_by_points():
+    # every model with a <= 10 and at most four counts <= 5, refused ones
+    # and trailing zero counts included: the counts per multiplicity give the
+    # tuple, or the exception and message, of one entry per point
+    box = [(a, counts) for a in range(1, 11) for k in range(5)
+           for counts in product(range(6), repeat=k)]
+    assert len(box) == 15550
+    kinds = set()
+    for a, counts in box:
+        want = _outcome(cremona_by_points, a, counts)
+        assert _outcome(normalize_contractions, PlaneModel(a, counts)) == want, (a, counts)
+        kinds.add(want[0] if isinstance(want[0], type) else a > want[2])
+    assert kinds == {ValueError, NotNef, False, True}
 
 def _quadratic_transform(a, mults, i, j, l):
     """The class of H after the quadratic transformation at points i, j, l."""

@@ -161,7 +161,7 @@ def test_normalize_reduces_to_standard_form():
                  "H.C = -1 < 0 for a (-1)-class C and H = (9; 3,3,3,3,3,3,5)", id="cubic"),
     pytest.param(PlaneModel(3, (2, 2)), ValueError,
                  "H^2 = -1 < 1: not an embedding class", id="h2"),
-    # refused from its counts, before one entry per point is listed
+    # refused from its counts, with no entry per point
     pytest.param(PlaneModel(1, (10**7,)), ValueError,
                  "H^2 = -9999999 < 1: not an embedding class", id="h2-many-points"),
 ])
@@ -176,6 +176,26 @@ def test_normalize_error_messages(model, error, message):
     assert str(exc.value) == message
     assert peak < 2**20
 
+
+
+@pytest.mark.parametrize("model,reduced", [
+    # ten million simple points, standard already
+    pytest.param(PlaneModel(4000, (10**7,)), (6000000, 9988000, 4000, (10**7,), 0),
+                 id="standard"),
+    # a million simple points and three of multiplicity 1600: one quadratic
+    # transformation, e = 800, takes the three to multiplicity 800
+    pytest.param(PlaneModel(4000, (10**6,) + (0,) * 1598 + (3,)),
+                 (7320000, 992800, 3200, (10**6,) + (0,) * 798 + (3,), 0), id="one-step"),
+])
+def test_normalize_memory_does_not_grow_with_points(model, reduced):
+    tracemalloc.start()
+    try:
+        got = normalize_contractions(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reduced
+    assert peak < 2**20
 
 @pytest.mark.parametrize("a,counts", [
     (5, (7.9, 0, 1)), (5.5, (7,)), (5, ("7",)), ("5", (7,)), (5, (7.0,)),
