@@ -177,7 +177,7 @@ def _cmd_search(args) -> int:
         print("| surface | matrix (det) | codim range | h0(I(2)), h0(N_P7) |")
         print("|---|---|---|---|")
         for e in entries:
-            print(f"| S({e.model.spec_string()}) | {e.lattice} "
+            print(f"| {e.model} | {e.lattice} "
                   f"({e.discriminant}) | {list(e.codim_bound_range)} | "
                   f"{e.h0_IS2}, {e.h0_N} |")
     else:
