@@ -44,12 +44,15 @@ call, maps each type to them or to a rejection: the 683 candidates of the
 three bench grids have 453 types, which build 453 lattices and 431 windows
 (a negative discriminant needs none), a rejected type costs one lookup, and
 only the 608 kept entries build a plane model, a labelled record and an
-entry.  The label comes from the grid leaf: ``_leaf`` joins each candidate's
-S(a;n,...) from a head and a tail made once per leaf, so no plane model is
-printed.  Nothing is kept between calls.
+entry.  The kept candidates are plain tuples led by (discriminant, a,
+counts), sorted once, and each entry's plane model and record are built
+with ``_make`` from the grid's integers, which already pass the checks the
+constructors make on outside input.  The label comes from the grid leaf:
+``_leaf`` joins each candidate's S(a;n,...) from a head and a tail made once
+per leaf, so no plane model is printed.  Nothing is kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
-the grid in one serial pass and sorts the entries by (discriminant, a,
+the grid in one serial pass, whose entries come sorted by (discriminant, a,
 point counts), so every run agrees byte for byte.  Gap claims are always
 reported together with the bounds that produced them; nothing is asserted
 beyond the enumeration window.
@@ -191,13 +194,22 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple]:
 
 
 def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry]:
-    """The entries of the candidates of ``_candidate_grid`` in ``chunk``.
-    ``types`` maps each (degree, genus, K^2) seen in this call to its lattice,
-    discriminant and window, or to False when it is rejected; nothing is kept
-    between calls."""
+    """The entries of the candidates of ``_candidate_grid`` in ``chunk``,
+    sorted by ``AtlasEntry.sort_key``.  ``types`` maps each (degree, genus,
+    K^2) seen in this call to its lattice, discriminant and window, or to
+    False when it is rejected; nothing is kept between calls.
+
+    Each kept candidate is collected as a plain tuple led by (discriminant,
+    a, counts), and the list is sorted once: the grid lists each (a, counts)
+    once, so no comparison reaches a later field.  The records are then built
+    in that order with ``_make``, which skips the constructors' checks of
+    outside input: the grid's own integers pass them, with a >= 1, the counts
+    a tuple of ints >= 0, the degree >= 1 and chi_top = 12 - K^2 for
+    chi(O) = 1.  The tests compare every entry with one built through the
+    constructors."""
     m11 = CI222.fourfold_degree
     types: dict = {}
-    entries = []
+    kept = []
     for a, counts, degree, genus, K2, h0, label in chunk:
         found = types.get((degree, genus, K2))
         if found is None:
@@ -213,11 +225,15 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
             found = types[degree, genus, K2] = (
                 window is not None and window[3] <= bounds.max_codim and (lat, disc, window))
         if found:
-            lat, disc, (h0_is2, h0_n, _, lo, hi) = found
-            model = PlaneModel(a, counts)
-            s = SurfaceInvariants(degree, genus, K2, 1, 12 - K2, h0, 0, True, label)
-            entries.append(AtlasEntry(model, s, lat, disc, (lo, hi), h0_is2, h0_n))
-    return entries
+            lat, disc, window = found
+            kept.append((disc, a, counts, degree, genus, K2, h0, label, lat, window))
+    kept.sort()
+    return [AtlasEntry(PlaneModel._make((a, counts)),
+                       SurfaceInvariants._make((degree, genus, K2, 1, 12 - K2, h0, 0, True,
+                                                label)),
+                       lat, disc, (lo, hi), h0_is2, h0_n)
+            for disc, a, counts, degree, genus, K2, h0, label, lat,
+            (h0_is2, h0_n, _, lo, hi) in kept]
 
 
 def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> list[AtlasEntry]:
@@ -226,9 +242,7 @@ def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> lis
     one serial pass.  ROADMAP item 5 removes it together with the benchmark's
     ``atlas-pool`` workload, which passes ``workers=2``."""
     bounds = bounds or SearchBounds()
-    entries = _evaluate_chunk(bounds, _candidate_grid(bounds))
-    entries.sort(key=lambda e: e.sort_key)
-    return entries
+    return _evaluate_chunk(bounds, _candidate_grid(bounds))
 
 
 class GapReport(NamedTuple):

@@ -127,7 +127,7 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
     """Build a record from (deg, g, K^2, chi(O)); chi_top and h0_H derived.
     Like ``invariants``, it refuses a surface of degree > 1 with h0(H) < 4."""
     # operator.index rejects floats and strings, as PlaneModel does; the
-    # record's own constructor, which the atlas runs on its own integers, does not
+    # record's own constructor does not
     degree, sect_genus, K2, chi_O = map(operator.index, (degree, sect_genus, K2, chi_O))
     return _embedded(degree, 2 * sect_genus - 2 - degree, K2, chi_O, label,
                      f"a surface of degree {degree} spans at least P^3")

@@ -17,8 +17,8 @@ from nlatlas.errors import NegativeCount, NotNef, ParseError, SpanTooSmall
 from nlatlas.lattice import RankTwoLattice, mod16_class
 from nlatlas.picard import DivisorClass, adjunction_genus, pair, riemann_roch_chi
 from nlatlas.serialize import encode
-from nlatlas.surfaces import (PlaneModel, expand, invariants, normalize_contractions,
-                              parse_surface_spec)
+from nlatlas.surfaces import (PlaneModel, SurfaceInvariants, expand, invariants,
+                              normalize_contractions, parse_surface_spec)
 import reference
 from reference import count_numbers, evaluate
 
@@ -444,28 +444,35 @@ def _visited_leaves(bounds):
     return calls
 
 
+# per bench grid: candidates, leaves with candidates, types (distinct degree,
+# genus and K^2: one ``formula_222`` call and one lattice each), codimension
+# windows and entries; over the three, 683 candidates, 453 types, 431 windows
+# and 608 entries
+WORK_COUNTS = {"default": (86, 30, 85, 79, 79), "a12p16": (266, 91, 189, 182, 230),
+               "a10p16m4": (331, 111, 179, 170, 299)}
+
+
 def test_atlas_work_counts(monkeypatch):
-    """Work counted instead of timed, so that a busy host cannot fail it: one
-    default atlas evaluates the closed form once per multidegree, builds no
+    """Work counted instead of timed, so that a busy host cannot fail it: an
+    atlas evaluates the closed form once per multidegree, builds no
     ``ParameterCount``, and takes each candidate's numbers from the grid:
     it calls neither ``invariants`` nor ``normalize_contractions``, and
-    builds one ``PlaneModel``, one labelled record and one ``AtlasEntry``
-    per entry, none for a rejected candidate, and no other record.  The
-    label comes from the grid leaf: no ``PlaneModel`` is printed.  The grid
-    carries the degree and h0(H) down its recursion, so no loop over the
-    counts computes them (the package has no ``_count_numbers`` left), and
-    its bounds on h0(H) and the genus leave fewer leaves (a standard choice
-    of the counts above n_1) to visit than the brute-force count of them; it
-    gives the numbers of the candidates only on the leaves that have some.
-    Each distinct (degree, genus, K^2) among the candidates is decided from
-    its integers: one m22 from ``formula_222``, one lattice and at most one
+    builds one ``PlaneModel`` and one labelled record with ``_make``, and one
+    ``AtlasEntry``, per entry, none for a rejected candidate, and no other
+    record: the validating constructors are not called.  The label comes
+    from the grid leaf: no ``PlaneModel`` is printed.  The grid carries the
+    degree and h0(H) down its recursion, so no loop over the counts computes
+    them (the package has no ``_count_numbers`` left), and its bounds on
+    h0(H) and the genus leave fewer leaves (a standard choice of the counts
+    above n_1) to visit than the brute-force count of them; it gives the
+    numbers of the candidates only on the leaves that have some.  Each
+    distinct (degree, genus, K^2) among the candidates is decided from its
+    integers: one m22 from ``formula_222``, one lattice and at most one
     codimension window, with no ``fourfold_lattice``, ``self_intersection``,
     ``codimension_bound`` or ``chi_twist`` call, and a second call does all
-    of it again."""
+    of it again.  The counts are pinned on each bench grid."""
     bounds = SearchBounds()
     grid = _candidate_grid(bounds)
-    surfaces_seen = {c[2:5] for c in grid}
-    assert (len(grid), len(surfaces_seen)) == (86, 85)
     leaves = sum(1 for a in range(1, bounds.max_a + 1)
                  for high in itertools.product(range(bounds.max_points + 1),
                                                repeat=bounds.max_mult - 1)
@@ -476,9 +483,9 @@ def test_atlas_work_counts(monkeypatch):
     visited = _visited_leaves(bounds)
     # each candidate comes from a visited leaf
     assert len({(a, counts[1:]) for a, counts, *_ in grid}) <= visited < leaves
-    built = {"model": 0, "record": 0, "entry": 0, "count": 0, "window": 0, "chi": 0,
-             "m22": 0, "lattice": 0, "leaf": 0, "invariants": 0, "normalize": 0,
-             "record_path": 0, "printed": 0}
+    built = {"model": 0, "record": 0, "model_make": 0, "record_make": 0, "entry": 0,
+             "count": 0, "window": 0, "chi": 0, "m22": 0, "lattice": 0, "leaf": 0,
+             "invariants": 0, "normalize": 0, "record_path": 0, "printed": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -510,22 +517,31 @@ def test_atlas_work_counts(monkeypatch):
     for cls, key in ((PlaneModel, "model"), (surfaces.SurfaceInvariants, "record"),
                      (ParameterCount, "count"), (RankTwoLattice, "lattice")):
         monkeypatch.setattr(cls, "__new__", counting(key, cls.__new__))
+    # ``_make`` builds the tuple without calling ``__new__``
+    for cls, key in ((PlaneModel, "model_make"), (surfaces.SurfaceInvariants, "record_make")):
+        monkeypatch.setattr(cls, "_make", classmethod(counting(key, cls._make.__func__)))
     monkeypatch.setattr(AtlasEntry, "__init__", counting("entry", AtlasEntry.__init__))
     for name in ("__str__", "spec_string"):
         monkeypatch.setattr(PlaneModel, name, counting("printed", getattr(PlaneModel, name)))
     _constants.cache_clear()
-    assert len(enumerate_atlas(bounds)) == 79
+    for param in ATLAS_DIGESTS:
+        bounds = param.values[0]
+        candidates, emitting, types, windows, entries = WORK_COUNTS[param.id]
+        grid = _candidate_grid(bounds)
+        assert (len(grid), len({c[2:5] for c in grid})) == (candidates, types), param.id
+        for key in built:
+            built[key] = 0
+        assert len(enumerate_atlas(bounds)) == entries, param.id
+        assert built == dict.fromkeys(built, 0) | {
+            "model_make": entries, "record_make": entries, "entry": entries,
+            "m22": types, "lattice": types, "window": windows, "leaf": emitting}, param.id
+        assert entries < candidates and windows <= types
+        assert emitting == len({(a, counts[1:]) for a, counts, *_ in grid})
+        # nothing is kept across calls: the second call does all of it again
+        first = dict(built)
+        assert len(enumerate_atlas(bounds)) == entries
+        assert built == {key: 2 * n for key, n in first.items()}, param.id
     assert _constants.cache_info().misses == 1     # (2,2,2) only
-    assert built["invariants"] == built["normalize"] == built["count"] == 0
-    assert built["record_path"] == built["chi"] == built["printed"] == 0
-    assert built["record"] == built["model"] == built["entry"] == 79 < len(grid)
-    assert built["m22"] == built["lattice"] == len(surfaces_seen)
-    assert 0 < built["window"] <= built["lattice"]
-    assert built["leaf"] == len({(a, counts[1:]) for a, counts, *_ in grid})
-    # nothing is kept across calls: the second call does all of it again
-    first = dict(built)
-    assert len(enumerate_atlas(bounds)) == 79
-    assert built == {key: 2 * n for key, n in first.items()}
     # on a large box, 7,379 of the 121,353 leaves have candidates, and only
     # those compute their numbers
     built["leaf"] = 0
@@ -537,7 +553,8 @@ def _assert_the_reference_atlas(bounds):
     """Each candidate's numbers are those of ``invariants`` and its label is
     the plane model's ``str``, the atlas is the reference evaluator's,
     sorted, and each entry's lattice has m22 even and discriminant -deg^2
-    mod 16."""
+    mod 16.  The atlas builds its records with ``_make``, which skips the
+    constructors' checks: each is of its class and passes them unchanged."""
     shared, expected = {}, []
     for a, counts, degree, genus, K2, h0, label in _candidate_grid(bounds):
         model = PlaneModel(a, counts)
@@ -552,6 +569,9 @@ def _assert_the_reference_atlas(bounds):
     for e in entries:
         assert e.lattice.m22 % 2 == 0, e.model
         assert (e.discriminant + e.surface.degree ** 2) % 16 == 0, e.model
+        assert type(e.model) is PlaneModel and type(e.surface) is SurfaceInvariants, e.model
+        assert PlaneModel(*e.model) == e.model, e.model
+        assert SurfaceInvariants(*e.surface) == e.surface, e.model
 
 
 @pytest.mark.parametrize("bounds", [
