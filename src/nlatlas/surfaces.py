@@ -188,9 +188,9 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
         if e <= 0:
             break
         if m3 < e:
-            # H as str(expand(model)) words it, without loading picard
-            mults = ",".join(str(i) for i, n in enumerate(c, 1) for _ in range(n))
-            raise NotNef(f"H.C = {m3 - e} < 0 for a (-1)-class C and H = ({model.a}; {mults})")
+            # H named by the model's label, which grows with the counts, not
+            # with the number of points
+            raise NotNef(f"H.C = {m3 - e} < 0 for a (-1)-class C and H of {model}")
         a -= e
         for m in (i, m2, m3):
             n[m] -= 1

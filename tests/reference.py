@@ -74,8 +74,8 @@ def cremona_by_points(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, t
     a0 = a
     while True:
         if m[-1] < 0:
-            mults = ",".join(str(i) for i, n in enumerate(counts, 1) for _ in range(n))
-            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H = ({a0}; {mults})")
+            label = f"S({a0};{','.join(map(str, counts))})"
+            raise NotNef(f"H.C = {m[-1]} < 0 for a (-1)-class C and H of {label}")
         e = m[0] + m[1] + m[2] - a
         if e <= 0:
             break

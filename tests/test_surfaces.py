@@ -150,20 +150,27 @@ def test_normalize_reduces_to_standard_form():
     assert normalize_contractions(PlaneModel(7, (1, 5, 3))) == (1, -1, 3, (8,), 1)
 
 
+_MANY_POINTS = PlaneModel(4000, (10**6,) + (0,) * 2098 + (2,))
+
+
 @pytest.mark.parametrize("model,error,message", [
     # H pairs negatively with a line, a conic and a nodal cubic in turn; the
-    # message shows H in the ascending (a; m...) form of ``expand``
+    # message names H by the model's label
     pytest.param(PlaneModel(3, (0, 2)), NotNef,
-                 "H.C = -1 < 0 for a (-1)-class C and H = (3; 2,2)", id="line"),
+                 "H.C = -1 < 0 for a (-1)-class C and H of S(3;0,2)", id="line"),
     pytest.param(PlaneModel(6, (0, 2, 3)), NotNef,
-                 "H.C = -1 < 0 for a (-1)-class C and H = (6; 2,2,3,3,3)", id="conic"),
+                 "H.C = -1 < 0 for a (-1)-class C and H of S(6;0,2,3)", id="conic"),
     pytest.param(PlaneModel(9, (0, 0, 6, 0, 1)), NotNef,
-                 "H.C = -1 < 0 for a (-1)-class C and H = (9; 3,3,3,3,3,3,5)", id="cubic"),
+                 "H.C = -1 < 0 for a (-1)-class C and H of S(9;0,0,6,0,1)", id="cubic"),
     pytest.param(PlaneModel(3, (2, 2)), ValueError,
                  "H^2 = -1 < 1: not an embedding class", id="h2"),
     # refused from its counts, with no entry per point
     pytest.param(PlaneModel(1, (10**7,)), ValueError,
                  "H^2 = -9999999 < 1: not an embedding class", id="h2-many-points"),
+    # a million points: one per point, H would take 2,000,059 characters
+    pytest.param(_MANY_POINTS, NotNef,
+                 f"H.C = -200 < 0 for a (-1)-class C and H of {_MANY_POINTS}",
+                 id="not-nef-many-points"),
 ])
 def test_normalize_error_messages(model, error, message):
     tracemalloc.start()
@@ -174,6 +181,8 @@ def test_normalize_error_messages(model, error, message):
     finally:
         tracemalloc.stop()
     assert str(exc.value) == message
+    # the message grows with the model's label, not with its points
+    assert len(message) <= len(str(model)) + 60
     assert peak < 2**20
 
 
