@@ -4,6 +4,7 @@ import operator
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nlatlas.chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
                           TruncatedClass, chern_engine_coefficients,
@@ -13,6 +14,7 @@ from nlatlas.chow import (CI222, NODE_CORRECTION, CompleteIntersectionType,
 from nlatlas.errors import ParseError
 from nlatlas.surfaces import abstract_surface, invariants, nodal_projection, \
     parse_surface_spec, PlaneModel
+from test_counts import drawn_specs, parsed
 
 
 @pytest.mark.parametrize("degrees,expected", [
@@ -72,6 +74,24 @@ def test_formula_222_consistent_with_general_path():
         chi_top = 12 * chi - k2
         general = ch2 * deg + chk * hk + k2 - chi_top
         assert general == formula_222(deg, g, k2, chi)
+
+
+@settings(max_examples=200)
+@given(drawn_specs(),
+       st.one_of(st.just((2, 2, 2)), st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+def test_self_intersection_by_the_chern_engine_on_drawn_records(spec, degrees):
+    # the closed form against c2(N_S/X) with the engine's coefficients, nodes
+    # included; on a (2,2,2) also against ``formula_222`` in the four basic
+    # invariants
+    s = parsed(spec)
+    assume(s is not None)
+    ci = CompleteIntersectionType(tuple(degrees))
+    ch2, chk = chern_engine_coefficients(ci)
+    m22 = ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top + NODE_CORRECTION * s.nodes
+    assert self_intersection(ci, s) == m22, (spec, degrees)
+    if ci == CI222:
+        assert m22 == (formula_222(s.degree, s.sect_genus, s.K2, s.chi_O)
+                       + NODE_CORRECTION * s.nodes), spec
 
 
 def test_affine_linearity_coefficients():
