@@ -535,7 +535,6 @@ def test_atlas_work_counts(monkeypatch):
         assert built == dict.fromkeys(built, 0) | {
             "model_make": entries, "record_make": entries, "entry": entries,
             "m22": types, "lattice": types, "window": windows, "leaf": emitting}, param.id
-        assert entries < candidates and windows <= types
         assert emitting == len({(a, counts[1:]) for a, counts, *_ in grid})
         # nothing is kept across calls: the second call does all of it again
         first = dict(built)
