@@ -20,7 +20,7 @@ _EXPORTS = {
     "hodge": ("DiagramSpec", "HodgeDiamond", "blowup", "classify", "diagram_from_dict",
               "preset", "solve_diagram", "surface_diamond"),
     "lattice": ("RankTwoLattice", "Side", "discriminant", "fourfold_lattice",
-                "mod16_class", "surface_matrix", "surface_picard_matrix"),
+                "mod16_class", "surface_matrix"),
     "picard": ("DivisorClass", "adjunction_genus", "canonical", "pair",
                "riemann_roch_chi"),
     "report": ("describe", "reproduce_tables"),

@@ -35,11 +35,11 @@ blow-down raises K^2 = 9 - (number of points) by one.  Left to check:
   * the codimension-bound window, taken over h0(N_S/X) between 0 and the
     clamped Euler estimate, meets [0, max_codim].
 
-They read only the degree, genus and K^2 (chi(O) = 1, no nodes, and h0(H) =
-chi(O_S(H)) is fixed by the degree and genus), so ``_evaluate_chunk``
-decides each new type from these integers, with no surface record: m22
-from ``chow.formula_222``, the lattice and its discriminant, and the window
-from ``counts.codimension_window_of``.  A dict, kept for the length of the
+They read only the type (degree, genus, K^2), with chi(O) = 1 and no
+nodes, so ``_evaluate_chunk`` decides each new type from these integers,
+with no surface record: m22 from ``chow.formula_222``, the lattice and its
+discriminant, and the window from ``counts.codimension_window_of``.  A
+dict, kept for the length of the
 call, maps each type to them or to a rejection: the 683 candidates of the
 three bench grids have 453 types, which build 453 lattices and 431 windows
 (a negative discriminant needs none), a rejected type costs one lookup, and
@@ -213,13 +213,12 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
     for a, counts, degree, genus, K2, h0, label in chunk:
         found = types.get((degree, genus, K2))
         if found is None:
-            # chi(O_S) = 1, no nodes and h0(H) = chi(O_S(H)), which the degree
-            # and genus fix: the type's integers are all the lattice and the
-            # window read
+            # chi(O_S) = 1 and no nodes: the type's integers are all the
+            # lattice and the window read
             lat = RankTwoLattice(m11, degree, formula_222(degree, genus, K2, 1),
                                  Side.FOURFOLD_MIDDLE)
             disc = discriminant(lat)
-            window = codimension_window_of(degree, 1, h0, K2, 12 - K2, 0) if disc >= 0 else None
+            window = codimension_window_of(degree, genus, K2, 1, 0) if disc >= 0 else None
             # no test of hi < 0: a surface of the grid has no nodes, so the
             # clamped estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
             found = types[degree, genus, K2] = (

@@ -172,9 +172,9 @@ NODE_CORRECTION = 2
 
 def self_intersection(ci: CompleteIntersectionType, s: SurfaceInvariants) -> int:
     """(S)^2_X for the cycle class of s inside a fourfold of type ci, with
-    ``NODE_CORRECTION`` per node."""
+    ``NODE_CORRECTION`` per node; K^2 - c2(T_S) = 2K^2 - 12 chi(O) by Noether."""
     ch2, chk = _constants(ci.degrees)[2]
-    return ch2 * s.degree + chk * s.HK + s.K2 - s.chi_top + NODE_CORRECTION * s.nodes
+    return ch2 * s.degree + chk * s.HK + 2 * s.K2 - 12 * s.chi_O + NODE_CORRECTION * s.nodes
 
 
 def formula_222(degree: int, sect_genus: int, K2: int, chi_O: int) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .errors import DivisibilityViolation, NegativeCount
+from .errors import NegativeCount
 from .surfaces import H0_QUADRICS_P7, SurfaceInvariants
 
 HILBERT_DIM = 99          # h0(N_{X/P7}) for a smooth (2,2,2) fourfold
@@ -52,31 +52,28 @@ def _negative_quadrics(n: int, who) -> NegativeCount:
     return NegativeCount(f"h0(I_S(2)) = {n} < 0 for {who}")
 
 
-def _numbers(degree: int, chi_O: int, chi_h: int, K2: int, chi_top: int,
+def _numbers(degree: int, genus: int, K2: int, chi_O: int,
              nodes: int) -> tuple[int, int, int]:
-    """(h0(I_S(2)), h0(N_{S/P7}), chi(N_{S/X})) of the surface with H^2 =
-    ``degree``, chi(O_S), chi(O_S(H)) = ``chi_h``, K^2, chi_top and nodes,
-    h0(I_S(2)) not yet checked; chi(N_{S/X}) is the Euler estimate
-    h0(N_{S/P7}) - 3 chi(O_S(2H)).  Riemann-Roch gives chi(O_S(2H)) =
-    2 chi(O_S(H)) - chi(O_S) + H^2, so each is computed once."""
+    """(h0(I_S(2)), h0(N_{S/P7}), chi(N_{S/X})) of the surface of numerical
+    type (H^2 = ``degree``, sectional genus, K^2, chi(O_S)) with ``nodes``
+    nodes, h0(I_S(2)) not yet checked; chi(N_{S/X}) is the Euler estimate
+    h0(N_{S/P7}) - 3 chi(O_S(2H)).  Riemann-Roch gives chi(O_S(H)) =
+    chi(O_S) + H^2 + 1 - g and chi(O_S(2H)) = 2 chi(O_S(H)) - chi(O_S) + H^2,
+    and Noether chi(T_S) = 2K^2 - 10 chi(O_S), so each is computed once."""
+    chi_h = chi_O + degree + 1 - genus
     chi_2h = 2 * chi_h - chi_O + degree
-    t = 7 * K2 - 5 * chi_top
-    if t % 6 != 0:
-        raise DivisibilityViolation(
-            f"7K^2 - 5chi_top = {t} not divisible by 6: corrupted surface record"
-        )
-    h0_n = 8 * chi_h - chi_O - t // 6 - 3 * nodes
+    h0_n = 8 * chi_h - chi_O - (2 * K2 - 10 * chi_O) - 3 * nodes
     return H0_QUADRICS_P7 - chi_2h + nodes, h0_n, h0_n - 3 * chi_2h
 
 
-def _record(s: SurfaceInvariants) -> tuple[int, int, int, int, int, int]:
-    """The integers ``_numbers`` reads from s, with one ``chi_twist`` call."""
-    return s.degree, s.chi_O, s.chi_twist(1), s.K2, s.chi_top, s.nodes
+def _record(s: SurfaceInvariants) -> tuple[int, int, int, int, int]:
+    """The numerical type of s, with its nodes: the integers ``_numbers`` reads."""
+    return s.degree, s.sect_genus, s.K2, s.chi_O, s.nodes
 
 
 def h0_normal_bundle(s: SurfaceInvariants) -> int:
     """chi(N_{S/P7}) from the Euler and normal-bundle sequences:
-    8*chi(O_S(H)) - chi(O_S) - chi(T_S), with chi(T_S) = (7K^2 - 5chi_top)/6.
+    8*chi(O_S(H)) - chi(O_S) - chi(T_S), with chi(T_S) = 2K^2 - 10chi(O_S).
     Nodal images lose 3 per node (fitted rule)."""
     return _numbers(*_record(s))[1]
 
@@ -121,17 +118,17 @@ def codimension_bound(s: SurfaceInvariants, h0_NSX: int) -> ParameterCount:
     return ParameterCount(h0_is2, h0_n, h0_NSX, grass, _codim(h0_n, grass, h0_NSX), flags)
 
 
-def codimension_window_of(degree: int, chi_O: int, chi_h: int, K2: int, chi_top: int,
+def codimension_window_of(degree: int, genus: int, K2: int, chi_O: int,
                           nodes: int) -> tuple[int, int, int, int, int]:
     """For a surface with no known h0(N_{S/X}), given by the integers of
     ``_numbers``: (h0(I_S(2)), h0(N_{S/P7}), the clamped Euler estimate of
     h0(N_{S/X}), and the codimension bounds at h0(N_{S/X}) = 0 and at that
-    estimate), each number computed once.  A refusal names the numbers.  A
+    estimate), each number computed once.  A refusal names the type.  A
     surface record takes the same window from ``codimension_bound`` and
     ``chi_NSX_lower``."""
-    h0_is2, h0_n, chi_nsx = _numbers(degree, chi_O, chi_h, K2, chi_top, nodes)
+    h0_is2, h0_n, chi_nsx = _numbers(degree, genus, K2, chi_O, nodes)
     if h0_is2 < 3:
-        _net_of_quadrics(h0_is2, f"H^2 = {degree}, chi(O_S(H)) = {chi_h}, K^2 = {K2}")
+        _net_of_quadrics(h0_is2, f"H^2 = {degree}, g = {genus}, K^2 = {K2}, chi(O_S) = {chi_O}")
     nsx = max(chi_nsx, 0)
     lo = _codim(h0_n, grassmannian_dim(h0_is2), 0)
     # each dimension of h0(N_S/X) adds one to the bound

@@ -31,10 +31,6 @@ class NegativeCount(NLAtlasError):
     """A dimension count came out negative; the surface data is invalid."""
 
 
-class DivisibilityViolation(NLAtlasError):
-    """An Euler characteristic failed an integrality constraint; corrupted input."""
-
-
 class DimensionMismatch(NLAtlasError):
     """Blow-up center of inadmissible dimension."""
 

@@ -105,11 +105,9 @@ def fourfold(h11: int, h21: int, h31: int, h22: int) -> HodgeDiamond:
 
 
 def surface_diamond(s: SurfaceInvariants) -> HodgeDiamond:
-    """Diamond of a smooth regular surface (q = 0) from its invariant record:
-    p_g = chi(O) - 1 and h^{1,1} = chi_top - 2 - 2 p_g."""
-    pg = s.chi_O - 1
-    h11 = s.chi_top - 2 - 2 * pg
-    return surface(pg, 0, h11)
+    """Diamond of a smooth regular surface (q = 0) from its numerical type:
+    p_g = chi(O) - 1 and, by Noether, h^{1,1} = c2 - 2 - 2 p_g = 10 chi(O) - K^2."""
+    return surface(s.chi_O - 1, 0, 10 * s.chi_O - s.K2)
 
 
 _PRESETS = {

@@ -57,10 +57,6 @@ def surface_matrix(degree: int, sect_genus: int, K2: int) -> RankTwoLattice:
     return RankTwoLattice(m11=degree, m12=hk, m22=K2, side=Side.SURFACE_PICARD)
 
 
-def surface_picard_matrix(s: SurfaceInvariants) -> RankTwoLattice:
-    return surface_matrix(s.degree, s.sect_genus, s.K2)
-
-
 def discriminant(lat: RankTwoLattice) -> int:
     """Signed by convention: det on the fourfold side, -det on the surface
     side.  Non-geometric inputs may come out non-positive; the raw value is

@@ -110,16 +110,16 @@ class SurfaceInvariants(_SurfaceInvariantsFields):
         return self.chi_O + (m * m * self.degree - m * self.HK) // 2
 
 
-def _embedded(degree: int, hk: int, K2: int, chi_O: int, label: str,
+def _embedded(degree: int, genus: int, K2: int, chi_O: int, label: str,
               why: str) -> SurfaceInvariants:
-    """The record with H^2 = ``degree``, H.K = ``hk``, K^2 and chi(O); a span
-    below P^3, degree > 1 with h0(H) < 4, is ``SpanTooSmall`` worded by ``why``.
+    """The record of numerical type (H^2 = ``degree``, sectional genus, K^2,
+    chi(O)), with h0(H) = chi(O_S(H)) = chi(O) + H^2 + 1 - g; a span below
+    P^3, degree > 1 with h0(H) < 4, is ``SpanTooSmall`` worded by ``why``.
     Degree 1 passes at any h0(H) until ROADMAP item 7 admits only h0(H) = 3."""
-    h0 = chi_O + (degree - hk) // 2
+    h0 = chi_O + degree + 1 - genus
     if h0 < 4 and degree != 1:
         raise SpanTooSmall(f"{label or 'surface'} gives h0(H) = {h0}: {why}")
-    return SurfaceInvariants(degree, 1 + (degree + hk) // 2, K2, chi_O, 12 * chi_O - K2,
-                             h0, 0, True, label)
+    return SurfaceInvariants(degree, genus, K2, chi_O, 12 * chi_O - K2, h0, 0, True, label)
 
 
 def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
@@ -129,7 +129,7 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
     # operator.index rejects floats and strings, as PlaneModel does; the
     # record's own constructor does not
     degree, sect_genus, K2, chi_O = map(operator.index, (degree, sect_genus, K2, chi_O))
-    return _embedded(degree, 2 * sect_genus - 2 - degree, K2, chi_O, label,
+    return _embedded(degree, sect_genus, K2, chi_O, label,
                      f"a surface of degree {degree} spans at least P^3")
 
 
@@ -206,8 +206,8 @@ def invariants(model: PlaneModel) -> SurfaceInvariants:
     the numbers ``normalize_contractions`` returns (H^2 + H.K is even), and
     K^2 = 9 - k plus one per contracted (-1)-class."""
     degree, hk, _, _, contracted = normalize_contractions(model)
-    return _embedded(degree, hk, 9 - sum(model.point_counts) + contracted, 1, str(model),
-                     "the system maps to a plane without embedding")
+    return _embedded(degree, 1 + (degree + hk) // 2, 9 - sum(model.point_counts) + contracted,
+                     1, str(model), "the system maps to a plane without embedding")
 
 
 def _rebuilt(src: SurfaceInvariants, **changes) -> SurfaceInvariants:

@@ -1,15 +1,17 @@
 """Reference computations: the numbers of a plane model taken straight from
 its point counts, against which the atlas grid's running sums and the
 records are checked; the per-candidate path through ``invariants`` against
-which the atlas is checked; and Cremona reduction on one multiplicity per
-point, against which ``normalize_contractions`` is checked."""
+which the atlas is checked; the parameter counts read from a record's
+stored chi_top, against which the counts of its numerical type are checked;
+and Cremona reduction on one multiplicity per point, against which
+``normalize_contractions`` is checked."""
 
 from nlatlas.atlas import AtlasEntry
 from nlatlas.chow import CI222
 from nlatlas.counts import chi_NSX_lower, codimension_bound
 from nlatlas.errors import NotNef
 from nlatlas.lattice import discriminant, fourfold_lattice
-from nlatlas.surfaces import H0_QUADRICS_P7, PlaneModel, invariants
+from nlatlas.surfaces import H0_QUADRICS_P7, PlaneModel, SurfaceInvariants, invariants
 
 
 def count_numbers(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -51,6 +53,18 @@ def evaluate(bounds, a: int, counts: tuple[int, ...], shared: dict) -> AtlasEntr
         return None
     return AtlasEntry(model, s, lat, disc, (count.codim_bound, count.codim_bound + nsx),
                       count.h0_IS2, count.h0_N)
+
+
+def counts_by_chi_top(s: SurfaceInvariants) -> tuple[int, int, int]:
+    """(h0(I_S(2)), h0(N_{S/P7}), chi(N_{S/X})) of the record s from its
+    twists and its stored chi_top: chi(O_S(H)) and chi(O_S(2H)) from
+    ``chi_twist``, and chi(T_S) = (7K^2 - 5 chi_top)/6, which Noether makes
+    exact; ``counts._numbers`` reads the numerical type instead."""
+    chi_h, chi_2h = s.chi_twist(1), s.chi_twist(2)
+    t = 7 * s.K2 - 5 * s.chi_top
+    assert t % 6 == 0, s
+    h0_n = 8 * chi_h - s.chi_O - t // 6 - 3 * s.nodes
+    return H0_QUADRICS_P7 - chi_2h + s.nodes, h0_n, h0_n - 3 * chi_2h
 
 
 def cremona_by_points(a: int, counts: tuple[int, ...]) -> tuple[int, int, int, tuple[int, ...], int]:

@@ -6,15 +6,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nlatlas.atlas import SearchBounds, enumerate_atlas
 from nlatlas.chow import CI222, CompleteIntersectionType, _constants
-from nlatlas.counts import (chi_NSX_lower, codimension_bound, codimension_window_of,
-                            h0_normal_bundle, h0_quadrics, FLAG_NODAL_FIT, FLAG_VANISHING,
-                            ParameterCount)
-from nlatlas.errors import DivisibilityViolation, NegativeCount, NotNef
+from nlatlas.counts import (_numbers, _record, chi_NSX_lower, codimension_bound,
+                            codimension_window_of, h0_normal_bundle, h0_quadrics,
+                            FLAG_NODAL_FIT, FLAG_VANISHING, ParameterCount)
+from nlatlas.errors import NegativeCount, NotNef
 from nlatlas.lattice import (Mod16Class, RankTwoLattice, discriminant, fourfold_lattice,
                              mod16_class)
 from nlatlas.surfaces import (SurfaceInvariants, abstract_surface, invariants,
                               parse_surface_spec, PlaneModel)
-from reference import count_numbers
+from reference import count_numbers, counts_by_chi_top
 from test_surfaces import SPEC_ERRORS
 
 DEL_PEZZO = invariants(PlaneModel(3, (5,)))
@@ -126,6 +126,22 @@ def test_chi_nsx_by_riemann_roch_on_grids_and_rows(dataset):
     assert len(dataset.rows) - len(nodal) == 40
 
 
+@settings(max_examples=200)
+@given(drawn_specs())
+def test_counts_of_the_type_match_the_chi_top_form_on_drawn_records(spec):
+    s = parsed(spec)
+    assume(s is not None)
+    assert _numbers(*_record(s)) == counts_by_chi_top(s), spec
+
+
+def test_counts_of_the_type_match_the_chi_top_form_on_grids_and_rows(dataset):
+    records = [entry.surface for bounds in BENCH_GRIDS for entry in enumerate_atlas(bounds)]
+    records += [parse_surface_spec(row.surface) for row in dataset.rows]
+    assert len(records) == 608 + 41
+    for s in records:
+        assert _numbers(*_record(s)) == counts_by_chi_top(s), s
+
+
 def test_codimension_monotonicity():
     base = codimension_bound(DEG9, 2).codim_bound
     assert codimension_bound(DEG9, 3).codim_bound == base + 1
@@ -189,14 +205,6 @@ def test_negative_count_rejected():
         codimension_bound(DEG9, -1)
 
 
-def test_divisibility_guard_on_corrupted_record():
-    # _make skips the checks of SurfaceInvariants.__new__, as a corrupted
-    # record would
-    s = SurfaceInvariants._make((9, 3, 1, 1, 12, 8, 0, True, "corrupt"))
-    with pytest.raises(DivisibilityViolation):
-        h0_normal_bundle(s)
-
-
 def test_all_smooth_table_rows_reproduce(dataset):
     checked = 0
     for row in dataset.unirational_rows:
@@ -217,10 +225,8 @@ def _window_from_bounds(s):
 
 
 def _window_from_integers(s):
-    """The window of the integers the atlas passes, with chi(O_S(H)) =
-    chi(O_S) + H^2 + 1 - g by Riemann-Roch and adjunction."""
-    return codimension_window_of(s.degree, s.chi_O, s.chi_O + s.degree + 1 - s.sect_genus,
-                                 s.K2, s.chi_top, s.nodes)
+    """The window of the numerical type, as the atlas passes it."""
+    return codimension_window_of(s.degree, s.sect_genus, s.K2, s.chi_O, s.nodes)
 
 
 def _outcome(f, s):
@@ -262,14 +268,12 @@ def test_window_matches_codimension_bound(dataset):
 
 
 def test_window_refusal_names_the_numbers_by_default():
-    with pytest.raises(NegativeCount, match=r"^h0\(I_S\(2\)\) = -5 < 0 for "
-                                            r"H\^2 = 20, chi\(O_S\(H\)\) = 11, K\^2 = -3$"):
-        codimension_window_of(20, 1, 11, -3, 15, 0)
+    with pytest.raises(NegativeCount, match=r"^h0\(I_S\(2\)\) = -5 < 0 for H\^2 = 20, "
+                                            r"g = 11, K\^2 = -3, chi\(O_S\) = 1$"):
+        codimension_window_of(20, 11, -3, 1, 0)
     with pytest.raises(NegativeCount, match=r"^h0\(I_S\(2\)\) = 1 < 3 for H\^2 = 12, "
-                                            r"chi\(O_S\(H\)\) = 12, K\^2 = 0: no net of "):
-        codimension_window_of(12, 1, 12, 0, 12, 0)
-    with pytest.raises(DivisibilityViolation):
-        codimension_window_of(9, 1, 8, 1, 12, 0)
+                                            r"g = 2, K\^2 = 0, chi\(O_S\) = 1: no net of "):
+        codimension_window_of(12, 2, 0, 1, 0)
 
 
 CI_TYPES = (CI222, CompleteIntersectionType((3,)), CompleteIntersectionType((2, 2)))
@@ -285,9 +289,10 @@ def test_spec_request_work_counts(monkeypatch, spec, surfaces_built, models_buil
     request of the spec path: one parse, the lattice, discriminant, mod-16
     class and text of three multidegrees, and the three counts calls of a
     codimension window.  The request reads the per-multidegree table three
-    times per multidegree and builds it only when it is new; each counts call
-    takes ``chi_twist`` once; and it builds one lattice per multidegree, one
-    ``ParameterCount`` per ``codimension_bound`` and no ``Mod16Class``."""
+    times per multidegree and builds it only when it is new; the counts calls
+    read the numerical type, with no ``chi_twist``; and it builds one lattice
+    per multidegree, one ``ParameterCount`` per ``codimension_bound`` and no
+    ``Mod16Class``."""
     built = {"chi": 0}
     chi_twist = SurfaceInvariants.chi_twist
 
@@ -321,7 +326,7 @@ def test_spec_request_work_counts(monkeypatch, spec, surfaces_built, models_buil
     _constants.cache_clear()
     request()
     assert (_constants.cache_info().misses, _constants.cache_info().hits) == (3, 6)
-    once = {"chi": 3, "PlaneModel": models_built, "SurfaceInvariants": surfaces_built,
+    once = {"chi": 0, "PlaneModel": models_built, "SurfaceInvariants": surfaces_built,
             "CompleteIntersectionType": 0, "RankTwoLattice": 3, "Mod16Class": 0,
             "ParameterCount": 2}
     assert built == once

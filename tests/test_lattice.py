@@ -3,7 +3,7 @@ import random
 from nlatlas.chow import CI222, CompleteIntersectionType, formula_222
 from nlatlas.lattice import (Mod16Class, RankTwoLattice, Side, discriminant,
                              expected_residue, fourfold_lattice, mod16_class,
-                             surface_matrix, surface_picard_matrix)
+                             surface_matrix)
 from nlatlas.surfaces import abstract_surface, invariants, PlaneModel
 
 
@@ -73,7 +73,7 @@ def test_surface_picard_matrix_examples():
     lat = surface_matrix(13, 12, 2)
     assert lat.matrix == [[13, 9], [9, 2]]
     assert discriminant(lat) == 55
-    plane = surface_picard_matrix(invariants(PlaneModel(1)))
+    plane = surface_matrix(1, 0, 9)
     assert plane.matrix == [[1, -3], [-3, 9]]
     assert discriminant(plane) == 0 and plane.degenerate
 
