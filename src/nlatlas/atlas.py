@@ -116,10 +116,6 @@ class AtlasEntry:
     h0_IS2: int
     h0_N: int
 
-    @property
-    def sort_key(self):
-        return (self.discriminant, self.model.a, self.model.point_counts)
-
 
 def _leaf(a: int, high: tuple, placed: int, deg: int, h0: int, ns) -> list[tuple]:
     """The candidates S(a; n, *high), n in ``ns``, where S(a; 0, *high) has
@@ -195,9 +191,9 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple]:
 
 def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry]:
     """The entries of the candidates of ``_candidate_grid`` in ``chunk``,
-    sorted by ``AtlasEntry.sort_key``.  ``types`` maps each (degree, genus,
-    K^2) seen in this call to its lattice, discriminant and window, or to
-    False when it is rejected; nothing is kept between calls.
+    sorted by (discriminant, a, point counts).  ``types`` maps each (degree,
+    genus, K^2) seen in this call to its lattice, discriminant and window, or
+    to False when it is rejected; nothing is kept between calls.
 
     Each kept candidate is collected as a plain tuple led by (discriminant,
     a, counts), and the list is sorted once: the grid lists each (a, counts)
@@ -236,9 +232,9 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
 
 
 def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> list[AtlasEntry]:
-    """Build the atlas, sorted by ``AtlasEntry.sort_key``.  ``workers`` is
-    accepted and does not change how the grid is evaluated: every call is
-    one serial pass.  ROADMAP item 5 removes it together with the benchmark's
+    """Build the atlas, sorted by (discriminant, a, point counts).
+    ``workers`` is accepted and does not change how the grid is evaluated:
+    every call is one serial pass.  ROADMAP item 5 removes it together with the benchmark's
     ``atlas-pool`` workload, which passes ``workers=2``."""
     bounds = bounds or SearchBounds()
     return _evaluate_chunk(bounds, _candidate_grid(bounds))
