@@ -270,7 +270,7 @@ def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
     """The ``part`` ("fourfold" or "center") of diagram side ``side``: a
     preset name or an explicit diamond given as a nested list, and for a
     center also "unknown" or a surface spec string.  A fourfold must have
-    dimension 4."""
+    dimension 4, and a center dimension 2."""
     if part == "center" and obj == UNKNOWN:
         return UNKNOWN
     what = f"diagram: {side}: {part}"  # each refusal starts with its place
@@ -285,8 +285,10 @@ def _diamond(obj, side: str, part: str) -> HodgeDiamond | str:
             return surface_diamond(parse_surface_spec(obj))
         else:
             raise ValueError(f"cannot interpret {obj!r}")
-        if part == "fourfold" and diamond.dim != 4:
-            raise DimensionMismatch(f"need dimension 4, got a diamond of dimension {diamond.dim}")
+        need = 4 if part == "fourfold" else 2
+        if diamond.dim != need:
+            raise DimensionMismatch(
+                f"need dimension {need}, got a diamond of dimension {diamond.dim}")
     except ParseError as exc:  # keeps its position in the spec
         raise ParseError(f"{what}: {exc.message}", exc.text, exc.position) from None
     except (NLAtlasError, ValueError) as exc:

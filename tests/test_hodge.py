@@ -164,6 +164,17 @@ def test_solve_needs_a_fourfold_on_each_side():
                            "right": {"fourfold": "K3", "center": "unknown"}})
 
 
+def test_known_center_must_be_a_surface():
+    # solve_diagram keeps its own check for a DiagramSpec built in code
+    with pytest.raises(DimensionMismatch, match="^the known center must be a surface diamond$"):
+        solve_diagram(DiagramSpec(preset("X222"), preset("X222"), preset("ci22"), UNKNOWN))
+    for center, dim in (("X222", 4), ([[1, 2], [2, 1]], 1), ([[1]], 0)):
+        with pytest.raises(DimensionMismatch, match="^diagram: left: center: need dimension 2, "
+                                                    f"got a diamond of dimension {dim}$"):
+            diagram_from_dict({"left": {"fourfold": "X222", "center": center},
+                               "right": {"fourfold": "ci22", "center": "unknown"}})
+
+
 def test_solved_noether_identity():
     s = surface_diamond(parse_surface_spec("3;5,0,0"))
     sol = solve_diagram(DiagramSpec(preset("X222"), s, preset("X222"), UNKNOWN))
