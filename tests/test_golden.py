@@ -86,6 +86,7 @@ ERRORS = {
     "ledger-number-fourfold": ["ledger", "--diagram", "{number_fourfold}"],
     "ledger-bad-center-spec": ["ledger", "--diagram", "{bad_center_spec}"],
     "ledger-fourfold-dimension": ["ledger", "--diagram", "{fourfold_dimension}"],
+    "ledger-center-dimension": ["ledger", "--diagram", "{center_dimension}"],
 }
 
 CASES = ([(name, fmt) for name in COMMANDS for fmt in FORMATS]
@@ -99,6 +100,7 @@ BAD_DIAGRAMS = {
     "number_fourfold": ("left", "fourfold", 3),
     "bad_center_spec": ("left", "center", "5;x"),
     "fourfold_dimension": ("left", "fourfold", [[1]]),
+    "center_dimension": ("left", "center", "X222"),
 }
 
 
