@@ -35,21 +35,21 @@ blow-down raises K^2 = 9 - (number of points) by one.  Left to check:
   * the codimension-bound window, taken over h0(N_S/X) between 0 and the
     clamped Euler estimate, meets [0, max_codim].
 
-They read only the type (degree, genus, K^2), with chi(O) = 1 and no
-nodes, so ``_evaluate_chunk`` decides each new type from these integers,
-with no surface record: m22 from ``chow.formula_222``, the lattice and its
-discriminant, and the window from ``counts.codimension_window_of``.  A
-dict, kept for the length of the
-call, maps each type to them or to a rejection: the 683 candidates of the
-three bench grids have 453 types, which build 453 lattices and 431 windows
-(a negative discriminant needs none), a rejected type costs one lookup, and
-only the 608 kept entries build a plane model, a labelled record and an
-entry.  The kept candidates are plain tuples led by (discriminant, a,
-counts), sorted once, and each entry's plane model and record are built
-with ``_make`` from the grid's integers, which already pass the checks the
-constructors make on outside input.  The label comes from the grid leaf:
-``_leaf`` joins each candidate's S(a;n,...) from a head and a tail made once
-per leaf, so no plane model is printed.  Nothing is kept between calls.
+They read only the type (degree, genus, K^2), with chi(O) = 1 and no nodes,
+so ``_evaluate_chunk`` decides each new type from these integers, with no
+surface record: m22 from ``chow.formula_222``, the lattice and its
+discriminant, and the window from ``counts.codimension_window_of``.  A dict,
+kept for the length of the call, maps each type to them or to a rejection:
+the 683 candidates of the three bench grids have 453 types, which build 453
+lattices and 431 windows (a negative discriminant needs none), a rejected
+type costs one lookup, and only the 608 kept entries build a plane model, a
+labelled record and an entry.  The kept candidates are plain tuples led by
+(discriminant, a, counts), sorted once, and each entry's plane model and
+record are built with ``_make`` from the grid's integers, which already
+pass the checks the constructors make on outside input.  The label comes
+from the grid leaf: ``_leaf`` joins each candidate's S(a;n,...) from a head
+and a tail made once per leaf, so no plane model is printed.  Nothing is
+kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
 the grid in one serial pass, whose entries come sorted by (discriminant, a,
@@ -234,8 +234,8 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
 def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> list[AtlasEntry]:
     """Build the atlas, sorted by (discriminant, a, point counts).
     ``workers`` is accepted and does not change how the grid is evaluated:
-    every call is one serial pass.  ROADMAP item 5 removes it together with the benchmark's
-    ``atlas-pool`` workload, which passes ``workers=2``."""
+    every call is one serial pass.  ROADMAP item 5 removes it together with
+    the benchmark's ``atlas-pool`` workload, which passes ``workers=2``."""
     bounds = bounds or SearchBounds()
     return _evaluate_chunk(bounds, _candidate_grid(bounds))
 
