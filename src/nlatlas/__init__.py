@@ -14,8 +14,7 @@ _EXPORTS = {
     "atlas": ("AtlasEntry", "GapReport", "SearchBounds", "enumerate_atlas", "gap_report"),
     "chow": ("CI222", "CompleteIntersectionType", "chern_engine_coefficients",
              "closed_form_coefficients", "formula_222", "self_intersection"),
-    "counts": ("ParameterCount", "chi_NSX_lower", "codimension_bound",
-               "h0_normal_bundle", "h0_quadrics"),
+    "counts": ("ParameterCount", "chi_NSX_lower", "codimension_bound", "h0_quadrics"),
     "dataset": ("Dataset", "TableRow", "load_dataset"),
     "hodge": ("DiagramSpec", "HodgeDiamond", "blowup", "classify", "diagram_from_dict",
               "preset", "solve_diagram", "surface_diamond"),

@@ -71,13 +71,6 @@ def _record(s: SurfaceInvariants) -> tuple[int, int, int, int, int]:
     return s.degree, s.sect_genus, s.K2, s.chi_O, s.nodes
 
 
-def h0_normal_bundle(s: SurfaceInvariants) -> int:
-    """chi(N_{S/P7}) from the Euler and normal-bundle sequences:
-    8*chi(O_S(H)) - chi(O_S) - chi(T_S), with chi(T_S) = 2K^2 - 10chi(O_S).
-    Nodal images lose 3 per node (fitted rule)."""
-    return _numbers(*_record(s))[1]
-
-
 def chi_NSX_lower(s: SurfaceInvariants) -> int:
     """Euler-characteristic estimate chi(N_{S/X}) = h0(N_{S/P7}) - 3*chi(O_S(2))
     from 0 -> N_{S/X} -> N_{S/P7} -> O_S(2)^3 -> 0.  Explicitly NOT an h^0:

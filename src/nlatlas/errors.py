@@ -10,10 +10,6 @@ class MismatchedLattice(NLAtlasError):
     """Two divisor classes live on blow-ups at different numbers of points."""
 
 
-class ParityViolation(NLAtlasError):
-    """An intersection number has the wrong parity; the lattice data is corrupted."""
-
-
 class NotNef(NLAtlasError):
     """The hyperplane class pairs negatively with a (-1)-class, so the linear
     system does not define a morphism with the given base-point data."""

@@ -82,14 +82,6 @@ class HodgeDiamond(_HodgeDiamondFields):
         return "\n".join(lines)
 
 
-def point() -> HodgeDiamond:
-    return HodgeDiamond(0, ((1,),))
-
-
-def curve(genus: int) -> HodgeDiamond:
-    return HodgeDiamond(1, ((1, genus), (genus, 1)))
-
-
 def surface(pg: int, q: int, h11: int) -> HodgeDiamond:
     return HodgeDiamond(2, ((1, q, pg), (q, h11, q), (pg, q, 1)))
 

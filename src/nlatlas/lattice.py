@@ -32,14 +32,6 @@ class RankTwoLattice(NamedTuple):
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m12
 
-    @property
-    def matrix(self) -> list[list[int]]:
-        return [[self.m11, self.m12], [self.m12, self.m22]]
-
-    @property
-    def degenerate(self) -> bool:
-        return self.det == 0
-
     def __str__(self) -> str:
         return f"[[{self.m11},{self.m12}],[{self.m12},{self.m22}]]"
 

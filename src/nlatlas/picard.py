@@ -11,9 +11,10 @@ All arithmetic is over Python integers, hence exact at any size.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
-from .errors import MismatchedLattice, ParityViolation
+from .errors import MismatchedLattice
 
 
 class _DivisorClassFields(NamedTuple):
@@ -27,16 +28,14 @@ class DivisorClass(_DivisorClassFields):
     __slots__ = ()
 
     def __new__(cls, plane_degree: int, mults=()):
-        return tuple.__new__(cls, (plane_degree, tuple(int(m) for m in mults)))
+        # operator.index rejects floats and strings, which int() would truncate
+        # or parse; on integers D^2 +- D.K is even, so the halvings below are exact
+        return tuple.__new__(cls, (operator.index(plane_degree),
+                                   tuple(map(operator.index, mults))))
 
     @property
     def k(self) -> int:
         return len(self.mults)
-
-    def __str__(self) -> str:
-        if not self.mults:
-            return f"({self.plane_degree};)"
-        return f"({self.plane_degree}; {','.join(str(m) for m in self.mults)})"
 
 
 def pair(d1: DivisorClass, d2: DivisorClass) -> int:
@@ -60,15 +59,9 @@ def _dot_canonical(d: DivisorClass) -> int:
 
 def riemann_roch_chi(d: DivisorClass) -> int:
     """chi(O(D)) = 1 + D.(D - K)/2 on a rational surface."""
-    n = pair(d, d) - _dot_canonical(d)
-    if n % 2 != 0:
-        raise ParityViolation(f"D.(D-K) = {n} is odd for D = {d}")
-    return 1 + n // 2
+    return 1 + (pair(d, d) - _dot_canonical(d)) // 2
 
 
 def adjunction_genus(d: DivisorClass) -> int:
     """Arithmetic genus 1 + (D^2 + D.K)/2 of a curve in class D."""
-    n = pair(d, d) + _dot_canonical(d)
-    if n % 2 != 0:
-        raise ParityViolation(f"D^2 + D.K = {n} is odd for D = {d}")
-    return 1 + n // 2
+    return 1 + (pair(d, d) + _dot_canonical(d)) // 2

@@ -37,14 +37,14 @@ def test_criterion_1_tables_1_2(dataset):
             bad.append((row.id, result.diffs))
     anchors_ok = True
     for spec, matrix, disc, codim, h0i, h0n, h0nsx in [
-        ("3;5,0,0", [[8, 4], [4, 4]], 16, 1, 23, 41, 3),
-        ("1;", [[8, 1], [1, 4]], 31, 3, 30, 15, 0),
-        ("5;8,2,0", [[8, 9], [9, 16]], 47, 3, 14, 67, 4),
+        ("3;5,0,0", (8, 4, 4), 16, 1, 23, 41, 3),
+        ("1;", (8, 1, 4), 31, 3, 30, 15, 0),
+        ("5;8,2,0", (8, 9, 16), 47, 3, 14, 67, 4),
     ]:
         s = nl.parse_surface_spec(spec)
         lat = nl.fourfold_lattice(nl.CI222, s)
         count = nl.codimension_bound(s, h0nsx)
-        anchors_ok &= (lat.matrix == matrix and nl.discriminant(lat) == disc
+        anchors_ok &= ((lat.m11, lat.m12, lat.m22) == matrix and nl.discriminant(lat) == disc
                        and count.codim_bound == codim
                        and count.h0_IS2 == h0i and count.h0_N == h0n)
     _report("criterion 1: tables 1-2 reproduce exactly (34 rows + anchors)",
@@ -77,9 +77,9 @@ def test_criterion_3_cubic_cross_check():
     s = nl.abstract_surface(13, 12, 2, 4)
     si = nl.self_intersection(cubic, s)
     lat = nl.fourfold_lattice(cubic, s)
-    ok = si == 61 and lat.matrix == [[3, 13], [13, 61]] and nl.discriminant(lat) == 14
+    ok = si == 61 and (lat.m11, lat.m12, lat.m22) == (3, 13, 61) and nl.discriminant(lat) == 14
     _report("criterion 3: cubic fourfold gives (U)^2 = 61 and discriminant 14",
-            ok, f"got {si}, {lat.matrix}, {nl.discriminant(lat)}")
+            ok, f"got {si}, {lat}, {nl.discriminant(lat)}")
 
 
 def test_criterion_4_oracle_equivalence():

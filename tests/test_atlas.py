@@ -35,7 +35,7 @@ def test_default_bounds_contain_del_pezzo_row(default_atlas):
             if e.model.a == 3 and e.model.point_counts == (5, 0, 0)]
     assert len(hits) == 1
     entry = hits[0]
-    assert entry.lattice.matrix == [[8, 4], [4, 4]]
+    assert (entry.lattice.m11, entry.lattice.m12, entry.lattice.m22) == (8, 4, 4)
     assert entry.h0_IS2 == 23 and entry.h0_N == 41
 
 
@@ -93,7 +93,8 @@ def test_every_table_model_in_atlas(dataset, default_atlas):
         key = (int(a_str), counts)
         assert key in by_model, row.id
         entry = by_model[key]
-        assert tuple(entry.lattice.matrix[0] + entry.lattice.matrix[1][1:]) == row.matrix, row.id
+        lat = entry.lattice
+        assert (lat.m11, lat.m12, lat.m22) == row.matrix, row.id
         assert entry.discriminant == row.discriminant, row.id
         assert entry.h0_IS2 == row.h0_IS2 and entry.h0_N == row.h0_N, row.id
         # the window's low end uses h0(N_S/X) = 0, so it bounds the true codim

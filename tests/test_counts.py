@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nlatlas.atlas import SearchBounds, enumerate_atlas
 from nlatlas.chow import CI222, CompleteIntersectionType, _constants
 from nlatlas.counts import (_numbers, _record, chi_NSX_lower, codimension_bound,
-                            codimension_window_of, h0_normal_bundle, h0_quadrics,
+                            codimension_window_of, h0_quadrics,
                             FLAG_NODAL_FIT, FLAG_VANISHING, ParameterCount)
 from nlatlas.errors import NegativeCount, NotNef
 from nlatlas.lattice import (Mod16Class, RankTwoLattice, discriminant, fourfold_lattice,
@@ -29,10 +29,10 @@ def test_h0_quadrics_examples():
 
 
 def test_h0_normal_bundle_examples():
-    assert h0_normal_bundle(PLANE) == 15
-    assert h0_normal_bundle(DEL_PEZZO) == 41
-    assert h0_normal_bundle(abstract_surface(13, 8, -1, 2)) == 84
-    assert h0_normal_bundle(parse_surface_spec("5;6,2 nodes=1")) == 76
+    assert codimension_bound(PLANE, 0).h0_N == 15
+    assert codimension_bound(DEL_PEZZO, 0).h0_N == 41
+    assert codimension_bound(abstract_surface(13, 8, -1, 2), 0).h0_N == 84
+    assert codimension_bound(parse_surface_spec("5;6,2 nodes=1"), 0).h0_N == 76
 
 
 def test_codimension_examples():
@@ -167,13 +167,14 @@ def test_counts_read_chi_2h_as_chi_twist_does():
         k2, chi = rng.randint(-20, 9), rng.randint(-2, 8)
         s = SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi, 12 * chi - k2,
                               4, rng.randint(0, 3))
-        assert chi_NSX_lower(s) == h0_normal_bundle(s) - 3 * s.chi_twist(2), s
         try:
             h0_is2 = h0_quadrics(s)
         except NegativeCount:
             continue
         if h0_is2 >= 3:
-            assert codimension_bound(s, 0).h0_IS2 == h0_is2 == _window_from_integers(s)[0], s
+            count = codimension_bound(s, 0)
+            assert chi_NSX_lower(s) == count.h0_N - 3 * s.chi_twist(2), s
+            assert count.h0_IS2 == h0_is2 == _window_from_integers(s)[0], s
             checked += 1
     assert checked > 1000
 
@@ -210,8 +211,8 @@ def test_all_smooth_table_rows_reproduce(dataset):
     for row in dataset.unirational_rows:
         s = parse_surface_spec(row.surface)
         assert h0_quadrics(s) == row.h0_IS2, row.id
-        assert h0_normal_bundle(s) == row.h0_N, row.id
-        assert codimension_bound(s, row.h0_NSX).codim_bound == row.codim, row.id
+        count = codimension_bound(s, row.h0_NSX)
+        assert (count.h0_N, count.codim_bound) == (row.h0_N, row.codim), row.id
         checked += 1
     assert checked == 34
 

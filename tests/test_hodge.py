@@ -7,10 +7,9 @@ from test_surfaces import SPEC_ALPHABET, SPECS, _short_numbers
 
 from nlatlas.errors import (DimensionMismatch, Inconsistent, NLAtlasError, ParseError,
                             Underdetermined, UnknownPreset)
-from nlatlas.hodge import (UNKNOWN, DiagramSpec, HodgeDiamond, blowup,
-                           classify, curve,
+from nlatlas.hodge import (UNKNOWN, DiagramSpec, HodgeDiamond, blowup, classify,
                            derive_surface_invariants, diagram_from_dict,
-                           fourfold, point, preset, solve_diagram, surface,
+                           fourfold, preset, solve_diagram, surface,
                            surface_diamond)
 from nlatlas.surfaces import parse_surface_spec
 
@@ -53,7 +52,7 @@ def test_surface_diamond_from_invariants():
 def test_blowup_at_point():
     # the exceptional P^3 contributes one class in each of degrees 2, 4, 6
     x = preset("X222")
-    bl = blowup(x, point())
+    bl = blowup(x, HodgeDiamond(0, ((1,),)))
     assert bl.h(1, 1) == x.h(1, 1) + 1
     assert bl.h(2, 2) == x.h(2, 2) + 1
     assert bl.h(3, 3) == x.h(3, 3) + 1
@@ -85,18 +84,18 @@ def test_blowup_adds_center_euler():
 
 def test_blowup_dimension_guard():
     with pytest.raises(DimensionMismatch):
-        blowup(preset("K3"), point())
+        blowup(preset("K3"), HodgeDiamond(0, ((1,),)))
     with pytest.raises(DimensionMismatch):
         blowup(preset("X222"), preset("P4"))
 
 
 def test_blowup_along_curve():
     # codimension 3: two Tate twists of the curve's diamond
-    x = preset("X222")
-    bl = blowup(x, curve(2))
+    x, genus_two = preset("X222"), HodgeDiamond(1, ((1, 2), (2, 1)))
+    bl = blowup(x, genus_two)
     assert bl.h(1, 1) == 2 and bl.h(2, 1) == 2
     assert bl.h(2, 2) == x.h(2, 2) + 2
-    assert bl.euler == x.euler + 2 * curve(2).euler
+    assert bl.euler == x.euler + 2 * genus_two.euler
 
 
 def test_solve_plane_diagram():

@@ -15,14 +15,14 @@ def test_fourfold_lattice_plane():
 
 def test_fourfold_lattice_del_pezzo():
     lat = fourfold_lattice(CI222, invariants(PlaneModel(3, (5,))))
-    assert lat.matrix == [[8, 4], [4, 4]]
+    assert (lat.m11, lat.m12, lat.m22) == (8, 4, 4)
     assert discriminant(lat) == 16
 
 
 def test_fourfold_lattice_cubic_castelnuovo():
     lat = fourfold_lattice(CompleteIntersectionType((3,)),
                            abstract_surface(13, 12, 2, 4))
-    assert lat.matrix == [[3, 13], [13, 61]]
+    assert (lat.m11, lat.m12, lat.m22) == (3, 13, 61)
     assert discriminant(lat) == 14
 
 
@@ -68,14 +68,14 @@ def test_mod16_class_matches_a_fresh_record():
 
 def test_surface_picard_matrix_examples():
     lat = surface_matrix(9, 9, 2)
-    assert lat.matrix == [[9, 7], [7, 2]]
+    assert (lat.m11, lat.m12, lat.m22) == (9, 7, 2)
     assert discriminant(lat) == 31
     lat = surface_matrix(13, 12, 2)
-    assert lat.matrix == [[13, 9], [9, 2]]
+    assert (lat.m11, lat.m12, lat.m22) == (13, 9, 2)
     assert discriminant(lat) == 55
     plane = surface_matrix(1, 0, 9)
-    assert plane.matrix == [[1, -3], [-3, 9]]
-    assert discriminant(plane) == 0 and plane.degenerate
+    assert (plane.m11, plane.m12, plane.m22) == (1, -3, 9)
+    assert discriminant(plane) == plane.det == 0
 
 
 def test_mod16_theorem_random():

@@ -127,12 +127,11 @@ def test_attributes_cannot_be_set(value):
     lambda: nl.SurfaceInvariants(9, 3, 1, 1, 11, 8, nodes=-1),
     lambda: nl.CompleteIntersectionType(()),
     lambda: nl.CompleteIntersectionType((2, 1)),
-    lambda: nl.DivisorClass(1, ("x",)),
     lambda: nl.HodgeDiamond(3, ()),
     lambda: nl.HodgeDiamond(1, ((1, 2), (3, 1))),
     lambda: nl.SearchBounds(max_codim=0),
 ], ids=["plane-degree", "plane-counts", "noether", "degree", "nodes", "ci-empty",
-        "ci-degree", "divisor", "diamond-dim", "diamond-symmetry", "bounds"])
+        "ci-degree", "diamond-dim", "diamond-symmetry", "bounds"])
 def test_direct_construction_validates(build):
     with pytest.raises(ValueError):
         build()
@@ -143,10 +142,15 @@ def test_direct_construction_validates(build):
     lambda: nl.HodgeDiamond(0, [["1"]]),
     lambda: nl.abstract_surface(9, 3, 1, 1.5),
     lambda: nl.codimension_bound(nl.abstract_surface(9, 3, 1, 1), 2.5),
-], ids=["diamond-float", "diamond-str", "abstract-float", "count-float"])
+    lambda: nl.DivisorClass(1, ("x",)),
+    lambda: nl.DivisorClass(1.5),
+    lambda: nl.DivisorClass(3, (1.9,)),
+], ids=["diamond-float", "diamond-str", "abstract-float", "count-float", "divisor",
+        "divisor-float-degree", "divisor-float-mult"])
 def test_direct_construction_refuses_inexact_types(build):
     # int() would truncate 2.7 and parse "1"; abstract_surface(9, 3, 1, 1.5) gave h0_H = 8.5 and a count at h0(N_S/X)
-    # = 2.5 a codimension bound of 3.5
+    # = 2.5 a codimension bound of 3.5; DivisorClass(3, (1.9,)) was (3; 1), and
+    # riemann_roch_chi(DivisorClass(1.5)) halved an odd 6.75
     with pytest.raises(TypeError):
         build()
 
