@@ -171,16 +171,18 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
         raise ValueError(f"H^2 = {h2} < 1: not an embedding class")
     # n[i] points of multiplicity i, and in n[0] three zeros to pad the top three
     n = [3, *c]
-    i = len(c)
+    i = m2 = m3 = len(c)
     while True:
-        # the three largest multiplicities i >= m2 >= m3, read downwards
+        # the three largest multiplicities i >= m2 >= m3, read downwards; a
+        # step lowers only these three, so none rises and each scan resumes
+        # where it stopped, s counting the 1 point above m2 or 2 above m3
         while not n[i]:
             i -= 1
-        m3, s = i, n[i]
+        m2, s = (m2, 1 + n[m2]) if m2 < i else (i, n[i])
         while s < 2:
-            m3 -= 1
-            s += n[m3]
-        m2 = m3
+            m2 -= 1
+            s += n[m2]
+        m3, s = (m3, 2 + n[m3]) if m3 < m2 else (m2, s)
         while s < 3:
             m3 -= 1
             s += n[m3]
