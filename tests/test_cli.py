@@ -322,6 +322,24 @@ def test_dataset_names_a_missing_field(tmp_path, capsys, edit, message):
     assert run(capsys, "--dataset", str(bad), "tables") == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("row_id,key,value,message", [
+    pytest.param("t1-01", "h0_N", -1, "malformed dataset {bad}: row t1-01: negative count",
+                 id="negative-count"),
+    # read as a row, refused when tables checks the congruence
+    pytest.param("t3-1", "congruence_degree", 0, "curve degree must be >= 1",
+                 id="congruence-degree-zero"),
+])
+def test_dataset_row_of_impossible_numbers_exits_3(tmp_path, capsys, row_id, key, value, message):
+    data = _bundled_rows()
+    row = next(r for r in data["unirational_rows"] + data["rational_rows"]
+               if r["id"] == row_id)
+    row[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(capsys, "--dataset", str(bad), "tables") == (
+        3, "", f"error: {message.format(bad=bad)}\n")
+
+
 def _misspell_congruence_degree(data):
     row = next(r for r in data["rational_rows"] if r["id"] == "t3-1")
     row["congruence_degre"] = row.pop("congruence_degree")
@@ -453,6 +471,10 @@ def test_conflicting_flags_exit_3(capsys, argv, flags):
     assert err == f"error: give only one of {flags}\n"
 
 
+def test_surface_named_by_no_option_exits_3(capsys):
+    assert run(capsys, "lattice") == (3, "", "error: need --surface or --abs\n")
+
+
 def test_tables_which_allows_spaces(capsys):
     code, out, _ = run(capsys, "tables", "--which", " 2 , 3")
     assert code == 0
@@ -546,11 +568,12 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     ("left", "center", "3;5 ext-proj", "external projection needs a linearly normal "
                                       "surface spanning P^8, got h0(H) = 5, "
                                       "linearly_normal = True"),
+    ("left", "center", "3;1 nodes=1 ext-proj", "external projection requires a smooth image"),
     ("left", "center", "abs:deg=5,g=0,K2=20,chiO=1", "Hodge numbers must be >= 0"),
     ("left", "fourfold", [[1]], "need dimension 4, got a diamond of dimension 0"),
 ], ids=["ragged", "empty", "asymmetric", "fourfold-serre", "unknown-preset",
         "number-fourfold", "number-center", "center-parse", "center-h2", "center-projection",
-        "center-diamond", "fourfold-dimension"])
+        "center-nodal-projection", "center-diamond", "fourfold-dimension"])
 def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side, part, table,
                                                         message):
     data = {"left": {"fourfold": "X222", "center": "5;7,0,1"},
@@ -560,6 +583,20 @@ def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side,
     diagram.write_text(json.dumps(data))
     assert run(capsys, "ledger", "--diagram", str(diagram)) == (
         3, "", f"error: diagram: {side}: {part}: {message}\n")
+
+
+@pytest.mark.parametrize("left,right,message", [
+    # each part a diamond, yet no surface solves the diagram
+    (([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1]],
+      "5;7,0,1"), "ci22", "fourfold diamonds disagree at boundary entry (0,1)"),
+    (([[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 1]],
+      "plane"), "P4", "solved table is not a surface diamond: h^{0,0} must be 1"),
+], ids=["boundary", "not-a-surface"])
+def test_ledger_unsolvable_diagram_exits_3(tmp_path, capsys, left, right, message):
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps({"left": dict(zip(("fourfold", "center"), left)),
+                                   "right": {"fourfold": right, "center": "unknown"}}))
+    assert run(capsys, "ledger", "--diagram", str(diagram)) == (3, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("center,message", [

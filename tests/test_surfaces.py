@@ -305,7 +305,7 @@ def test_parse_errors(bad):
     ("5;7,0,1 int-proj squint", 17), (" abs:deg=13,g=x,K2=-1,chiO=2", 14),
     ("abs:deg=13", 10), ("abs:deg=0,g=0,K2=0,chiO=1", 8), ("abs:g=0,deg=-2", 12),
     ("5;6,2 nodes=0", 12), ("5;6,2 nodes=-1", 12), ("5;6,2 nodes=1_0", 12),
-    ("\uff15;7,0,1", 0), ("+5;7,0,1", 0),
+    ("\uff15;7,0,1", 0), ("+5;7,0,1", 0), ("abs:deg=9,deg=9,g=3,K2=1,chiO=1", 10),
 ])
 def test_parse_error_positions(bad, position):
     with pytest.raises(ParseError) as err:
