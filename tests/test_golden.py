@@ -37,6 +37,13 @@ DIAGRAM = {
     "flop_bridge": True,
 }
 
+# the paper's secant flop: the plane in X222 against P4, which solves U to the
+# Castelnuovo surface with K^2 = 2 and chi(O) = 4
+CASTELNUOVO = {
+    "left": {"fourfold": "X222", "center": "plane"},
+    "right": {"fourfold": "P4", "center": "unknown"},
+}
+
 # name -> argv after the global flags; {diagram}, {bad_dataset} and the other
 # names in braces are files written by ``_write_inputs``
 COMMANDS = {
@@ -57,6 +64,7 @@ COMMANDS = {
     "count-table-row": ["count", "--table-row", "t1-01"],
     "count-h0nsx": ["count", "--surface", "5;7,0,1", "--h0nsx", "2"],
     "ledger": ["ledger", "--diagram", "{diagram}"],
+    "ledger-castelnuovo": ["ledger", "--diagram", "{castelnuovo}"],
     "search-det": ["search", "--det", "47"],
     "search-small": ["search", "--max-a", "6", "--max-points", "10"],
     "search-gaps": ["search", "--gaps"],
@@ -105,12 +113,14 @@ BAD_DIAGRAMS = {
 
 
 def _write_inputs(root: Path) -> dict[str, str]:
-    """The diagram file, the diagrams of ``BAD_DIAGRAMS``, a dataset copy
+    """The two diagram files, the diagrams of ``BAD_DIAGRAMS``, a dataset copy
     whose row t1-01 has another matrix of the same determinant, another h0_N
     and another codim, and a dataset file in Latin-1."""
-    diagram = root / "diagram.json"
-    diagram.write_text(json.dumps(DIAGRAM))
-    written = {"diagram": str(diagram)}
+    written = {}
+    for key, value in (("diagram", DIAGRAM), ("castelnuovo", CASTELNUOVO)):
+        path = root / f"{key}.json"
+        path.write_text(json.dumps(value))
+        written[key] = str(path)
     for key, (side, part, value) in BAD_DIAGRAMS.items():
         path = root / f"{key}.json"
         path.write_text(json.dumps({**DIAGRAM, side: {**DIAGRAM[side], part: value}}))
