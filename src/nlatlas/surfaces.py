@@ -174,8 +174,8 @@ def normalize_contractions(model: PlaneModel) -> tuple[int, int, int, tuple[int,
     i = m2 = m3 = len(c)
     while True:
         # the three largest multiplicities i >= m2 >= m3, read downwards; a
-        # step lowers only these three, so none rises and each scan resumes
-        # where it stopped, s counting the 1 point above m2 or 2 above m3
+        # step lowers only these three, so none rises, and each scan resumes
+        # at its cursor with the one point above m2, or two above m3, counted
         while not n[i]:
             i -= 1
         m2, s = (m2, 1 + n[m2]) if m2 < i else (i, n[i])
