@@ -585,16 +585,16 @@ def test_ledger_table_that_is_no_diamond_names_its_place(tmp_path, capsys, side,
         3, "", f"error: diagram: {side}: {part}: {message}\n")
 
 
-@pytest.mark.parametrize("left,right,message", [
+@pytest.mark.parametrize("fourfold,center,right,message", [
     # each part a diamond, yet no surface solves the diagram
-    (([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1]],
-      "5;7,0,1"), "ci22", "fourfold diamonds disagree at boundary entry (0,1)"),
-    (([[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 1]],
-      "plane"), "P4", "solved table is not a surface diamond: h^{0,0} must be 1"),
+    ([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1]],
+     "5;7,0,1", "ci22", "fourfold diamonds disagree at boundary entry (0,1)"),
+    ([[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 1]],
+     "plane", "P4", "solved table is not a surface diamond: h^{0,0} must be 1"),
 ], ids=["boundary", "not-a-surface"])
-def test_ledger_unsolvable_diagram_exits_3(tmp_path, capsys, left, right, message):
+def test_ledger_unsolvable_diagram_exits_3(tmp_path, capsys, fourfold, center, right, message):
     diagram = tmp_path / "diagram.json"
-    diagram.write_text(json.dumps({"left": dict(zip(("fourfold", "center"), left)),
+    diagram.write_text(json.dumps({"left": {"fourfold": fourfold, "center": center},
                                    "right": {"fourfold": right, "center": "unknown"}}))
     assert run(capsys, "ledger", "--diagram", str(diagram)) == (3, "", f"error: {message}\n")
 
