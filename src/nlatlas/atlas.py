@@ -43,13 +43,16 @@ kept for the length of the call, maps each type to them or to a rejection:
 the 683 candidates of the three bench grids have 453 types, which build 453
 lattices and 431 windows (a negative discriminant needs none), a rejected
 type costs one lookup, and only the 608 kept entries build a plane model, a
-labelled record and an entry.  The kept candidates are plain tuples led by
-(discriminant, a, counts), sorted once, and each entry's plane model and
-record are built with ``_make`` from the grid's integers, which already
-pass the checks the constructors make on outside input.  The label comes
-from the grid leaf: ``_leaf`` joins each candidate's S(a;n,...) from a head
-and a tail made once per leaf, so no plane model is printed.  Nothing is
-kept between calls.
+labelled record and an entry.  A kept type also stores everything of an
+entry that it alone fixes: the record head (degree, genus, K^2, 1,
+12 - K^2, h0(H), 0, True), with h0(H) = degree + 2 - genus, the window's
+(lo, hi), h0(I(2)) and h0(N).  A kept candidate is then (discriminant, a,
+counts, label, type), sorted once, and each entry's plane model and record
+are built with ``tuple.__new__`` (``_tuple_new``) from the grid's integers,
+which already pass the checks the constructors make on outside input.  The
+label comes from the grid leaf: ``_leaf`` joins each candidate's S(a;n,...)
+from a head and a tail made once per leaf, so no plane model is printed.
+Nothing is kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
 the grid in one serial pass, whose entries come sorted by (discriminant, a,
@@ -68,6 +71,10 @@ from .chow import CI222, formula_222
 from .counts import codimension_window_of
 from .lattice import RankTwoLattice, Side, discriminant, mod16_class
 from .surfaces import PlaneModel, SurfaceInvariants
+
+# builds a record from values that already pass its checks: no ``__new__``,
+# and no length check as in ``_make``
+_tuple_new = tuple.__new__
 
 GAP_FLOOR = 16  # smallest discriminant considered attainable on a (2,2,2)
 
@@ -115,6 +122,17 @@ class AtlasEntry:
     codim_bound_range: tuple[int, int]
     h0_IS2: int
     h0_N: int
+
+    # the generated __init__ of a frozen dataclass sets each field with its
+    # own object.__setattr__; this one sets the instance dict in one
+    # assignment, taking the fields in declaration order
+    def __init__(self, model: PlaneModel, surface: SurfaceInvariants,
+                 lattice: RankTwoLattice, discriminant: int,
+                 codim_bound_range: tuple[int, int], h0_IS2: int, h0_N: int):
+        object.__setattr__(self, "__dict__", {
+            "model": model, "surface": surface, "lattice": lattice,
+            "discriminant": discriminant, "codim_bound_range": codim_bound_range,
+            "h0_IS2": h0_IS2, "h0_N": h0_N})
 
 
 def _leaf(a: int, high: tuple, placed: int, deg: int, h0: int, ns) -> list[tuple]:
@@ -192,16 +210,20 @@ def _candidate_grid(bounds: SearchBounds) -> list[tuple]:
 def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry]:
     """The entries of the candidates of ``_candidate_grid`` in ``chunk``,
     sorted by (discriminant, a, point counts).  ``types`` maps each (degree,
-    genus, K^2) seen in this call to its lattice, discriminant and window, or
-    to False when it is rejected; nothing is kept between calls.
+    genus, K^2) seen in this call to False when it is rejected, and else to
+    all of an entry that the type fixes: the record head (degree, genus, K^2,
+    chi(O) = 1, chi_top = 12 - K^2, h0(H) = degree + 2 - genus, no nodes,
+    linearly normal), the lattice, the window (lo, hi), h0(I(2)) and h0(N).
+    Nothing is kept between calls.
 
-    Each kept candidate is collected as a plain tuple led by (discriminant,
-    a, counts), and the list is sorted once: the grid lists each (a, counts)
-    once, so no comparison reaches a later field.  The records are then built
-    in that order with ``_make``, which skips the constructors' checks of
+    Each kept candidate is collected as (discriminant, a, counts, label,
+    type), and the list is sorted once: the grid lists each (a, counts)
+    once, so no comparison reaches the label.  The records are then built in
+    that order with ``_tuple_new``, which skips the constructors' checks of
     outside input: the grid's own integers pass them, with a >= 1, the counts
     a tuple of ints >= 0, the degree >= 1 and chi_top = 12 - K^2 for
-    chi(O) = 1.  The tests compare every entry with one built through the
+    chi(O) = 1.  ``AtlasEntry.__init__`` sets the entry's fields in one
+    assignment.  The tests compare every entry with one built through the
     constructors."""
     m11 = CI222.fourfold_degree
     types: dict = {}
@@ -217,18 +239,20 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
             window = codimension_window_of(degree, genus, K2, 1, 0) if disc >= 0 else None
             # no test of hi < 0: a surface of the grid has no nodes, so the
             # clamped estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
-            found = types[degree, genus, K2] = (
-                window is not None and window[3] <= bounds.max_codim and (lat, disc, window))
+            if window is not None and window[3] <= bounds.max_codim:
+                h0_is2, h0_n, _, lo, hi = window
+                found = ((degree, genus, K2, 1, 12 - K2, h0, 0, True), lat, disc, (lo, hi),
+                         h0_is2, h0_n)
+            else:
+                found = False
+            types[degree, genus, K2] = found
         if found:
-            lat, disc, window = found
-            kept.append((disc, a, counts, degree, genus, K2, h0, label, lat, window))
+            kept.append((found[2], a, counts, label, found))
     kept.sort()
-    return [AtlasEntry(PlaneModel._make((a, counts)),
-                       SurfaceInvariants._make((degree, genus, K2, 1, 12 - K2, h0, 0, True,
-                                                label)),
-                       lat, disc, (lo, hi), h0_is2, h0_n)
-            for disc, a, counts, degree, genus, K2, h0, label, lat,
-            (h0_is2, h0_n, _, lo, hi) in kept]
+    return [AtlasEntry(_tuple_new(PlaneModel, (a, counts)),
+                       _tuple_new(SurfaceInvariants, (*head, label)),
+                       lat, disc, window, h0_is2, h0_n)
+            for disc, a, counts, label, (head, lat, _, window, h0_is2, h0_n) in kept]
 
 
 def enumerate_atlas(bounds: SearchBounds | None = None, workers: int = 1) -> list[AtlasEntry]:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import pickle
@@ -165,6 +166,26 @@ def test_one_call_evaluates_the_whole_grid_in_one_chunk(monkeypatch):
         chunks.clear()
         enumerate_atlas(bounds, workers=workers)
         assert chunks == [_candidate_grid(bounds)]
+
+
+def test_atlas_entry_init_keeps_the_dataclass_contract(default_atlas):
+    """``AtlasEntry.__init__`` is written by hand, to set the instance dict in
+    one assignment: it takes the dataclass's fields by name and in order,
+    every entry stays frozen, and each way of rebuilding an entry gives back
+    one equal to it, with the same hash, repr and ``astuple``."""
+    names = [f.name for f in dataclasses.fields(AtlasEntry)]
+    assert list(inspect.signature(AtlasEntry.__init__).parameters) == ["self", *names]
+    for e in default_atlas:
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, getattr(e, name))
+        values = [getattr(e, name) for name in names]
+        for copy in (dataclasses.replace(e), pickle.loads(pickle.dumps(e)),
+                     AtlasEntry(**dataclasses.asdict(e)), AtlasEntry(*values)):
+            assert type(copy) is AtlasEntry and copy == e, e.model
+            assert (hash(copy), repr(copy)) == (hash(e), repr(e)), e.model
+            assert dataclasses.astuple(copy) == dataclasses.astuple(e), e.model
+            assert list(vars(copy).items()) == list(zip(names, values)), e.model
 
 
 def test_parse_error_survives_pickling():
@@ -463,10 +484,11 @@ def test_atlas_work_counts(monkeypatch):
     atlas evaluates the closed form once per multidegree, builds no
     ``ParameterCount``, and takes each candidate's numbers from the grid:
     it calls neither ``invariants`` nor ``normalize_contractions``, and
-    builds one ``PlaneModel`` and one labelled record with ``_make``, and one
-    ``AtlasEntry``, per entry, none for a rejected candidate, and no other
-    record: the validating constructors are not called.  The label comes
-    from the grid leaf: no ``PlaneModel`` is printed.  The grid carries the
+    builds one ``PlaneModel`` and one labelled record through the module's
+    ``_tuple_new``, and one ``AtlasEntry``, per entry, none for a rejected
+    candidate, and no other record: neither the validating constructors nor
+    ``_make`` are called.  The label comes from the grid leaf: no
+    ``PlaneModel`` is printed.  The grid carries the
     degree and h0(H) down its recursion, so no loop over the counts computes
     them (the package has no ``_count_numbers`` left), and its bounds on
     h0(H) and the genus leave fewer leaves (a standard choice of the counts
@@ -489,8 +511,8 @@ def test_atlas_work_counts(monkeypatch):
     visited = _visited_leaves(bounds)
     # each candidate comes from a visited leaf
     assert len({(a, counts[1:]) for a, counts, *_ in grid}) <= visited < leaves
-    built = {"model": 0, "record": 0, "model_make": 0, "record_make": 0, "entry": 0,
-             "count": 0, "window": 0, "chi": 0, "m22": 0, "lattice": 0, "leaf": 0,
+    built = {"model": 0, "record": 0, "model_make": 0, "record_make": 0, "model_new": 0,
+             "record_new": 0, "other_new": 0, "entry": 0, "count": 0, "window": 0, "chi": 0, "m22": 0, "lattice": 0, "leaf": 0,
              "invariants": 0, "normalize": 0, "record_path": 0, "printed": 0}
 
     def counting(key, fn):
@@ -523,9 +545,16 @@ def test_atlas_work_counts(monkeypatch):
     for cls, key in ((PlaneModel, "model"), (surfaces.SurfaceInvariants, "record"),
                      (ParameterCount, "count"), (RankTwoLattice, "lattice")):
         monkeypatch.setattr(cls, "__new__", counting(key, cls.__new__))
-    # ``_make`` builds the tuple without calling ``__new__``
+    # ``_make`` and ``tuple.__new__`` build the tuple without calling ``__new__``
     for cls, key in ((PlaneModel, "model_make"), (surfaces.SurfaceInvariants, "record_make")):
         monkeypatch.setattr(cls, "_make", classmethod(counting(key, cls._make.__func__)))
+    assert atlas._tuple_new is tuple.__new__
+    new_keys = {PlaneModel: "model_new", surfaces.SurfaceInvariants: "record_new"}
+
+    def tuple_new(cls, values):
+        built[new_keys.get(cls, "other_new")] += 1
+        return tuple.__new__(cls, values)
+    monkeypatch.setattr(atlas, "_tuple_new", tuple_new)
     monkeypatch.setattr(AtlasEntry, "__init__", counting("entry", AtlasEntry.__init__))
     for name in ("__str__", "spec_string"):
         monkeypatch.setattr(PlaneModel, name, counting("printed", getattr(PlaneModel, name)))
@@ -539,7 +568,7 @@ def test_atlas_work_counts(monkeypatch):
             built[key] = 0
         assert len(enumerate_atlas(bounds)) == entries, param.id
         assert built == dict.fromkeys(built, 0) | {
-            "model_make": entries, "record_make": entries, "entry": entries,
+            "model_new": entries, "record_new": entries, "entry": entries,
             "m22": types, "lattice": types, "window": windows, "leaf": emitting}, param.id
         assert emitting == len({(a, counts[1:]) for a, counts, *_ in grid})
         # nothing is kept across calls: the second call does all of it again
@@ -558,8 +587,8 @@ def _assert_the_reference_atlas(bounds):
     """Each candidate's numbers are those of ``invariants`` and its label is
     the plane model's ``str``, the atlas is the reference evaluator's,
     sorted, and each entry's lattice has m22 even and discriminant -deg^2
-    mod 16.  The atlas builds its records with ``_make``, which skips the
-    constructors' checks: each is of its class and passes them unchanged."""
+    mod 16.  The atlas builds its records with ``tuple.__new__``, which skips
+    the constructors' checks: each is of its class and passes them unchanged."""
     shared, expected = {}, []
     for a, counts, degree, genus, K2, h0, label in _candidate_grid(bounds):
         model = PlaneModel(a, counts)
