@@ -89,6 +89,8 @@ def _row_from_dict(d: dict) -> TableRow:
         raise ValueError(f"row {rid}: matrix and discriminant disagree")
     if min(row.h0_IS2, row.h0_N, row.h0_NSX) < 0:
         raise ValueError(f"row {rid}: negative count")
+    if row.congruence_degree is not None and row.congruence_degree < 1:
+        raise ValueError(f"row {rid}: congruence degree must be >= 1")
     return row
 
 

@@ -325,8 +325,8 @@ def test_dataset_names_a_missing_field(tmp_path, capsys, edit, message):
 @pytest.mark.parametrize("row_id,key,value,message", [
     pytest.param("t1-01", "h0_N", -1, "malformed dataset {bad}: row t1-01: negative count",
                  id="negative-count"),
-    # read as a row, refused when tables checks the congruence
-    pytest.param("t3-1", "congruence_degree", 0, "curve degree must be >= 1",
+    pytest.param("t3-1", "congruence_degree", 0,
+                 "malformed dataset {bad}: row t3-1: congruence degree must be >= 1",
                  id="congruence-degree-zero"),
 ])
 def test_dataset_row_of_impossible_numbers_exits_3(tmp_path, capsys, row_id, key, value, message):
@@ -336,8 +336,10 @@ def test_dataset_row_of_impossible_numbers_exits_3(tmp_path, capsys, row_id, key
     row[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    assert run(capsys, "--dataset", str(bad), "tables") == (
-        3, "", f"error: {message.format(bad=bad)}\n")
+    error = f"error: {message.format(bad=bad)}\n"
+    # refused at load, so by every command that reads the dataset
+    assert run(capsys, "--dataset", str(bad), "tables") == (3, "", error)
+    assert run(capsys, "--dataset", str(bad), "describe", "--surface", "3;5") == (3, "", error)
 
 
 def _misspell_congruence_degree(data):
