@@ -47,6 +47,11 @@ class DatasetMissing(NLAtlasError):
     """The bundled (or user supplied) table dataset could not be loaded."""
 
 
+def placed(message: str, text: str, position: int) -> str:
+    """``message`` followed by the place in the spec ``text`` that it refuses."""
+    return f"{message} (at position {position} in {text!r})"
+
+
 class ParseError(NLAtlasError):
     """A specification string could not be parsed; carries the offending position."""
 
@@ -54,7 +59,7 @@ class ParseError(NLAtlasError):
         self.message = message
         self.text = text
         self.position = position
-        super().__init__(f"{message} (at position {position} in {text!r})")
+        super().__init__(placed(message, text, position))
 
     def __reduce__(self):
         # pickle would pass back the one formatted argument, and unpickling

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall
+from .errors import NotNef, NotProjectable, ParseError, SpanTooSmall, placed
 
 if TYPE_CHECKING:
     from .picard import DivisorClass
@@ -377,18 +377,22 @@ def parse_surface_spec(text: str) -> SurfaceInvariants:
     else:
         s = invariants(_parse_plane(text, base, start))
     for start, token in tokens[1:]:
-        if token == "int-proj":
-            s = internal_projection(s)
-        elif token == "ext-proj":
-            s = external_projection(s)
-        elif token.startswith("nodes="):
-            at = start + len("nodes=")
-            delta = _parse_int(text, token[len("nodes="):], at)
-            if delta < 1:
-                raise ParseError(f"node count must be >= 1, got {delta}", text, at)
-            s = nodal_projection(s, delta)
-        else:
-            raise ParseError(f"unknown modifier {token!r}", text, start)
+        try:
+            if token == "int-proj":
+                s = internal_projection(s)
+            elif token == "ext-proj":
+                s = external_projection(s)
+            elif token.startswith("nodes="):
+                at = start + len("nodes=")
+                delta = _parse_int(text, token[len("nodes="):], at)
+                if delta < 1:
+                    raise ParseError(f"node count must be >= 1, got {delta}", text, at)
+                s = nodal_projection(s, delta)
+            else:
+                raise ParseError(f"unknown modifier {token!r}", text, start)
+        except NotProjectable as exc:
+            # the projections see a record, not the text: name the modifier here
+            raise NotProjectable(placed(str(exc), text, start)) from exc
     if s.h0_H > 9 or (s.h0_H == 9 and s.linearly_normal):
         raise SpanTooSmall(
             f"surface spans P^{s.h0_H - 1}: apply int-proj/ext-proj/nodes= to land in P^7"

@@ -569,8 +569,9 @@ def test_ledger_malformed_diagram_exits_3(tmp_path, capsys, data):
     ("right", "center", "1;5", "H^2 = -4 < 1: not an embedding class"),
     ("left", "center", "3;5 ext-proj", "external projection needs a linearly normal "
                                       "surface spanning P^8, got h0(H) = 5, "
-                                      "linearly_normal = True"),
-    ("left", "center", "3;1 nodes=1 ext-proj", "external projection requires a smooth image"),
+                                      "linearly_normal = True (at position 4 in '3;5 ext-proj')"),
+    ("left", "center", "3;1 nodes=1 ext-proj", "external projection requires a smooth image "
+                                              "(at position 12 in '3;1 nodes=1 ext-proj')"),
     ("left", "center", "abs:deg=5,g=0,K2=20,chiO=1", "Hodge numbers must be >= 0"),
     ("left", "fourfold", [[1]], "need dimension 4, got a diamond of dimension 0"),
 ], ids=["ragged", "empty", "asymmetric", "fourfold-serre", "unknown-preset",

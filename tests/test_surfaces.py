@@ -313,6 +313,21 @@ def test_parse_error_positions(bad, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("spec,position,message", [
+    ("3;5 ext-proj", 4, "external projection needs a linearly normal surface spanning P^8, "
+                        "got h0(H) = 5, linearly_normal = True"),
+    ("3;1 nodes=1  ext-proj", 13, "external projection requires a smooth image"),
+    ("3;1 nodes=1 int-proj", 12, "internal projection requires a smooth linearly normal source"),
+    ("3;5 int-proj nodes=2", 13, "h0(H) = 4 < 9: source must span at least P^8"),
+])
+def test_refused_modifier_names_its_position(spec, position, message):
+    # the type stays NotProjectable: only the message gains the place
+    with pytest.raises(NotProjectable) as err:
+        parse_surface_spec(spec)
+    assert type(err.value) is NotProjectable
+    assert str(err.value) == f"{message} (at position {position} in {spec!r})"
+
+
 def test_parse_accepts_leading_zeros_and_negative_abs_fields():
     assert parse_surface_spec("05;07,0,01") == parse_surface_spec("5;7,0,1")
     # a count spelled "-0" fails the one test of a count list and passes the
