@@ -49,10 +49,16 @@ entry that it alone fixes: the record head (degree, genus, K^2, 1,
 (lo, hi), h0(I(2)) and h0(N).  A kept candidate is then (discriminant, a,
 counts, label, type), sorted once, and each entry's plane model and record
 are built with ``tuple.__new__`` (``_tuple_new``) from the grid's integers,
-which already pass the checks the constructors make on outside input.  The
-label comes from the grid leaf: ``_leaf`` joins each candidate's S(a;n,...)
-from a head and a tail made once per leaf, so no plane model is printed.
-Nothing is kept between calls.
+which already pass the checks the constructors make on outside input.
+``AtlasEntry`` stays a frozen dataclass, because the pinned digests hash
+``dataclasses.astuple`` of each entry, but has its own ``__init__``: the
+generated one sets each of the seven fields with its own
+``object.__setattr__`` call, and this one stores them into the instance
+dict, in declaration order so that the dict keeps the class's shared keys
+(a new dict assigned in one step costs about 190 more bytes per entry and
+is slower).  The label comes from the grid leaf: ``_leaf`` joins each
+candidate's S(a;n,...) from a head and a tail made once per leaf, so no
+plane model is printed.  Nothing is kept between calls.
 
 The output is a pure function of the bounds: ``enumerate_atlas`` evaluates
 the grid in one serial pass, whose entries come sorted by (discriminant, a,
@@ -123,16 +129,20 @@ class AtlasEntry:
     h0_IS2: int
     h0_N: int
 
-    # the generated __init__ of a frozen dataclass sets each field with its
-    # own object.__setattr__; this one sets the instance dict in one
-    # assignment, taking the fields in declaration order
+    # stores into the instance dict in place of the generated seven
+    # object.__setattr__ calls (see the module docstring); in declaration
+    # order, so that every entry shares the class's dict keys
     def __init__(self, model: PlaneModel, surface: SurfaceInvariants,
                  lattice: RankTwoLattice, discriminant: int,
                  codim_bound_range: tuple[int, int], h0_IS2: int, h0_N: int):
-        object.__setattr__(self, "__dict__", {
-            "model": model, "surface": surface, "lattice": lattice,
-            "discriminant": discriminant, "codim_bound_range": codim_bound_range,
-            "h0_IS2": h0_IS2, "h0_N": h0_N})
+        attrs = self.__dict__
+        attrs["model"] = model
+        attrs["surface"] = surface
+        attrs["lattice"] = lattice
+        attrs["discriminant"] = discriminant
+        attrs["codim_bound_range"] = codim_bound_range
+        attrs["h0_IS2"] = h0_IS2
+        attrs["h0_N"] = h0_N
 
 
 def _leaf(a: int, high: tuple, placed: int, deg: int, h0: int, ns) -> list[tuple]:
@@ -222,8 +232,8 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
     that order with ``_tuple_new``, which skips the constructors' checks of
     outside input: the grid's own integers pass them, with a >= 1, the counts
     a tuple of ints >= 0, the degree >= 1 and chi_top = 12 - K^2 for
-    chi(O) = 1.  ``AtlasEntry.__init__`` sets the entry's fields in one
-    assignment.  The tests compare every entry with one built through the
+    chi(O) = 1.  ``AtlasEntry.__init__`` stores the entry's fields straight
+    into its instance dict.  The tests compare every entry with one built through the
     constructors."""
     m11 = CI222.fourfold_degree
     types: dict = {}

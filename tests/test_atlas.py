@@ -169,10 +169,11 @@ def test_one_call_evaluates_the_whole_grid_in_one_chunk(monkeypatch):
 
 
 def test_atlas_entry_init_keeps_the_dataclass_contract(default_atlas):
-    """``AtlasEntry.__init__`` is written by hand, to set the instance dict in
-    one assignment: it takes the dataclass's fields by name and in order,
-    every entry stays frozen, and each way of rebuilding an entry gives back
-    one equal to it, with the same hash, repr and ``astuple``."""
+    """``AtlasEntry.__init__`` is written by hand, to store the fields
+    straight into the instance dict: it takes the dataclass's fields by name
+    and in order and stores them in that order, every entry stays frozen,
+    and each way of rebuilding an entry gives back one equal to it, with the
+    same hash, repr and ``astuple``."""
     names = [f.name for f in dataclasses.fields(AtlasEntry)]
     assert list(inspect.signature(AtlasEntry.__init__).parameters) == ["self", *names]
     for e in default_atlas:
