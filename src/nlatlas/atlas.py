@@ -233,8 +233,8 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
     outside input: the grid's own integers pass them, with a >= 1, the counts
     a tuple of ints >= 0, the degree >= 1 and chi_top = 12 - K^2 for
     chi(O) = 1.  ``AtlasEntry.__init__`` stores the entry's fields straight
-    into its instance dict.  The tests compare every entry with one built through the
-    constructors."""
+    into its instance dict.  The tests compare every entry with one built
+    through the constructors."""
     m11 = CI222.fourfold_degree
     types: dict = {}
     kept = []

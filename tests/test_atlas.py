@@ -489,8 +489,8 @@ def test_atlas_work_counts(monkeypatch):
     ``_tuple_new``, and one ``AtlasEntry``, per entry, none for a rejected
     candidate, and no other record: neither the validating constructors nor
     ``_make`` are called.  The label comes from the grid leaf: no
-    ``PlaneModel`` is printed.  The grid carries the
-    degree and h0(H) down its recursion, so no loop over the counts computes
+    ``PlaneModel`` is printed.  The grid carries the degree and h0(H) down
+    its recursion, so no loop over the counts computes
     them (the package has no ``_count_numbers`` left), and its bounds on
     h0(H) and the genus leave fewer leaves (a standard choice of the counts
     above n_1) to visit than the brute-force count of them; it gives the
@@ -513,8 +513,9 @@ def test_atlas_work_counts(monkeypatch):
     # each candidate comes from a visited leaf
     assert len({(a, counts[1:]) for a, counts, *_ in grid}) <= visited < leaves
     built = {"model": 0, "record": 0, "model_make": 0, "record_make": 0, "model_new": 0,
-             "record_new": 0, "other_new": 0, "entry": 0, "count": 0, "window": 0, "chi": 0, "m22": 0, "lattice": 0, "leaf": 0,
-             "invariants": 0, "normalize": 0, "record_path": 0, "printed": 0}
+             "record_new": 0, "other_new": 0, "entry": 0, "count": 0, "window": 0, "chi": 0,
+             "m22": 0, "lattice": 0, "leaf": 0, "invariants": 0, "normalize": 0,
+             "record_path": 0, "printed": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
