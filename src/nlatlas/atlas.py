@@ -26,8 +26,8 @@ no candidate outside them is built: on the default bounds 86 of the 1,155
 models with H^2 >= 1 (304 without the standard condition), from 62 nodes
 of the search tree, where the H^2 and standard cuts alone visit 112
 (163,505 and 1,367,049 for the 11,997 of max_a=24, max_points=30,
-max_mult=6).  Each candidate comes with its degree, genus, K^2 and h0(H):
-a standard H pairs non-negatively with every (-1)-class, and only the line
+max_mult=6).  Each candidate comes with its degree, genus and K^2: a
+standard H pairs non-negatively with every (-1)-class, and only the line
 through the two largest points, when a = m1 + m2, pairs to zero; its
 blow-down raises K^2 = 9 - (number of points) by one.  Left to check:
 
@@ -44,9 +44,9 @@ the 683 candidates of the three bench grids have 453 types, which build 453
 lattices and 431 windows (a negative discriminant needs none), a rejected
 type costs one lookup, and only the 608 kept entries build a plane model, a
 labelled record and an entry.  A kept type also stores everything of an
-entry that it alone fixes: the record head (degree, genus, K^2, 1,
-12 - K^2, h0(H), 0, True), with h0(H) = degree + 2 - genus, the window's
-(lo, hi), h0(I(2)) and h0(N).  A kept candidate is then (discriminant, a,
+entry that it alone fixes: the record head (degree, genus, K^2, 1, 0,
+True), the window's (lo, hi), h0(I(2)) and h0(N); the record reads
+chi_top and h0(H) from its type.  A kept candidate is then (discriminant, a,
 counts, label, type), sorted once, and each entry's plane model and record
 are built with ``tuple.__new__`` (``_tuple_new``) from the grid's integers,
 which already pass the checks the constructors make on outside input.
@@ -147,22 +147,23 @@ class AtlasEntry:
 
 def _leaf(a: int, high: tuple, placed: int, deg: int, h0: int, ns) -> list[tuple]:
     """The candidates S(a; n, *high), n in ``ns``, where S(a; 0, *high) has
-    H^2 = ``deg``, h0(H) = ``h0`` and ``placed`` points.  A standard model
-    with a = m1 + m2 has m3 = 0: at most two points, summing to H.K + 3a.
-    The last field is ``str(PlaneModel(a, (n,) + high))``, joined from a head
-    and a tail made once per leaf."""
+    H^2 = ``deg``, h0(H) = ``h0`` and ``placed`` points: a simple point
+    keeps the genus.  A standard model with a = m1 + m2 has m3 = 0: at most
+    two points, summing to H.K + 3a.  The last field is
+    ``str(PlaneModel(a, (n,) + high))``, joined from a head and a tail made
+    once per leaf."""
     genus = deg + 2 - h0
     mults = 3 * a + 2 + deg - 2 * h0     # H.K + 3a of S(a; 0, *high)
     head = f"S({a};"
     tail = "".join(f",{x}" for x in high) + ")"
     return [(a, (n,) + high, deg - n, genus,
-             9 - placed - n + (placed + n <= 2 and a == mults + n), h0 - n,
+             9 - placed - n + (placed + n <= 2 and a == mults + n),
              f"{head}{n}{tail}") for n in ns]
 
 
 def _candidate_grid(bounds: SearchBounds) -> list[tuple]:
     """Every Cremona-standard (a, counts) in the bounds that passes the
-    count conditions, as (a, counts, degree, genus, K^2, h0(H), label).
+    count conditions, as (a, counts, degree, genus, K^2, label).
 
     n_maxmult, ..., n_2 are chosen first, with m1 + m2 + m3 <= a for the
     largest three multiplicities (standard), carrying down H^2 - 1 and h0(H)
@@ -222,23 +223,21 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
     sorted by (discriminant, a, point counts).  ``types`` maps each (degree,
     genus, K^2) seen in this call to False when it is rejected, and else to
     all of an entry that the type fixes: the record head (degree, genus, K^2,
-    chi(O) = 1, chi_top = 12 - K^2, h0(H) = degree + 2 - genus, no nodes,
-    linearly normal), the lattice, the window (lo, hi), h0(I(2)) and h0(N).
-    Nothing is kept between calls.
+    chi(O) = 1, no nodes, linearly normal), the lattice, the window (lo, hi),
+    h0(I(2)) and h0(N).  Nothing is kept between calls.
 
     Each kept candidate is collected as (discriminant, a, counts, label,
     type), and the list is sorted once: the grid lists each (a, counts)
     once, so no comparison reaches the label.  The records are then built in
     that order with ``_tuple_new``, which skips the constructors' checks of
     outside input: the grid's own integers pass them, with a >= 1, the counts
-    a tuple of ints >= 0, the degree >= 1 and chi_top = 12 - K^2 for
-    chi(O) = 1.  ``AtlasEntry.__init__`` stores the entry's fields straight
-    into its instance dict.  The tests compare every entry with one built
-    through the constructors."""
+    a tuple of ints >= 0 and the degree >= 1.  ``AtlasEntry.__init__``
+    stores the entry's fields straight into its instance dict.  The tests
+    compare every entry with one built through the constructors."""
     m11 = CI222.fourfold_degree
     types: dict = {}
     kept = []
-    for a, counts, degree, genus, K2, h0, label in chunk:
+    for a, counts, degree, genus, K2, label in chunk:
         found = types.get((degree, genus, K2))
         if found is None:
             # chi(O_S) = 1 and no nodes: the type's integers are all the
@@ -251,8 +250,8 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
             # clamped estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
             if window is not None and window[3] <= bounds.max_codim:
                 h0_is2, h0_n, _, lo, hi = window
-                found = ((degree, genus, K2, 1, 12 - K2, h0, 0, True), lat, disc, (lo, hi),
-                         h0_is2, h0_n)
+                found = ((degree, genus, K2, 1, 0, True), lat, disc, (lo, hi), h0_is2,
+                         h0_n)
             else:
                 found = False
             types[degree, genus, K2] = found

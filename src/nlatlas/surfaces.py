@@ -5,13 +5,13 @@ A plane model is the image of P^2 under the linear system of degree-a curves
 with n_i general base points of multiplicity i.  The hyperplane class is
 H = a*L - sum m_j E_j.  Base-point data for which H pairs to zero with a
 (-1)-class is handled by blow-down bookkeeping: Cremona reduction of H finds
-those classes, each contracted class raises K^2 by one and lowers chi_top by
-one, while every H-derived number (degree, sectional genus, chi(O(H))) is
-unchanged because H.C = 0.
+those classes, each contracted class raises K^2 by one, while every
+H-derived number (degree, sectional genus, chi(O(H))) is unchanged because
+H.C = 0.
 
-Surfaces that are not blow-ups of the plane (K3 projections and friends)
-enter through abstract invariants (deg, g, K^2, chi(O)); chi_top is then
-forced by the Noether formula K^2 = 12 chi(O) - chi_top.
+A record holds the numerical type (H^2, g, K^2, chi(O)) and the nodes, and
+reads chi_top (Noether) and h0(H) (Riemann-Roch) from them.  Surfaces that
+are not blow-ups of the plane (K3 projections and friends) enter by type.
 """
 
 from __future__ import annotations
@@ -63,38 +63,39 @@ class _SurfaceInvariantsFields(NamedTuple):
     sect_genus: int
     K2: int
     chi_O: int
-    chi_top: int
-    h0_H: int
     nodes: int
     linearly_normal: bool
     provenance_label: str
 
 
 class SurfaceInvariants(_SurfaceInvariantsFields):
-    """Numerical record of an embedded surface.
-
-    ``h0_H`` is chi(O_S(H)) under the vanishing assumption h^1 = h^2 = 0; the
-    span of the embedded surface is P^(min(h0_H, 8) - 1).  ``nodes`` counts
-    ordinary double points of the embedded image; all other fields describe
-    the smooth model.
+    """Numerical record of an embedded surface: its numerical type (H^2 =
+    ``degree``, sectional genus, K^2, chi(O)) and the other invariants read
+    from it.  ``nodes`` counts ordinary double points of the embedded image;
+    all other fields describe the smooth model.
     """
 
     __slots__ = ()
 
-    def __new__(cls, degree: int, sect_genus: int, K2: int, chi_O: int, chi_top: int,
-                h0_H: int, nodes: int = 0, linearly_normal: bool = True,
-                provenance_label: str = ""):
-        if chi_top != 12 * chi_O - K2:
-            raise ValueError(
-                f"Noether identity violated: chi_top={chi_top} != "
-                f"12*{chi_O} - {K2}"
-            )
+    def __new__(cls, degree: int, sect_genus: int, K2: int, chi_O: int, nodes: int = 0,
+                linearly_normal: bool = True, provenance_label: str = ""):
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         if nodes < 0:
             raise ValueError(f"nodes must be >= 0, got {nodes}")
-        return tuple.__new__(cls, (degree, sect_genus, K2, chi_O, chi_top, h0_H, nodes,
-                                   linearly_normal, provenance_label))
+        return tuple.__new__(cls, (degree, sect_genus, K2, chi_O, nodes, linearly_normal,
+                                   provenance_label))
+
+    @property
+    def chi_top(self) -> int:
+        """The topological Euler number, by Noether: 12 chi(O) - K^2."""
+        return 12 * self.chi_O - self.K2
+
+    @property
+    def h0_H(self) -> int:
+        """h0(H) = chi(O_S(H)) = chi(O) + H^2 + 1 - g, by Riemann-Roch with
+        h^1 = h^2 = 0 assumed; the surface spans P^(min(h0_H, 8) - 1)."""
+        return self.chi_O + self.degree + 1 - self.sect_genus
 
     @property
     def HK(self) -> int:
@@ -113,19 +114,19 @@ class SurfaceInvariants(_SurfaceInvariantsFields):
 def _embedded(degree: int, genus: int, K2: int, chi_O: int, label: str,
               why: str) -> SurfaceInvariants:
     """The record of numerical type (H^2 = ``degree``, sectional genus, K^2,
-    chi(O)), with h0(H) = chi(O_S(H)) = chi(O) + H^2 + 1 - g; a span below
-    P^3, degree > 1 with h0(H) < 4, is ``SpanTooSmall`` worded by ``why``.
-    Degree 1 passes at any h0(H) until ROADMAP item 7 admits only h0(H) = 3."""
-    h0 = chi_O + degree + 1 - genus
-    if h0 < 4 and degree != 1:
-        raise SpanTooSmall(f"{label or 'surface'} gives h0(H) = {h0}: {why}")
-    return SurfaceInvariants(degree, genus, K2, chi_O, 12 * chi_O - K2, h0, 0, True, label)
+    chi(O)); a span below P^3, degree > 1 with h0(H) < 4, is ``SpanTooSmall``
+    worded by ``why``.  Degree 1 passes at any h0(H) until ROADMAP item 7
+    admits only h0(H) = 3."""
+    s = SurfaceInvariants(degree, genus, K2, chi_O, 0, True, label)
+    if s.h0_H < 4 and degree != 1:
+        raise SpanTooSmall(f"{label or 'surface'} gives h0(H) = {s.h0_H}: {why}")
+    return s
 
 
 def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
                      label: str = "") -> SurfaceInvariants:
-    """Build a record from (deg, g, K^2, chi(O)); chi_top and h0_H derived.
-    Like ``invariants``, it refuses a surface of degree > 1 with h0(H) < 4."""
+    """Build a record from (deg, g, K^2, chi(O)).  Like ``invariants``, it
+    refuses a surface of degree > 1 with h0(H) < 4."""
     # operator.index rejects floats and strings, as PlaneModel does; the
     # record's own constructor does not
     degree, sect_genus, K2, chi_O = map(operator.index, (degree, sect_genus, K2, chi_O))
@@ -219,8 +220,8 @@ def _rebuilt(src: SurfaceInvariants, **changes) -> SurfaceInvariants:
 
 
 def internal_projection(src: SurfaceInvariants) -> SurfaceInvariants:
-    """Project from a general point on the surface: degree, K^2, h0 drop by 1,
-    chi_top rises by 1; sectional genus and chi(O) are unchanged."""
+    """Project from a general point on the surface: degree, K^2 and h0(H) drop
+    by 1, chi_top rises by 1; sectional genus and chi(O) are unchanged."""
     if src.nodes != 0 or not src.linearly_normal:
         raise NotProjectable("internal projection requires a smooth linearly "
                              "normal source")
@@ -232,8 +233,6 @@ def internal_projection(src: SurfaceInvariants) -> SurfaceInvariants:
         src,
         degree=src.degree - 1,
         K2=src.K2 - 1,
-        chi_top=src.chi_top + 1,
-        h0_H=src.h0_H - 1,
         provenance_label=f"internal projection of {src.provenance_label or 'surface'}",
     )
 

@@ -165,8 +165,8 @@ def test_counts_read_chi_2h_as_chi_twist_does():
     checked = 0
     for _ in range(3000):
         k2, chi = rng.randint(-20, 9), rng.randint(-2, 8)
-        s = SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi, 12 * chi - k2,
-                              4, rng.randint(0, 3))
+        s = SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi,
+                              rng.randint(0, 3))
         try:
             h0_is2 = h0_quadrics(s)
         except NegativeCount:
@@ -187,7 +187,7 @@ def test_window_top_is_max_of_lo_and_0_without_nodes():
     checked = 0
     for _ in range(3000):
         k2, chi = rng.randint(-20, 9), rng.randint(-2, 8)
-        s = SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi, 12 * chi - k2, 4)
+        s = SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi)
         try:
             *_, lo, hi = _window_from_integers(s)
         except NegativeCount:
@@ -259,7 +259,7 @@ def test_window_matches_codimension_bound(dataset):
     for _ in range(3000):
         k2, chi = rng.randint(-20, 9), rng.randint(-2, 8)
         surfaces.append(SurfaceInvariants(rng.randint(1, 40), rng.randint(0, 30), k2, chi,
-                                          12 * chi - k2, 4, rng.choice((0, 0, 1, 2, 3))))
+                                          rng.choice((0, 0, 1, 2, 3))))
     refused = 0
     for s in surfaces:
         window = _outcome(_window_from_bounds, s)

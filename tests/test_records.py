@@ -122,15 +122,14 @@ def test_attributes_cannot_be_set(value):
 @pytest.mark.parametrize("build", [
     lambda: nl.PlaneModel(0),
     lambda: nl.PlaneModel(5, (7, -1)),
-    lambda: nl.SurfaceInvariants(9, 3, 1, 1, 12, 8),
-    lambda: nl.SurfaceInvariants(0, 0, 9, 1, 3, 3),
-    lambda: nl.SurfaceInvariants(9, 3, 1, 1, 11, 8, nodes=-1),
+    lambda: nl.SurfaceInvariants(0, 0, 9, 1),
+    lambda: nl.SurfaceInvariants(9, 3, 1, 1, nodes=-1),
     lambda: nl.CompleteIntersectionType(()),
     lambda: nl.CompleteIntersectionType((2, 1)),
     lambda: nl.HodgeDiamond(3, ()),
     lambda: nl.HodgeDiamond(1, ((1, 2), (3, 1))),
     lambda: nl.SearchBounds(max_codim=0),
-], ids=["plane-degree", "plane-counts", "noether", "degree", "nodes", "ci-empty",
+], ids=["plane-degree", "plane-counts", "degree", "nodes", "ci-empty",
         "ci-degree", "diamond-dim", "diamond-symmetry", "bounds"])
 def test_direct_construction_validates(build):
     with pytest.raises(ValueError):
@@ -164,7 +163,7 @@ def test_validation_converts_fields():
 
 @pytest.mark.parametrize("kind,value", [
     ("plane_model", nl.PlaneModel(5, (7, 0, 1))._replace(a=0)),
-    ("surface", nl.parse_surface_spec("5;7,0,1")._replace(chi_top=99)),
+    ("surface", nl.parse_surface_spec("5;7,0,1")._replace(degree=0)),
     ("ci_type", nl.CI222._replace(degrees=(2, 1))),
     ("hodge_diamond", nl.preset("K3")._replace(entries=((1, 0, 1), (0, 20, 0), (2, 0, 1)))),
     ("search_bounds", nl.SearchBounds()._replace(max_a=0)),
@@ -177,9 +176,9 @@ def test_decode_validates(kind, value):
         decode(data)
 
 
-# Noether fails on this record: chi_top is 12 where 12 chi(O) - K^2 = 11;
-# ``_make`` builds it without the checks
-CORRUPT = SurfaceInvariants._make((9, 3, 1, 1, 12, 9, 0, True, "corrupt"))
+# degree 0, which the constructor refuses, and h0(H) = 9, so that every
+# projection admits it; ``_make`` builds it without the checks
+CORRUPT = SurfaceInvariants._make((0, 0, 1, 8, 0, True, "corrupt"))
 
 
 @pytest.mark.parametrize("project", [
@@ -188,9 +187,9 @@ CORRUPT = SurfaceInvariants._make((9, 3, 1, 1, 12, 9, 0, True, "corrupt"))
     lambda s: nl.nodal_projection(s, 1),
 ], ids=["internal", "external", "nodal"])
 def test_projections_build_through_the_constructor(project):
-    with pytest.raises(ValueError, match="Noether identity violated"):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
         project(CORRUPT)
-    result = project(CORRUPT._replace(chi_top=11))
+    result = project(CORRUPT._replace(degree=9, sect_genus=9))
     assert type(result) is SurfaceInvariants
 
 

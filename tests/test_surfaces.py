@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nlatlas.chow import parse_ci
 from nlatlas.errors import NotNef, NotProjectable, ParseError, SpanTooSmall
 from nlatlas.picard import DivisorClass
-from nlatlas.surfaces import (PlaneModel, SurfaceInvariants, abstract_surface,
-                              expand, external_projection, internal_projection,
-                              invariants, nodal_projection,
+from nlatlas.surfaces import (PlaneModel, abstract_surface, expand, external_projection,
+                              internal_projection, invariants, nodal_projection,
                               normalize_contractions, parse_surface_spec)
 
 K3 = abstract_surface(14, 8, 0, 2, label="K3 of degree 14")
@@ -62,11 +61,6 @@ def test_invariants_rejects_degree_cover_models():
     # septics with 11 double points map 5:1 to a plane, not an embedding
     with pytest.raises(SpanTooSmall):
         invariants(PlaneModel(7, (0, 11)))
-
-
-def test_noether_identity_enforced():
-    with pytest.raises(ValueError):
-        SurfaceInvariants(degree=9, sect_genus=3, K2=1, chi_O=1, chi_top=10, h0_H=8)
 
 
 def test_internal_projection_of_k3():
