@@ -79,6 +79,9 @@ class SurfaceInvariants(_SurfaceInvariantsFields):
 
     def __new__(cls, degree: int, sect_genus: int, K2: int, chi_O: int, nodes: int = 0,
                 linearly_normal: bool = True, provenance_label: str = ""):
+        # operator.index rejects floats and strings, as PlaneModel does
+        degree, sect_genus, K2, chi_O, nodes = map(operator.index,
+                                                   (degree, sect_genus, K2, chi_O, nodes))
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         if nodes < 0:
@@ -127,9 +130,6 @@ def abstract_surface(degree: int, sect_genus: int, K2: int, chi_O: int,
                      label: str = "") -> SurfaceInvariants:
     """Build a record from (deg, g, K^2, chi(O)).  Like ``invariants``, it
     refuses a surface of degree > 1 with h0(H) < 4."""
-    # operator.index rejects floats and strings, as PlaneModel does; the
-    # record's own constructor does not
-    degree, sect_genus, K2, chi_O = map(operator.index, (degree, sect_genus, K2, chi_O))
     return _embedded(degree, sect_genus, K2, chi_O, label,
                      f"a surface of degree {degree} spans at least P^3")
 

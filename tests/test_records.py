@@ -140,16 +140,20 @@ def test_direct_construction_validates(build):
     lambda: nl.HodgeDiamond(2, ((1, 0, 2.7), (0, True, 0), (2.2, 0, 1))),
     lambda: nl.HodgeDiamond(0, [["1"]]),
     lambda: nl.abstract_surface(9, 3, 1, 1.5),
+    lambda: nl.SurfaceInvariants(9.5, 3, 1, 1),
     lambda: nl.codimension_bound(nl.abstract_surface(9, 3, 1, 1), 2.5),
     lambda: nl.DivisorClass(1, ("x",)),
     lambda: nl.DivisorClass(1.5),
     lambda: nl.DivisorClass(3, (1.9,)),
-], ids=["diamond-float", "diamond-str", "abstract-float", "count-float", "divisor",
+], ids=["diamond-float", "diamond-str", "abstract-float", "surface-float", "count-float",
+        "divisor",
         "divisor-float-degree", "divisor-float-mult"])
 def test_direct_construction_refuses_inexact_types(build):
-    # int() would truncate 2.7 and parse "1"; abstract_surface(9, 3, 1, 1.5) gave h0_H = 8.5 and a count at h0(N_S/X)
-    # = 2.5 a codimension bound of 3.5; DivisorClass(3, (1.9,)) was (3; 1), and
-    # riemann_roch_chi(DivisorClass(1.5)) halved an odd 6.75
+    # int() would truncate 2.7 and parse "1"; abstract_surface(9, 3, 1, 1.5) gave
+    # h0_H = 8.5 and a count at h0(N_S/X) = 2.5 a codimension bound of 3.5; a
+    # record of degree 9.5 gave h0(I(2)) = 10.5 and a discriminant of 45.75;
+    # DivisorClass(3, (1.9,)) was (3; 1), and riemann_roch_chi(DivisorClass(1.5))
+    # halved an odd 6.75
     with pytest.raises(TypeError):
         build()
 
