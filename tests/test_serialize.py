@@ -45,7 +45,12 @@ def test_encode_rejects_unknown_types():
                                   # a key that is no field was ignored
                                   {**ENTRY["surface"], "sect_genu": 3},
                                   # written when the grid's genus cut had a switch
-                                  {**BOUNDS, "require_positive_genus_bound": True}])
+                                  {**BOUNDS, "require_positive_genus_bound": True},
+                                  # a surface as it was written, with chi_top and h0_H
+                                  {"kind": "surface", "degree": 11, "sect_genus": 4, "K2": 1,
+                                   "chi_O": 1, "chi_top": 11, "h0_H": 9, "nodes": 1,
+                                   "linearly_normal": False,
+                                   "provenance_label": "1-nodal projection of S(5;6,2)"}])
 def test_decode_rejects_unknown_kinds(data):
     with pytest.raises(TypeError) as exc:
         decode(data)
