@@ -86,6 +86,8 @@ class SurfaceInvariants(_SurfaceInvariantsFields):
             raise ValueError(f"degree must be >= 1, got {degree}")
         if nodes < 0:
             raise ValueError(f"nodes must be >= 0, got {nodes}")
+        if type(linearly_normal) is not bool:
+            raise TypeError(f"linearly_normal must be a bool, got {linearly_normal!r}")
         return tuple.__new__(cls, (degree, sect_genus, K2, chi_O, nodes, linearly_normal,
                                    provenance_label))
 

@@ -2,7 +2,7 @@
 its point counts, against which the atlas grid's running sums and the
 records are checked; the per-candidate path through ``invariants`` against
 which the atlas is checked; the parameter counts read from a record's
-stored chi_top, against which the counts of its numerical type are checked;
+chi_top, against which the counts of its numerical type are checked;
 and Cremona reduction on one multiplicity per point, against which
 ``normalize_contractions`` is checked."""
 
@@ -57,7 +57,7 @@ def evaluate(bounds, a: int, counts: tuple[int, ...], shared: dict) -> AtlasEntr
 
 def counts_by_chi_top(s: SurfaceInvariants) -> tuple[int, int, int]:
     """(h0(I_S(2)), h0(N_{S/P7}), chi(N_{S/X})) of the record s from its
-    twists and its stored chi_top: chi(O_S(H)) and chi(O_S(2H)) from
+    twists and its chi_top: chi(O_S(H)) and chi(O_S(2H)) from
     ``chi_twist``, and chi(T_S) = (7K^2 - 5 chi_top)/6, which Noether makes
     exact; ``counts._numbers`` reads the numerical type instead."""
     chi_h, chi_2h = s.chi_twist(1), s.chi_twist(2)

@@ -141,12 +141,14 @@ def test_direct_construction_validates(build):
     lambda: nl.HodgeDiamond(0, [["1"]]),
     lambda: nl.abstract_surface(9, 3, 1, 1.5),
     lambda: nl.SurfaceInvariants(9.5, 3, 1, 1),
+    # the form with chi_top and h0_H, which read as 11 nodes
+    lambda: nl.SurfaceInvariants(9, 3, 1, 1, 11, 8),
     lambda: nl.codimension_bound(nl.abstract_surface(9, 3, 1, 1), 2.5),
     lambda: nl.DivisorClass(1, ("x",)),
     lambda: nl.DivisorClass(1.5),
     lambda: nl.DivisorClass(3, (1.9,)),
-], ids=["diamond-float", "diamond-str", "abstract-float", "surface-float", "count-float",
-        "divisor",
+], ids=["diamond-float", "diamond-str", "abstract-float", "surface-float",
+        "surface-old-form", "count-float", "divisor",
         "divisor-float-degree", "divisor-float-mult"])
 def test_direct_construction_refuses_inexact_types(build):
     # int() would truncate 2.7 and parse "1"; abstract_surface(9, 3, 1, 1.5) gave
