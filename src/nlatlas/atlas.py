@@ -45,8 +45,8 @@ lattices and 431 windows (a negative discriminant needs none), a rejected
 type costs one lookup, and only the 608 kept entries build a plane model, a
 labelled record and an entry.  A kept type also stores everything of an
 entry that it alone fixes: the record head (degree, genus, K^2, 1, 0,
-True), the window's (lo, hi), h0(I(2)) and h0(N); the record reads
-chi_top and h0(H) from its type.  A kept candidate is then (discriminant, a,
+True), the window's (lo, hi), h0(I(2)) and h0(N); the record reads chi_top
+and h0(H) from its type.  A kept candidate is then (discriminant, a,
 counts, label, type), sorted once, and each entry's plane model and record
 are built with ``tuple.__new__`` (``_tuple_new``) from the grid's integers,
 which already pass the checks the constructors make on outside input.
@@ -147,11 +147,10 @@ class AtlasEntry:
 
 def _leaf(a: int, high: tuple, placed: int, deg: int, h0: int, ns) -> list[tuple]:
     """The candidates S(a; n, *high), n in ``ns``, where S(a; 0, *high) has
-    H^2 = ``deg``, h0(H) = ``h0`` and ``placed`` points: a simple point
-    keeps the genus.  A standard model with a = m1 + m2 has m3 = 0: at most
-    two points, summing to H.K + 3a.  The last field is
-    ``str(PlaneModel(a, (n,) + high))``, joined from a head and a tail made
-    once per leaf."""
+    H^2 = ``deg``, h0(H) = ``h0`` and ``placed`` points.  A standard model
+    with a = m1 + m2 has m3 = 0: at most two points, summing to H.K + 3a.
+    The last field is ``str(PlaneModel(a, (n,) + high))``, joined from a head
+    and a tail made once per leaf."""
     genus = deg + 2 - h0
     mults = 3 * a + 2 + deg - 2 * h0     # H.K + 3a of S(a; 0, *high)
     head = f"S({a};"
@@ -250,8 +249,7 @@ def _evaluate_chunk(bounds: SearchBounds, chunk: list[tuple]) -> list[AtlasEntry
             # clamped estimate of h0(N_S/X) is max(-lo, 0) and hi = max(lo, 0)
             if window is not None and window[3] <= bounds.max_codim:
                 h0_is2, h0_n, _, lo, hi = window
-                found = ((degree, genus, K2, 1, 0, True), lat, disc, (lo, hi), h0_is2,
-                         h0_n)
+                found = ((degree, genus, K2, 1, 0, True), lat, disc, (lo, hi), h0_is2, h0_n)
             else:
                 found = False
             types[degree, genus, K2] = found
